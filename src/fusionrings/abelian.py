@@ -1,15 +1,17 @@
 """Finite abelian groups and exact linear algebra over Z.
 
 Everything in this module is computed with plain Python integers, so there is
-no overflow to worry about.  The workhorse is the Smith normal form with full
-transform tracking (U A V = D with U, V unimodular, together with their
-inverses), from which we get integer kernels, integer linear solves, lattice
-bases and quotient types — all that is needed to present finite abelian groups
-and compute subquotients exactly.
+no overflow to worry about.  The workhorse is the Smith normal form
+(U A V = D with U, V unimodular), which tracks only the transforms its caller
+asks for; from it we get integer kernels, integer linear solves, lattice bases
+and quotient types — all that is needed to present finite abelian groups and
+compute subquotients exactly.  Groups given by a multiplication table are
+typed from their element orders instead.
 
 Matrices are lists of rows of ints.  Vectors are lists of ints.
 """
 
+import math
 from collections import namedtuple
 from itertools import product as _cartesian
 
@@ -29,17 +31,21 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-SNF = namedtuple("SNF", ["d", "u", "v", "uinv", "vinv"])
+SNF = namedtuple("SNF", ["d", "u", "v", "uinv"])
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms: returns (D, U, V, Uinv, Vinv).
+def smith_normal_form(a, u=False, v=False, uinv=False):
+    """Smith normal form, with only the transforms asked for.
+
+    ``smith_normal_form(a, u=False, v=False, uinv=False) -> SNF(d, u, v, uinv)``
 
     U A V = D where U (m x m) and V (n x n) are unimodular and D is diagonal
-    with nonnegative entries d_1 | d_2 | ... ; Uinv, Vinv are the exact integer
-    inverses of U and V.
+    with nonnegative entries d_1 | d_2 | ... ; Uinv is the exact integer
+    inverse of U.  D is always returned; each transform is tracked only when
+    its flag is set and is None otherwise, since every tracked transform
+    adds work to each row or column operation.
 
-    >>> s = smith_normal_form([[2, 4], [6, 8]])
+    >>> s = smith_normal_form([[2, 4], [6, 8]], u=True, v=True, uinv=True)
     >>> [s.d[i][i] for i in range(2)]
     [2, 4]
     >>> mat_mul(mat_mul(s.u, [[2, 4], [6, 8]]), s.v) == s.d
@@ -47,49 +53,43 @@ def smith_normal_form(a):
     >>> mat_mul(s.u, s.uinv) == identity_matrix(2)
     True
     """
-    d = [row[:] for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u, uinv = identity_matrix(m), identity_matrix(m)
-    v, vinv = identity_matrix(n), identity_matrix(n)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    # U rides along as extra columns of the rows of D and V as extra rows
+    # below them, so row operations carry U and column operations carry V
+    d = [list(row) + e for row, e in zip(a, identity_matrix(m) if u else [[]] * m)]
+    d += identity_matrix(n) if v else []
+    tuinv = identity_matrix(m) if uinv else None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:  # inverse gets the inverse column op
+        for r in tuinv or ():  # the inverse gets the inverse column op
             r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in uinv:  # col_j -= c * col_i
+        for r in tuinv or ():  # col_j -= c * col_i
             r[j] -= c * r[i]
 
     def add_col(i, j, c):
         # col_i += c * col_j
         for r in d:
             r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-        vinv[j] = [x - c * y for x, y in zip(vinv[j], vinv[i])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
+        for r in tuinv or ():
             r[i] = -r[i]
 
     t = 0
     while t < min(m, n):
-        # find a pivot of minimal absolute value in the remaining block
+        # find a pivot of minimal absolute value in the remaining block;
+        # the first entry of absolute value 1 is that minimum
         piv = None
         best = None
         for i in range(t, m):
@@ -97,6 +97,8 @@ def smith_normal_form(a):
                 if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
                     best = abs(d[i][j])
                     piv = (i, j)
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -122,9 +124,9 @@ def smith_normal_form(a):
                 swap_cols(t, j)
                 continue
             break
-        # divisibility: d_t must divide every remaining entry
+        # divisibility: d_t must divide every remaining entry (a unit does)
         fixed = True
-        for i in range(t + 1, m):
+        for i in range(t + 1, m if abs(d[t][t]) != 1 else t + 1):
             for j in range(t + 1, n):
                 if d[i][j] % d[t][t]:
                     add_row(t, i, 1)
@@ -137,31 +139,8 @@ def smith_normal_form(a):
         if d[t][t] < 0:
             negate_row(t)
         t += 1
-    return SNF(d, u, v, uinv, vinv)
-
-
-def det(a):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return SNF([r[:n] for r in d[:m]], [r[n:] for r in d[:m]] if u else None,
+               d[m:] if v else None, tuinv)
 
 
 def diagonal_entries(d):
@@ -178,7 +157,7 @@ def integer_kernel(a):
     n = len(a[0]) if m else 0
     if n == 0:
         return []
-    s = smith_normal_form(a)
+    s = smith_normal_form(a, v=True)
     diag = diagonal_entries(s.d)
     basis = []
     for j in range(n):
@@ -191,7 +170,7 @@ def solve_integer(a, b):
     """One integer solution x of A x = b, or None if none exists."""
     m = len(a)
     n = len(a[0]) if m else 0
-    s = smith_normal_form(a)
+    s = smith_normal_form(a, u=True, v=True)
     c = mat_vec(s.u, b)
     diag = diagonal_entries(s.d)
     y = [0] * n
@@ -216,7 +195,7 @@ def lattice_basis(cols):
         return []
     n = len(cols[0])
     a = [[col[i] for col in cols] for i in range(n)]
-    s = smith_normal_form(a)
+    s = smith_normal_form(a, uinv=True)
     diag = diagonal_entries(s.d)
     basis = []
     for i, di in enumerate(diag):
@@ -341,9 +320,6 @@ class FiniteAbelianGroup:
     def neg(self, a):
         return tuple((-x) % o for x, o in zip(a, self.orders))
 
-    def scalar(self, k, a):
-        return tuple((k * x) % o for x, o in zip(a, self.orders))
-
     def elements(self):
         return _cartesian(*(range(o) for o in self.orders))
 
@@ -393,33 +369,59 @@ def group_from_table(n, mul):
     """Isomorphism type of an abelian group given by a multiplication table.
 
     ``mul(i, j)`` returns the index of the product of elements i and j,
-    0 <= i, j < n.  The group is reconstructed from the presentation with one
-    generator per element and the relations e_i + e_j = e_{mul(i,j)}.
+    0 <= i, j < n.  The type is read off the element orders: for a prime p
+    with p^a || n, c_k = #{x : ord(x) divides p^k} equals p^(s_k), and
+    s_k - s_(k-1) counts the cyclic p-primary factors of exponent >= k.
+    The cost is O(n * exponent) calls of ``mul``.  Raises ValueError when
+    the table is not that of a group of order n.
 
     >>> g = group_from_table(4, lambda i, j: (i + j) % 4)
     >>> str(g)
     'Z_4'
+    >>> str(group_from_table(4, lambda i, j: i ^ j))
+    'Z_2 x Z_2'
     """
-    if n == 1:
-        return FiniteAbelianGroup.trivial()
-    rels = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[mul(i, j)] -= 1
-            rels.append(row)
-    diag = diagonal_entries(smith_normal_form(rels).d)
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+    e = next((x for x in range(n) if mul(x, x) == x), None)
+    if e is None:
+        raise ValueError("no identity: no element x with x * x = x")
+    orders = []
+    for x in range(n):
+        y, k = x, 1
+        while y != e:
+            if k == n:
+                raise ValueError("element %d does not return to the identity "
+                                 "within %d steps" % (x, n))
+            y, k = mul(y, x), k + 1
+        orders.append(k)
+
+    primary, rest = [], n
+    for p in range(2, n + 1):
+        s = [0]  # s[k] = log_p #{x : ord(x) divides p^k}
+        while rest % p == 0:  # p is prime: smaller primes are divided out
+            rest //= p
+            c, k = sum(1 for o in orders if (p ** len(s)) % o == 0), 0
+            while c % p == 0:
+                c, k = c // p, k + 1
+            if c != 1:
+                raise ValueError("the elements of order dividing %d^%d are not "
+                                 "a power of %d in number" % (p, len(s), p))
+            s.append(k)
+        at_least = [b - a for a, b in zip(s, s[1:])]  # factors p^j with j >= k
+        primary += [p ** sum(1 for r in at_least if r >= j)
+                    for j in range(1, max(at_least, default=0) + 1)]
+    if math.prod(primary) != n:
+        raise ValueError("element orders give a group of order %d, not %d"
+                         % (math.prod(primary), n))
+    return FiniteAbelianGroup(_invariant_factors(primary))
 
 
 def quotient_with_map(orders, relations):
     """Quotient of Z_{n_1} x ... x Z_{n_k} by extra relations, with the map.
 
-    ``relations`` is a list of integer vectors (length k) whose classes are
-    killed.  Returns (group, f) where ``group`` is the quotient and ``f`` maps
-    an integer vector of length k to its class, a tuple indexed like
+    An order n_i = 0 stands for a factor Z.  ``relations`` is a list of
+    integer vectors (length k) whose classes are killed.  Returns (group, f)
+    where ``group`` is the torsion part of the quotient and ``f`` maps an
+    integer vector of length k to its class, a tuple indexed like
     ``group.orders``.
 
     >>> g, f = quotient_with_map((4,), [[2]])
@@ -429,12 +431,12 @@ def quotient_with_map(orders, relations):
     k = len(orders)
     if k == 0:
         return FiniteAbelianGroup.trivial(), lambda v: ()
-    cols = [[orders[i] if r == i else 0 for i in range(k)] for r in range(k)]
+    cols = [[orders[i] if r == i else 0 for i in range(k)] for r in range(k) if orders[r]]
     cols += [list(v) for v in relations]
     a = [[col[i] for col in cols] for i in range(k)]
-    s = smith_normal_form(a)
+    s = smith_normal_form(a, u=True)
     diag = diagonal_entries(s.d)
-    keep = [i for i in range(k) if diag[i] > 1]
+    keep = [i for i, d in enumerate(diag) if d > 1]
     group = FiniteAbelianGroup(tuple(diag[i] for i in keep))
     u = s.u
 
@@ -444,8 +446,3 @@ def quotient_with_map(orders, relations):
         )
 
     return group, f
-
-
-# if __name__ == "__main__":
-#     import doctest
-#     doctest.testmod(verbose=True)

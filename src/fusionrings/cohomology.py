@@ -12,14 +12,18 @@ with the Smith normal form, so results are exact.  An independent brute-force
 oracle enumerates 2-cocycles directly on small instances.
 """
 
+import math
+
 import numpy as np
 
 from .abelian import (
     FiniteAbelianGroup,
+    diagonal_entries,
     group_from_table,
     integer_kernel,
     lattice_basis,
     quotient_invariants,
+    smith_normal_form,
 )
 from .errors import BoundsExceededError, InvalidActionError
 
@@ -100,18 +104,11 @@ def _endo_order(matrix, orders, cap=10000):
 
 
 def _endo_cokernel_order(matrix, orders):
+    # order of Z^n/(im + Lambda): product of the SNF diagonal of [matrix | Lambda]
     n = len(orders)
-    cols = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    cols += [[orders[i] if r == i else 0 for i in range(n)] for r in range(n)]
-    # order of Z^n/(im + Lambda): product of the SNF diagonal of the columns
-    from .abelian import smith_normal_form, diagonal_entries
-
-    a = [[c[i] for c in cols] for i in range(n)]
-    diag = diagonal_entries(smith_normal_form(a).d)
-    out = 1
-    for d in diag:
-        out *= d
-    return out
+    a = [[matrix[i][j] for j in range(n)] + [orders[i] if r == i else 0 for r in range(n)]
+         for i in range(n)]
+    return math.prod(diagonal_entries(smith_normal_form(a).d))
 
 
 def norm_matrix(action, m, orders):

@@ -205,6 +205,20 @@ def one_one_subring(ring, grading):
     return restrict(ring, support, grading=induced)
 
 
+def _generated_subgroup(table, unit, gens):
+    # subgroup generated by gens under the multiplication table of invertibles
+    H = {unit} | set(gens)
+    frontier = list(H)
+    while frontier:
+        x = frontier.pop()
+        for y in list(H):
+            for z in (table[(x, y)], table[(y, x)]):
+                if z not in H:
+                    H.add(z)
+                    frontier.append(z)
+    return H
+
+
 def _left_perm(ring, h):
     # an invertible h permutes the simples by x -> (the unique) support of h (x) x
     return ring.tensor[h].argmax(axis=1)
@@ -226,17 +240,7 @@ def dequiv_free(ring, h):
             raise NotASubgroupError(
                 "%s is not invertible, so it generates no subgroup of the "
                 "invertibles" % ring.labels[g])
-    # close under the (group) multiplication of invertibles
-    H = {ring.unit} | set(int(g) for g in gens)
-    frontier = list(H)
-    while frontier:
-        x = frontier.pop()
-        for y in list(H):
-            for z in (inv.table[(x, y)], inv.table[(y, x)]):
-                if z not in H:
-                    H.add(z)
-                    frontier.append(z)
-    H = sorted(H)
+    H = sorted(_generated_subgroup(inv.table, ring.unit, [int(g) for g in gens]))
     perms = {g: _left_perm(ring, g) for g in H}
     idx = np.arange(ring.rank)
     for g in H:
@@ -394,14 +398,7 @@ class RowBuild:
 
 def _find_orbit(pre, H_label, gen):
     # label of the orbit of gen under the closure of the named invertible
-    h = pre.index(H_label)
-    inv = invertibles(pre)
-    H = {pre.unit, h}
-    while True:
-        new = {inv.table[(a, b)] for a in H for b in H}
-        if new <= H:
-            break
-        H |= new
+    H = _generated_subgroup(invertibles(pre).table, pre.unit, [pre.index(H_label)])
     orb = sorted({int(_left_perm(pre, g)[gen]) for g in H})
     return "[%s]" % pre.labels[orb[0]]
 

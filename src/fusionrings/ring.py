@@ -15,7 +15,7 @@ All operations are pure; rings are immutable after construction.
 import numpy as np
 
 from . import config
-from .abelian import FiniteAbelianGroup, group_from_table, smith_normal_form, diagonal_entries
+from .abelian import FiniteAbelianGroup, group_from_table, identity_matrix, quotient_with_map
 from .errors import (
     InconsistentGradingError,
     MalformedRingError,
@@ -540,16 +540,9 @@ def universal_grading(ring):
             row[c2] += 1
             row[prod[(c1, c2)]] -= 1
             rels.append(row)
-    a = [[rels[k][i] for k in range(len(rels))] for i in range(n_comp)]
-    s = smith_normal_form(a)
-    diag = diagonal_entries(s.d)
-    keep = [i for i in range(n_comp) if i < len(diag) and diag[i] > 1]
-    orders = tuple(diag[i] for i in keep)
-    deg = []
-    for i in range(r):
-        c = comp[i]
-        deg.append(tuple(s.u[row][c] % diag[row] for row in keep))
-    return Grading(orders, deg)
+    group, f = quotient_with_map((0,) * n_comp, rels)
+    unit_vectors = identity_matrix(n_comp)
+    return Grading(group.orders, [f(unit_vectors[comp[i]]) for i in range(r)])
 
 
 # ---------------------------------------------------------------------------

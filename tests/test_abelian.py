@@ -1,8 +1,13 @@
+import doctest
+import random
+
 import numpy as np
 import pytest
 
+import fusionrings.abelian
 from fusionrings.abelian import (
     FiniteAbelianGroup,
+    diagonal_entries,
     group_from_table,
     integer_kernel,
     lattice_basis,
@@ -16,9 +21,11 @@ def test_smith_normal_form_certificate():
     rng = np.random.default_rng(7)
     for _ in range(25):
         a = rng.integers(-4, 5, size=rng.integers(1, 5, size=2)).tolist()
-        s = smith_normal_form(a)
+        s = smith_normal_form(a, u=True, v=True, uinv=True)
         u, d, v = np.array(s.u), np.array(s.d), np.array(s.v)
         assert np.array_equal(u @ np.array(a) @ v, d)
+        assert np.array_equal(u @ np.array(s.uinv), np.eye(len(a), dtype=int))
+        assert smith_normal_form(a) == (s.d, None, None, None)
         diag = [d[i, i] for i in range(min(d.shape))]
         assert all(x >= 0 for x in diag)
         for x, y in zip(diag, diag[1:]):
@@ -64,6 +71,73 @@ def test_group_from_table():
     # Klein table via bitwise xor
     assert group_from_table(4, lambda i, j: i ^ j) == FiniteAbelianGroup((2, 2))
     assert group_from_table(1, lambda i, j: 0).is_trivial
+
+
+def _group_from_presentation(n, mul):
+    # reference typing: SNF of the presentation with one generator per
+    # element and the relations e_i + e_j = e_{mul(i, j)}
+    rels = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[mul(i, j)] -= 1
+            rels.append(row)
+    diag = diagonal_entries(smith_normal_form(rels).d)
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+
+
+def _abelian_groups(max_order):
+    # one FiniteAbelianGroup per isomorphism type of order <= max_order,
+    # as chains of invariant factors f_1 | f_2 | ...
+    out = []
+
+    def extend(factors, order):
+        out.append(FiniteAbelianGroup(factors))
+        last = factors[-1] if factors else 1
+        for f in range(max(last, 2), max_order // order + 1):
+            if f % last == 0:
+                extend(factors + (f,), order * f)
+
+    extend((), 1)
+    return out
+
+
+def test_group_from_table_matches_presentation_oracle():
+    rng = random.Random(20261018)
+    groups = _abelian_groups(64)
+    # sum over n <= 64 of the product of partition numbers of n's exponents
+    assert len(groups) == len(set(groups)) == 117
+    for g in groups:
+        els = list(g.elements())
+        rng.shuffle(els)
+        pos = {x: i for i, x in enumerate(els)}
+
+        def mul(i, j):
+            return pos[g.add(els[i], els[j])]
+
+        typed = group_from_table(g.order, mul)
+        assert typed.orders == g.invariant_factors
+        assert typed.orders == _group_from_presentation(g.order, mul).orders
+
+
+def test_group_from_table_rejects_non_groups():
+    with pytest.raises(ValueError, match="no identity"):
+        group_from_table(3, lambda i, j: (i + 1) % 3)
+    with pytest.raises(ValueError, match="does not return"):
+        group_from_table(3, max)
+    # every element squares to the identity, which no group of order 3 allows
+    with pytest.raises(ValueError, match="order 1, not 3"):
+        group_from_table(3, lambda i, j: 0 if i == j else max(i, j))
+    with pytest.raises(ValueError):
+        group_from_table(0, max)
+
+
+def test_doctests_run():
+    result = doctest.testmod(fusionrings.abelian)
+    assert result.attempted > 0
+    assert result.failed == 0
 
 
 def test_quotient_with_map():
