@@ -21,9 +21,8 @@ from .abelian import FiniteAbelianGroup
 from .cohomology import GroupAction, h_cyclic
 from .construct import ade_ring
 from .errors import UnknownFamilyError
-from .graphs import dynkin
+from .graphs import bipartition, dynkin, perron_vector
 from .ring import fp_dims
-from .solve import _bipartition, _perron_vector
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -89,8 +88,8 @@ def _a_profiles(n):
 
 def _e7_module_profiles(fp_total):
     adj = dynkin("E7")
-    v = _perron_vector(adj)
-    color = _bipartition(adj)
+    v = perron_vector(adj)
+    color = bipartition(adj)
     prof = {}
     for parity, name in ((0, "E7_even"), (1, "E7_odd")):
         piece = [float(v[i]) for i in range(len(color)) if color[i] == parity]

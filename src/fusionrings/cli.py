@@ -57,7 +57,7 @@ from .errors import (
     SearchCapExceededError,
     UnknownFamilyError,
 )
-from .jsonio import _grading_from, load_partial, load_ring, ring_to_dict
+from .jsonio import grading_from_dict, load_partial, load_ring, ring_to_dict
 from .ring import (
     fp_dims,
     fusion_graph,
@@ -229,7 +229,7 @@ def _cmd_oneone(args):
         if "grading" not in data:
             data = {"grading": data}
         index = {l: i for i, l in enumerate(ring.labels)}
-        grading = _grading_from(data, list(ring.labels), index)
+        grading = grading_from_dict(data, list(ring.labels), index)
     elif ring.grading is not None:
         grading = ring.grading
     else:

@@ -142,6 +142,13 @@ def h_cyclic(n, m, coeffs, action=None):
     ``coeffs`` is the coefficient group, ``action`` an optional GroupAction
     (trivial if omitted).  Raises InvalidActionError when the action is not a
     valid Z_m-module structure.
+
+    >>> str(h_cyclic(2, 4, FiniteAbelianGroup((2,))))   # Z_2 / 4 Z_2
+    'Z_2'
+    >>> str(h_cyclic(2, 4, FiniteAbelianGroup((3,))))   # coprime orders
+    'trivial'
+    >>> str(h_cyclic(1, 6, FiniteAbelianGroup((4,))))   # Hom(Z_6, Z_4)
+    'Z_2'
     """
     if n not in (1, 2, 3):
         raise ValueError("only H^1, H^2, H^3 are provided")
@@ -168,6 +175,9 @@ def h3_roots_of_unity(m):
     All m-torsion of Q/Z sits inside the cyclic subgroup (1/m)Z/Z = Z_m, so
     the divisible group is truncated there and the periodic resolution is run
     on Z_m itself; the answer is Z_m.
+
+    >>> str(h3_roots_of_unity(6))
+    'Z_6'
     """
     return h_cyclic(3, m, FiniteAbelianGroup((max(m, 1),)))
 

@@ -2,13 +2,14 @@
 
 The acceptance tolerance (used for dimension matching, residual checks and
 integer-bound rounding) defaults to 1e-6 and can be overridden with the
-FR_TOLERANCE environment variable.  The convergence tolerance of the power
-iteration is fixed at 1e-9.
+FR_TOLERANCE environment variable.  The one convergence threshold,
+CONVERGENCE_TOL = 1e-13, stops the Perron power iteration
+(graphs.perron_vector) behind both graph and ring dimensions.
 """
 
 import os
 
-CONVERGENCE_TOL = 1e-9
+CONVERGENCE_TOL = 1e-13
 
 
 def tolerance():

@@ -30,18 +30,19 @@ from .errors import (
     NotASubgroupError,
     UnknownFamilyError,
 )
-from .graphs import dynkin
+from .graphs import dynkin, perron_vector
 from .ring import (
     FusionRing,
     Grading,
     adjoint_subring,
     fp_dims,
+    grading_violations,
     invertibles,
     restrict,
     subring_generated,
     universal_grading,
 )
-from .solve import _perron_vector, PartialRing, complete_partial_ring, unique_ring_from_graph
+from .solve import PartialRing, complete_partial_ring, unique_ring_from_graph
 
 
 def pointed_ring(group):
@@ -161,22 +162,6 @@ def deligne_product(a, b):
     return FusionRing(labels, a.unit * rb + b.unit, dual, t, grading)
 
 
-def _check_grading(ring, grading):
-    if len(grading.deg) != ring.rank:
-        raise MalformedRingError("grading does not match the ring's rank")
-    ii, jj, kk = np.nonzero(ring.tensor)
-    deg = np.array([list(d) for d in grading.deg], dtype=np.int64)
-    orders = np.array(grading.orders, dtype=np.int64)
-    if len(orders) == 0:
-        raise MalformedRingError("grading must have at least one cyclic factor")
-    bad = ((deg[ii] + deg[jj] - deg[kk]) % orders).any(axis=1)
-    if bad.any():
-        w = int(np.flatnonzero(bad)[0])
-        raise InconsistentGradingError(
-            "grading is not multiplicative at (%s, %s, %s)"
-            % (ring.labels[ii[w]], ring.labels[jj[w]], ring.labels[kk[w]]))
-
-
 def one_one_subring(ring, grading):
     """Subring generated by the simples of diagonal degree (1,1,...).
 
@@ -184,7 +169,16 @@ def one_one_subring(ring, grading):
     it is checked for multiplicativity.  The result carries the induced
     cyclic grading by Z_lcm of the factor orders.
     """
-    _check_grading(ring, grading)
+    if len(grading.deg) != ring.rank:
+        raise MalformedRingError("grading does not match the ring's rank")
+    if not grading.orders:
+        raise MalformedRingError("grading must have at least one cyclic factor")
+    bad = grading_violations(ring.tensor, grading)
+    if bad:
+        i, j, k = bad[0]
+        raise InconsistentGradingError(
+            "grading is not multiplicative at (%s, %s, %s)"
+            % (ring.labels[i], ring.labels[j], ring.labels[k]))
     orders = grading.orders
     lcm = math.lcm(*orders)
     target = tuple(1 % o for o in orders)
@@ -319,7 +313,7 @@ def e166_ring():
     d10 = ade_ring("D", 10)
     d0 = list(fp_dims(d10))
     total0 = sum(d * d for d in d0)
-    v = _perron_vector(dynkin("E7"))
+    v = perron_vector(dynkin("E7"))
     scale = math.sqrt(total0 / float((v * v).sum()))
     adims = sorted(float(scale * x) for x in v)
     labels = list(d10.labels) + ["a%d" % i for i in range(7)] + ["b%d" % i for i in range(7)]

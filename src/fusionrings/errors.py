@@ -61,7 +61,9 @@ class InvalidActionError(RingError):
 
 
 class BoundsExceededError(RingError):
-    """Brute-force oracle asked to run outside its stated bounds."""
+    """A computation asked to run outside the bounds it is exact or
+    affordable in: the brute-force H^2 oracle past its size limits, or
+    verify_axioms on a ring whose associativity sums could reach 2**53."""
 
 
 class UnknownFamilyError(RingError):

@@ -1,8 +1,12 @@
 """Multiplicity-weighted digraphs, isomorphism testing, DOT export,
-and the ADE Dynkin graphs used as generator fusion graphs.
+Perron vectors and bipartitions, and the ADE Dynkin graphs used as
+generator fusion graphs.
 """
 
 import numpy as np
+
+from . import config
+from .errors import MalformedRingError, NonConvergenceError
 
 
 class Digraph:
@@ -149,6 +153,46 @@ def digraph_iso(g, h):
         return False
 
     return extend(0)
+
+
+def perron_vector(a):
+    """The Perron vector of a nonnegative irreducible matrix, max entry 1.
+
+    Power iteration on a + I (the shift makes bipartite graphs converge)
+    until successive iterates differ by less than config.CONVERGENCE_TOL;
+    raises NonConvergenceError if they never do.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    shifted = a + np.eye(a.shape[0])
+    v = np.ones(a.shape[0])
+    for _ in range(200000):
+        w = shifted @ v
+        w /= w.max()
+        if np.max(np.abs(w - v)) < config.CONVERGENCE_TOL:
+            return w
+        v = w
+    raise NonConvergenceError("Perron iteration did not converge")
+
+
+def bipartition(adj):
+    """Two-colouring of a connected graph from node 0, or None if it has an
+    odd cycle; raises MalformedRingError if the graph is disconnected."""
+    n = adj.shape[0]
+    color = [-1] * n
+    color[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in np.flatnonzero(adj[u]):
+            w = int(w)
+            if color[w] == -1:
+                color[w] = 1 - color[u]
+                stack.append(w)
+            elif color[w] == color[u]:
+                return None
+    if any(c == -1 for c in color):
+        raise MalformedRingError("generator graph must be connected")
+    return color
 
 
 def dynkin(family, n=None):

@@ -52,7 +52,9 @@ def _dual_from(data, labels, index):
     return [index[dual[l]] for l in labels]
 
 
-def _grading_from(data, labels, index):
+def grading_from_dict(data, labels, index):
+    """The Grading in data["grading"] (None if absent), with degrees listed
+    by label and reordered to ``labels``; index maps label -> position."""
     g = data.get("grading")
     if g is None:
         return None
@@ -91,7 +93,7 @@ def _entries_from(data, key, index):
 def ring_from_dict(data):
     labels, index, unit = _labels_and_unit(data)
     dual = _dual_from(data, labels, index)
-    grading = _grading_from(data, labels, index)
+    grading = grading_from_dict(data, labels, index)
     rank = len(labels)
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     for (i, j, k), n in _entries_from(data, "tensor", index).items():
@@ -129,7 +131,7 @@ def partial_from_dict(data):
     dual = None
     if "dual" in data and data["dual"] is not None:
         dual = _dual_from(data, labels, index)
-    grading = _grading_from(data, labels, index)
+    grading = grading_from_dict(data, labels, index)
     _check(grading is not None, "partial rings require a 'grading'")
     dims = data.get("dims")
     _check(isinstance(dims, list), "missing 'dims'")

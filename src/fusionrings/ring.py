@@ -17,11 +17,12 @@ import numpy as np
 from . import config
 from .abelian import FiniteAbelianGroup, group_from_table, identity_matrix, quotient_with_map
 from .errors import (
+    BoundsExceededError,
     InconsistentGradingError,
     MalformedRingError,
     NonConvergenceError,
 )
-from .graphs import Digraph
+from .graphs import Digraph, perron_vector
 
 
 class Grading:
@@ -168,14 +169,29 @@ class AxiomReport:
         return "<AxiomReport %s>" % self
 
 
+def grading_violations(tensor, grading):
+    """The (i, j, k) with N_{ij}^k > 0 but deg i + deg j != deg k.
+
+    Triples come in np.nonzero order (lexicographic); an empty list means
+    the grading is multiplicative.
+    """
+    ii, jj, kk = np.nonzero(tensor)
+    deg = np.array(grading.deg, dtype=np.int64)
+    orders = np.array(grading.orders, dtype=np.int64)
+    bad = ((deg[ii] + deg[jj] - deg[kk]) % orders).any(axis=1)
+    return [(int(i), int(j), int(k)) for i, j, k in zip(ii[bad], jj[bad], kk[bad])]
+
+
 def verify_axioms(ring):
     """Check every fusion-ring axiom; returns an AxiomReport.
 
     Unit laws, duality (N_{ij}^1 = delta_{j,i*}), associativity, Frobenius
     reciprocity, and (when a grading is attached) multiplicativity of degrees.
-    Associativity is checked exhaustively: with exact integer arithmetic at
-    rank <= 24, and with float64 matrix products above that (exact, since all
-    intermediate integers stay far below 2**53).
+    Associativity is checked exhaustively, one left factor i at a time, by
+    float64 matrix products.  Every entry of both products is a sum of
+    nonnegative integers bounded by rank * max(N)**2, so the products are
+    exact while that bound is below 2**53; a ring at or past it raises
+    BoundsExceededError instead of being checked inexactly.
     """
     t = ring.tensor
     r = ring.rank
@@ -201,29 +217,25 @@ def verify_axioms(ring):
     bad = np.argwhere(t != frob2)
     violations += [("frobenius", tuple(int(x) for x in idx)) for idx in bad]
 
-    if r <= 24:
-        lhs = np.einsum("ijm,mkl->ijkl", t, t)
-        rhs = np.einsum("jkm,iml->ijkl", t, t)
-        bad = np.argwhere(lhs != rhs)
-        violations += [("associativity", tuple(int(x) for x in idx)) for idx in bad]
-    else:
-        tf = t.astype(np.float64)
-        flat = tf.reshape(r, r * r)
-        colflat = tf.reshape(r * r, r)
-        for i in range(r):
-            lhs = tf[i] @ flat          # (j, k*l):  sum_m N_ij^m N_mk^l
-            rhs = (colflat @ tf[i]).reshape(r, r * r)
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs.reshape(r, r, r) != rhs.reshape(r, r, r))
-                violations += [
-                    ("associativity", (i, int(j), int(k), int(l))) for j, k, l in bad
-                ]
+    if r * int(t.max()) ** 2 >= 2 ** 53:
+        raise BoundsExceededError(
+            "associativity sums can reach %d * %d**2, past the exact float range 2**53"
+            % (r, int(t.max())))
+    tf = t.astype(np.float64)
+    flat = tf.reshape(r, r * r)
+    colflat = tf.reshape(r * r, r)
+    for i in range(r):
+        lhs = tf[i] @ flat          # (j, k*l):  sum_m N_ij^m N_mk^l
+        rhs = (colflat @ tf[i]).reshape(r, r * r)
+        if not np.array_equal(lhs, rhs):
+            bad = np.argwhere(lhs.reshape(r, r, r) != rhs.reshape(r, r, r))
+            violations += [
+                ("associativity", (i, int(j), int(k), int(l))) for j, k, l in bad
+            ]
 
     if ring.grading is not None:
         g = ring.grading
-        for i, j, k in np.argwhere(t > 0):
-            if g.add(g.degree(int(i)), g.degree(int(j))) != g.degree(int(k)):
-                violations.append(("grading", (int(i), int(j), int(k))))
+        violations += [("grading", ijk) for ijk in grading_violations(t, g)]
         for i in range(r):
             if g.degree(int(dual[i])) != g.neg(g.degree(i)):
                 violations.append(("grading-dual", (i,)))
@@ -273,32 +285,19 @@ class FPDimVector:
             np.array2string(self.dims, precision=5), self.residual)
 
 
-def fp_dims(ring, tol=None, max_iter=50000):
+def fp_dims(ring):
     """The unique positive dimension character, by power iteration.
 
-    Iterates v -> (sum_i L_i^T) v, which has strictly positive entries for a
-    fusion ring, so convergence is geometric.  The result is normalized at the
-    unit and certified by the residual max |d_i d_j - sum_k N_{ij}^k d_k|,
-    which must stay below tol * max(d)^2 (tol defaults to the configured
-    acceptance tolerance).
+    The dimensions are the Perron vector of sum_i L_i^T, which has strictly
+    positive entries for a fusion ring, normalized at the unit.  They are
+    certified by the residual max |d_i d_j - sum_k N_{ij}^k d_k|, which must
+    stay below config.tolerance() * max(d)^2.
     """
-    if tol is None:
-        tol = config.tolerance()
     t = ring.tensor.astype(np.float64)
-    m = t.sum(axis=0)
-    v = np.ones(ring.rank)
-    for _ in range(max_iter):
-        w = m @ v
-        w /= w.max()
-        if np.max(np.abs(w - v)) < config.CONVERGENCE_TOL:
-            v = w
-            break
-        v = w
-    else:
-        raise NonConvergenceError("power iteration did not converge")
+    v = perron_vector(t.sum(axis=0))
     d = v / v[ring.unit]
     residual = float(np.max(np.abs(np.outer(d, d) - np.einsum("ijk,k->ij", t, d))))
-    if residual > tol * float(d.max()) ** 2:
+    if residual > config.tolerance() * float(d.max()) ** 2:
         raise NonConvergenceError(
             "dimension residual %.3e exceeds tolerance (broken ring?)" % residual)
     if d.min() < 1 - 1e-6:

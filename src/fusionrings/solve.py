@@ -19,8 +19,6 @@ completion to a fusion ring.  The pipeline:
   5. verify the full axioms on every leaf;
   6. dedupe deterministically and group the survivors into isomorphism
      classes.
-
-The same machinery solves module actions over a fixed base ring.
 """
 
 from itertools import permutations
@@ -34,7 +32,7 @@ from .errors import (
     NonUniqueCompletionError,
     SearchCapExceededError,
 )
-from .graphs import Digraph
+from .graphs import Digraph, bipartition, perron_vector
 from .ring import FusionRing, Grading, find_isomorphisms, verify_axioms
 
 
@@ -585,47 +583,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
 # generator graphs
 
 
-def _perron_vector(adj):
-    a = np.asarray(adj, dtype=np.float64)
-    n = a.shape[0]
-    shifted = a + np.eye(n)
-    v = np.ones(n)
-    for _ in range(200000):
-        w = shifted @ v
-        w /= w.max()
-        if np.max(np.abs(w - v)) < 1e-13:
-            return w
-        v = w
-    raise NoSolutionError("Perron iteration did not converge")
-
-
-def _bipartition(adj):
-    n = adj.shape[0]
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in np.flatnonzero(adj[u]):
-            w = int(w)
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return None
-    if any(c == -1 for c in color):
-        raise MalformedRingError("generator graph must be connected")
-    return color
-
-
-def ring_from_generator_graph(graph, unit=0, labels=None, search_cap=10_000_000):
-    """All fusion rings whose designated generator has the given fusion graph.
-
-    The graph fixes the generator's full fusion row N_{g x}^y = A[x][y]; the
-    unit's unique neighbor is the generator; dims are the Perron vector
-    normalized at the unit; a bipartition (if one exists) provides the parity
-    grading.  Everything else is delegated to complete_partial_ring.
-    """
+def _graph_partial(graph, unit, labels):
     adj = graph.adjacency() if isinstance(graph, Digraph) else np.asarray(graph, dtype=np.int64)
     n = adj.shape[0]
     unit = int(unit)
@@ -633,11 +591,11 @@ def ring_from_generator_graph(graph, unit=0, labels=None, search_cap=10_000_000)
     if len(nbrs) != 1 or adj[unit, nbrs[0]] != 1:
         raise MalformedRingError("unit must have a unique, multiplicity-1 neighbor")
     gen = int(nbrs[0])
-    dims = _perron_vector(adj)
+    dims = perron_vector(adj)
     dims = dims / dims[unit]
     if labels is None:
         labels = ["v%d" % i for i in range(n)]
-    color = _bipartition(adj | adj.T if (adj != adj.T).any() else adj)
+    color = bipartition(adj | adj.T if (adj != adj.T).any() else adj)
     if color is not None and color[unit] != 0:
         color = [1 - c for c in color]
     if color is None:
@@ -648,312 +606,29 @@ def ring_from_generator_graph(graph, unit=0, labels=None, search_cap=10_000_000)
     for x in range(n):
         for y in range(n):
             known[(gen, x, y)] = int(adj[x, y])
-    partial = PartialRing(labels, unit, dims, grading, known=known)
-    result = complete_partial_ring(partial, search_cap=search_cap)
-    return list(result.solutions)
+    return PartialRing(labels, unit, dims, grading, known=known)
+
+
+def ring_from_generator_graph(graph, unit=0, labels=None, search_cap=10_000_000):
+    """All fusion rings whose designated generator has the given fusion graph.
+
+    The graph fixes the generator's full fusion row N_{g x}^y = A[x][y]; the
+    unit's unique neighbor is the generator; dims are the Perron vector
+    normalized at the unit; a bipartition (if one exists) provides the parity
+    grading.  Everything else is delegated to complete_partial_ring.
+    """
+    partial = _graph_partial(graph, unit, labels)
+    return list(complete_partial_ring(partial, search_cap=search_cap).solutions)
 
 
 def unique_ring_from_graph(graph, unit=0, labels=None, search_cap=10_000_000):
-    """ring_from_generator_graph with a per-instance uniqueness assertion."""
-    rings = ring_from_generator_graph(graph, unit, labels, search_cap)
-    classes = []
-    for ring in rings:
-        for rep in classes:
-            if find_isomorphisms(rep, ring, max_count=1):
-                break
-        else:
-            classes.append(ring)
-    if len(classes) != 1:
+    """The one fusion ring with this generator graph, up to isomorphism.
+
+    Raises NonUniqueCompletionError when the completions fall into more
+    than one isomorphism class; returns the first class representative.
+    """
+    result = complete_partial_ring(_graph_partial(graph, unit, labels), search_cap=search_cap)
+    if len(result.classes) != 1:
         raise NonUniqueCompletionError(
-            "generator graph admits %d non-isomorphic completions" % len(classes))
-    return rings[0]
-
-
-# ---------------------------------------------------------------------------
-# module actions
-
-
-class ModuleAction:
-    """Nonnegative-integer action of a base ring on a module basis.
-
-    ``matrices[a][x, y]`` is the multiplicity of module object y in a (x) x.
-    """
-
-    def __init__(self, base, module_dims, matrices):
-        self.base = base
-        self.module_dims = np.asarray(module_dims, dtype=np.float64)
-        self.matrices = [np.asarray(m, dtype=np.int64) for m in matrices]
-        for m in self.matrices:
-            m.setflags(write=False)
-
-    @property
-    def module_rank(self):
-        return len(self.module_dims)
-
-    def action_graph(self, a):
-        """Digraph of the action of base simple a (edge x -> y, mult T_a[x,y])."""
-        t = self.matrices[a]
-        edges = {}
-        for x, y in np.argwhere(t > 0):
-            edges[(int(x), int(y))] = int(t[x, y])
-        return Digraph(len(self.module_dims), edges)
-
-    def __repr__(self):
-        return "<ModuleAction base rank %d on %d objects>" % (
-            self.base.rank, self.module_rank)
-
-
-class _ModuleState:
-    def __init__(self, base, module_dims, tol, fixed):
-        self.base = base
-        self.nb = base.rank
-        self.nm = len(module_dims)
-        self.md = np.asarray(module_dims, dtype=np.float64)
-        self.tol = tol
-        from .ring import fp_dims
-
-        self.bd = fp_dims(base).dims
-        self.t = np.full((self.nb, self.nm, self.nm), -1, dtype=np.int64)
-        ub = np.floor(np.einsum("a,x,y->axy", self.bd, self.md, 1.0 / self.md) + tol)
-        self.ub = ub.astype(np.int64)
-        try:
-            for x in range(self.nm):
-                for y in range(self.nm):
-                    self.set_entry(base.unit, x, y, 1 if x == y else 0)
-            for (a, x, y), v in fixed.items():
-                self.set_entry(a, x, y, v)
-            zero = (self.ub == 0) & (self.t < 0)
-            for a, x, y in np.argwhere(zero):
-                self.set_entry(int(a), int(x), int(y), 0)
-        except _Conflict as exc:
-            raise NoSolutionError("inconsistent module input: %s" % exc, conflict=str(exc))
-
-    def set_entry(self, a, x, y, v):
-        if v < 0 or v > self.ub[a, x, y]:
-            raise _Conflict("module entry (%d,%d,%d)=%d outside bounds" % (a, x, y, v))
-        if self.t[a, x, y] >= 0 and self.t[a, x, y] != v:
-            raise _Conflict("module entry (%d,%d,%d) conflict" % (a, x, y))
-        self.t[a, x, y] = v
-
-    def propagate(self):
-        changed = True
-        while changed:
-            changed = self._rows_pass() | self._compose_pass()
-
-    def _rows_pass(self):
-        changed = False
-        for a in range(self.nb):
-            for x in range(self.nm):
-                row = self.t[a, x]
-                unknown = row < 0
-                if not unknown.any():
-                    resid = float(self.bd[a] * self.md[x] - np.dot(row, self.md))
-                    if abs(resid) > self.tol * max(1.0, self.bd[a] * self.md[x]):
-                        raise _Conflict("module row (%d,%d) dim sum off" % (a, x))
-                    continue
-                target = float(self.bd[a] * self.md[x]) - float(
-                    np.dot(np.where(unknown, 0, row), self.md))
-                ys = np.flatnonzero(unknown)
-                tol = self.tol * max(1.0, float(self.bd[a] * self.md[x]))
-                sols = self._enumerate(ys, [float(self.md[y]) for y in ys],
-                                       [int(self.ub[a, x, y]) for y in ys], target, tol)
-                if sols is None:
-                    continue
-                if not sols:
-                    raise _Conflict("module row (%d,%d) has no completion" % (a, x))
-                for pos, y in enumerate(ys):
-                    vals = {s[pos] for s in sols}
-                    if len(vals) == 1:
-                        self.set_entry(a, x, int(y), vals.pop())
-                        changed = True
-        return changed
-
-    @staticmethod
-    def _enumerate(ys, coefs, ubs, target, tol, cap=20000):
-        order = sorted(range(len(ys)), key=lambda p: -coefs[p])
-        coefs = [coefs[p] for p in order]
-        ubs = [ubs[p] for p in order]
-        n = len(order)
-        max_tail = [0.0] * (n + 1)
-        for t in range(n - 1, -1, -1):
-            max_tail[t] = max_tail[t + 1] + coefs[t] * ubs[t]
-        out = []
-        nodes = [0]
-
-        def rec(t, remaining, acc):
-            if nodes[0] > cap:
-                raise _OverCap()
-            nodes[0] += 1
-            if t == n:
-                if abs(remaining) <= tol:
-                    out.append(acc)
-                return
-            if remaining < -tol or remaining > max_tail[t] + tol:
-                return
-            for xv in range(ubs[t] + 1):
-                rec(t + 1, remaining - coefs[t] * xv, acc + [xv])
-
-        try:
-            rec(0, target, [])
-        except _OverCap:
-            return None
-        # undo the ordering
-        fixed = []
-        for s in out:
-            orig = [0] * n
-            for p, v in zip(order, s):
-                orig[p] = v
-            fixed.append(orig)
-        return fixed
-
-    def _compose_pass(self):
-        # sum_c N_{ab}^c T_c[x,z] = sum_y T_b[x,y] T_a[y,z]
-        t = self.t
-        known = t >= 0
-        v = np.where(known, t, 0).astype(np.float64)
-        w = (v > 0).astype(np.float64)
-        u = (~known).astype(np.float64)
-        nb, nm = self.nb, self.nm
-        nt = self.base.tensor.astype(np.float64)
-
-        # left side: L[a,b,x,z] = sum_c N[a,b,c] (t[c,x,z])
-        def left(x3):
-            return np.tensordot(nt, x3, axes=([2], [0]))
-
-        # right side: R[a,b,x,z] = sum_y t[b,x,y] t[a,y,z]
-        def right(x3, y3):
-            return np.tensordot(x3, y3, axes=([2], [1])).transpose(3, 0, 1, 2)
-
-        lv = left(v)
-        lo = left(u)              # occurrences on the left (N is fully known)
-        rv = right(v, v)
-        ro = right(u + w, u + w) - right(w, w)
-        occ = lo + ro
-        fully = occ == 0
-        bad = fully & (lv != rv)
-        if bad.any():
-            a, b, x, z = (int(q) for q in np.argwhere(bad)[0])
-            raise _Conflict("module composition fails at (%d,%d,%d,%d)" % (a, b, x, z))
-        changed = False
-        for a, b, x, z in np.argwhere(occ == 1):
-            a, b, x, z = int(a), int(b), int(x), int(z)
-            hit = None
-            for c in range(self.nb):
-                if nt[a, b, c] > 0 and t[c, x, z] < 0:
-                    hit = ((c, x, z), nt[a, b, c], +1)
-                    break
-            if hit is None:
-                for y in range(nm):
-                    if t[b, x, y] < 0 and v[a, y, z] > 0:
-                        hit = ((b, x, y), v[a, y, z], -1)
-                        break
-                    if v[b, x, y] > 0 and t[a, y, z] < 0:
-                        hit = ((a, y, z), v[b, x, y], -1)
-                        break
-            if hit is None:
-                continue
-            (ea, ex, ey), coef, side = hit
-            gap = (rv[a, b, x, z] - lv[a, b, x, z]) * side
-            value = gap / float(coef)
-            if abs(value - round(value)) > 1e-9 or round(value) < 0:
-                raise _Conflict("module composition forces non-integer at (%d,%d,%d,%d)"
-                                % (a, b, x, z))
-            if self.t[ea, ex, ey] < 0:
-                self.set_entry(ea, ex, ey, int(round(value)))
-                changed = True
-        return changed
-
-    def snapshot(self):
-        return self.t.copy()
-
-    def restore(self, snap):
-        self.t = snap.copy()
-
-
-def solve_module(base, module_dims, generator_row=None, generator=None,
-                 search_cap=10_000_000):
-    """All actions of ``base`` on a module basis with the given dimensions.
-
-    ``generator_row``: optional action matrix to fix for the designated base
-    generator (the smallest-dimension non-unit simple unless ``generator``
-    names an index).  Found by the same staged propagation plus bounded
-    enumeration; results are deduped by module-basis permutation.
-    """
-    rep = verify_axioms(base)
-    if not rep.ok:
-        raise MalformedRingError("base ring fails axioms: %s" % rep)
-    tol = config.tolerance()
-    from .ring import fp_dims
-
-    bd = fp_dims(base).dims
-    fixed = {}
-    if generator_row is not None:
-        if generator is None:
-            cands = [i for i in range(base.rank) if i != base.unit]
-            generator = min(cands, key=lambda i: (float(bd[i]), i))
-        mat = np.asarray(generator_row, dtype=np.int64)
-        for x in range(mat.shape[0]):
-            for y in range(mat.shape[1]):
-                fixed[(int(generator), x, y)] = int(mat[x, y])
-
-    state = _ModuleState(base, module_dims, tol, fixed)
-    out = []
-    counter = [0]
-
-    def search():
-        try:
-            state.propagate()
-        except _Conflict:
-            return
-        free = np.argwhere(state.t < 0)
-        if len(free) == 0:
-            out.append(state.t.copy())
-            return
-        # narrowest bound first, then smallest base dimension
-        a, x, y = min(
-            (tuple(int(q) for q in f) for f in free),
-            key=lambda f: (int(state.ub[f]), float(state.bd[f[0]]), f))
-        snap = state.snapshot()
-        for value in range(int(state.ub[a, x, y]) + 1):
-            counter[0] += 1
-            if counter[0] > search_cap:
-                raise SearchCapExceededError("module search cap exceeded")
-            try:
-                state.set_entry(a, x, y, value)
-                search()
-            except _Conflict:
-                pass
-            state.restore(snap)
-
-    search()
-    if not out:
-        raise NoSolutionError("no module action satisfies the constraints")
-
-    # dedupe by module-basis permutations (dimension-preserving)
-    md = np.asarray(module_dims, dtype=np.float64)
-    buckets = {}
-    for x in range(len(md)):
-        buckets.setdefault(round(float(md[x]) * 1e6), []).append(x)
-
-    def canon(tens):
-        best = None
-        for perm_parts in _product_perms(sorted(buckets.values())):
-            perm = list(range(len(md)))
-            for orig, new in perm_parts:
-                for p, q in zip(orig, new):
-                    perm[p] = q
-            p = np.array(perm)
-            inv = np.empty(len(md), dtype=np.int64)
-            inv[p] = np.arange(len(md))
-            key = tens[:, inv][:, :, inv].tobytes()
-            if best is None or key < best:
-                best = key
-        return best
-
-    seen = {}
-    for tens in out:
-        seen.setdefault(canon(tens), tens)
-    actions = []
-    for key in sorted(seen):
-        actions.append(ModuleAction(base, module_dims, list(seen[key])))
-    return actions
+            "generator graph admits %d non-isomorphic completions" % len(result.classes))
+    return result.solutions[0]

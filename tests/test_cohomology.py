@@ -113,4 +113,5 @@ def test_doctests_stay_true():
 
     for mod in (fusionrings.abelian, fusionrings.catalog, fusionrings.cohomology):
         result = doctest.testmod(mod)
+        assert result.attempted > 0, mod.__name__
         assert result.failed == 0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fusionrings import (
     Digraph,
     FiniteAbelianGroup,
     FusionRing,
+    Grading,
     ade_ring,
     adjoint_subring,
     decompose_word,
@@ -21,10 +23,13 @@ from fusionrings import (
     pointed_ring,
     quantum_integer,
     subring_generated,
+    theorem_row,
     universal_grading,
     verify_axioms,
 )
-from fusionrings.errors import MalformedRingError
+from fusionrings.errors import BoundsExceededError, MalformedRingError
+from fusionrings.graphs import perron_vector
+from fusionrings.ring import grading_violations
 
 
 def test_a_series_dims_are_quantum_integers(a5):
@@ -44,6 +49,77 @@ def test_axiom_violations_are_detected(a5):
     assert not report.ok
     kinds = {kind for kind, _ in report.violations}
     assert "associativity" in kinds or "frobenius" in kinds
+
+
+def _associativity_oracle(t):
+    # exact int64 (N_i N_j)_k^l versus N_i (N_j N_k), every instance at once
+    lhs = np.einsum("ijm,mkl->ijkl", t, t)
+    rhs = np.einsum("jkm,iml->ijkl", t, t)
+    return [tuple(int(x) for x in idx) for idx in np.argwhere(lhs != rhs)]
+
+
+def _associativity_violations(ring):
+    return [idx for kind, idx in verify_axioms(ring).violations if kind == "associativity"]
+
+
+def test_associativity_matches_integer_oracle_above_rank_24():
+    ring = theorem_row("exc166", M=2).ring
+    assert ring.rank == 48 and verify_axioms(ring).ok
+    t = ring.tensor.copy()
+    i, j, k = next(ijk for ijk in zip(*np.nonzero(t)) if ring.unit not in ijk)
+    t[i, j, k] += 1
+    broken = FusionRing(ring.labels, ring.unit, ring.dual, t, ring.grading)
+    found = _associativity_violations(broken)
+    assert found and found == _associativity_oracle(t)
+
+
+def test_associativity_bound_is_checked(a5):
+    # r * max(N)**2 just below 2**53: still checked, and exactly
+    big = math.isqrt((2 ** 53 - 1) // a5.rank)
+    t = a5.tensor.copy()
+    t[1, 1, 2] = big
+    below = FusionRing(a5.labels, a5.unit, a5.dual, t, a5.grading)
+    found = _associativity_violations(below)
+    assert found and found == _associativity_oracle(t)
+    t = t.copy()  # FusionRing froze the first copy
+    t[1, 1, 2] = big + 1
+    with pytest.raises(BoundsExceededError):
+        verify_axioms(FusionRing(a5.labels, a5.unit, a5.dual, t, a5.grading))
+
+
+def _grading_violations_loop(tensor, g):
+    # the per-nonzero check, one triple at a time
+    out = []
+    for i, j, k in np.argwhere(tensor > 0):
+        if g.add(g.degree(int(i)), g.degree(int(j))) != g.degree(int(k)):
+            out.append((int(i), int(j), int(k)))
+    return out
+
+
+def test_grading_violations_match_loop(e166):
+    t = e166.tensor
+    assert grading_violations(t, e166.grading) == []
+    assert grading_violations(t, Grading((), [()] * e166.rank)) == []
+    deg = list(e166.grading.deg)
+    deg[e166.index("a0")] = (2,)
+    rng = random.Random(20261018)
+    wrong = [Grading((6,), deg),
+             Grading((6, 2), [(rng.randrange(6), rng.randrange(2)) for _ in deg])]
+    for g in wrong:
+        bad = grading_violations(t, g)
+        assert bad and bad == _grading_violations_loop(t, g)
+        ring = FusionRing(e166.labels, e166.unit, e166.dual, t, g)
+        assert [idx for kind, idx in verify_axioms(ring).violations if kind == "grading"] == bad
+
+
+def test_perron_vector_matches_eigenvector():
+    # the iteration stops once a step moves less than 1e-13; on D_10 the top
+    # two eigenvalues of A + I have ratio 0.92, which leaves about 1.1e-12
+    for family, n in (("A", 5), ("D", 6), ("D", 10), ("E6", None), ("E7", None), ("E8", None)):
+        a = dynkin(family, n)
+        w, vecs = np.linalg.eig(a.astype(np.float64))
+        x = np.abs(vecs[:, np.argmax(w.real)].real)
+        np.testing.assert_allclose(perron_vector(a), x / x.max(), rtol=0, atol=2e-12)
 
 
 def test_malformed_dual_rejected(a5):
