@@ -199,25 +199,6 @@ def one_one_subring(ring, grading):
     return restrict(ring, support, grading=induced)
 
 
-def _generated_subgroup(table, unit, gens):
-    # subgroup generated by gens under the multiplication table of invertibles
-    H = {unit} | set(gens)
-    frontier = list(H)
-    while frontier:
-        x = frontier.pop()
-        for y in list(H):
-            for z in (table[(x, y)], table[(y, x)]):
-                if z not in H:
-                    H.add(z)
-                    frontier.append(z)
-    return H
-
-
-def _left_perm(ring, h):
-    # an invertible h permutes the simples by x -> (the unique) support of h (x) x
-    return ring.tensor[h].argmax(axis=1)
-
-
 def dequiv_free(ring, h):
     """Quotient by the orbits of a freely acting subgroup of invertibles.
 
@@ -226,6 +207,11 @@ def dequiv_free(ring, h):
     Raises FixedPointError naming the fixed simple if the action is not
     free, and NotASubgroupError if a generator is not invertible.
     """
+    return _dequiv(ring, h)[0]
+
+
+def _dequiv(ring, h):
+    # dequiv_free's quotient, and the index of each simple's orbit in it
     gens = [x if isinstance(x, (int, np.integer)) else ring.index(x) for x in h]
     inv = invertibles(ring)
     invset = set(inv.indices)
@@ -234,8 +220,19 @@ def dequiv_free(ring, h):
             raise NotASubgroupError(
                 "%s is not invertible, so it generates no subgroup of the "
                 "invertibles" % ring.labels[g])
-    H = sorted(_generated_subgroup(inv.table, ring.unit, [int(g) for g in gens]))
-    perms = {g: _left_perm(ring, g) for g in H}
+    # the subgroup the generators span under the multiplication table
+    H = {ring.unit} | {int(g) for g in gens}
+    frontier = list(H)
+    while frontier:
+        x = frontier.pop()
+        for y in list(H):
+            for z in (inv.table[(x, y)], inv.table[(y, x)]):
+                if z not in H:
+                    H.add(z)
+                    frontier.append(z)
+    H = sorted(H)
+    # an invertible g permutes the simples by x -> (the unique) support of g (x) x
+    perms = {g: ring.tensor[g].argmax(axis=1) for g in H}
     idx = np.arange(ring.rank)
     for g in H:
         if g == ring.unit:
@@ -271,7 +268,7 @@ def dequiv_free(ring, h):
         go = ring.grading.orders
         group, f = quotient_with_map(go, [list(ring.grading.deg[g]) for g in H])
         grading = Grading(group.orders, [f(list(ring.grading.deg[i])) for i in reps])
-    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading)
+    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +387,22 @@ class RowBuild:
             self.provenance["row"], self.ring.rank, self.ring.labels[self.generator])
 
 
-def _find_orbit(pre, H_label, gen):
-    # label of the orbit of gen under the closure of the named invertible
-    H = _generated_subgroup(invertibles(pre).table, pre.unit, [pre.index(H_label)])
-    orb = sorted({int(_left_perm(pre, g)[gen]) for g in H})
-    return "[%s]" % pre.labels[orb[0]]
-
-
 def _assemble(base, base_name, pointed_order, deq_label=None, gen_label=None,
               oneone=True):
     steps = []
     p = pointed_ring(FiniteAbelianGroup.cyclic(pointed_order))
     ring = deligne_product(base, p)
     steps.append("deligne_product(%s, Vec(Z_%d))" % (base_name, pointed_order))
-    gen = "(%s,%s)" % (gen_label, 1 % pointed_order)
     if oneone:
         ring = one_one_subring(ring, ring.grading)
         steps.append("one_one_subring over Z_%s x Z_%d"
                      % ("x".join(str(o) for o in base.grading.orders), pointed_order))
+    gen = ring.index("(%s,%s)" % (gen_label, 1 % pointed_order))
     if deq_label is not None:
-        gen = _find_orbit(ring, deq_label, ring.index(gen))
-        ring = dequiv_free(ring, [deq_label])
+        ring, orbit_of = _dequiv(ring, [deq_label])
+        gen = orbit_of[gen]
         steps.append("dequiv_free by <%s>" % deq_label)
-    return ring, ring.index(gen), steps
+    return ring, gen, steps
 
 
 def _build_pointed(N, M):

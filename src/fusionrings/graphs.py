@@ -1,6 +1,7 @@
-"""Multiplicity-weighted digraphs, isomorphism testing, DOT export,
-Perron vectors and bipartitions, and the ADE Dynkin graphs used as
-generator fusion graphs.
+"""Multiplicity-weighted digraphs, DOT export, Perron vectors and
+bipartitions, the ADE Dynkin graphs used as generator fusion graphs, and
+the one exact isomorphism search on integer tensors (``isomorphisms``),
+which ``digraph_iso`` and ``ring.find_isomorphisms`` wrap.
 """
 
 import numpy as np
@@ -72,87 +73,97 @@ class Digraph:
         return "Digraph(n=%d, edges=%d)" % (self.n, self.edge_count)
 
 
-def _refine_colors(a):
-    """Iterated degree refinement; returns a stable color id per node."""
-    n = a.shape[0]
-    colors = [0] * n
-    # initial color: multiset of out- and in-multiplicities
-    init = [
-        (tuple(sorted(a[i, a[i] > 0])), tuple(sorted(a[a[:, i] > 0, i])))
-        for i in range(n)
-    ]
-    palette = {}
-    for i in range(n):
-        colors[i] = palette.setdefault(init[i], len(palette))
+def refine(a, b, ca, cb):
+    """Joint colour refinement of two n x n integer matrices.
+
+    ca and cb are start colours (sortable values) of the nodes of a and b.
+    A node's next colour is its colour plus its total out-weight and
+    in-weight into each colour class.  Colours are numbered by sorting these
+    signatures, so they do not depend on labels and mean the same in both
+    matrices.  Stops when no class splits; returns two lists of ints.
+    """
+    n = len(ca)
+    number = {c: x for x, c in enumerate(sorted(set(ca) | set(cb)))}
+    colors = np.array([number[c] for c in list(ca) + list(cb)], dtype=np.int64)
+    m = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    m[:n, :n] = a
+    m[n:, n:] = b
+    count = len(number)
     while True:
-        sig = []
-        for i in range(n):
-            outs = tuple(sorted((int(a[i, j]), colors[j]) for j in range(n) if a[i, j]))
-            ins = tuple(sorted((int(a[j, i]), colors[j]) for j in range(n) if a[j, i]))
-            sig.append((colors[i], outs, ins))
-        palette = {}
-        new = [palette.setdefault(s, len(palette)) for s in sig]
-        if new == colors:
-            return colors
-        colors = new
+        onehot = np.eye(count, dtype=np.int64)[colors]
+        sig = np.hstack([colors[:, None], m @ onehot, m.T @ onehot])
+        classes, new = np.unique(sig, axis=0, return_inverse=True)
+        if len(classes) == count:
+            return colors[:n].tolist(), colors[n:].tolist()
+        colors, count = new.reshape(-1), len(classes)
 
 
-def _refine_pair(a, b):
-    """Refine both graphs against the shared palette of their disjoint union,
-    so equal color ids mean equal refinement signatures across graphs."""
-    n = a.shape[0]
-    union = np.zeros((2 * n, 2 * n), dtype=a.dtype)
-    union[:n, :n] = a
-    union[n:, n:] = b
-    colors = _refine_colors(union)
-    return colors[:n], colors[n:]
+def isomorphisms(ta, tb, ca, cb, max_count=None):
+    """All index bijections s with tb[s(i), s(j), ...] = ta[i, j, ...].
+
+    ta and tb are integer tensors of one shape (n, ..., n); ca and cb are
+    start colours of their indices, which every bijection preserves.
+    Candidate images come from refine on each tensor summed down to an
+    n x n matrix.  The search maps one index at a time, rarest colour
+    first, and compares every entry among the indices mapped so far.
+    Returns the bijections as sorted tuples, at most max_count of them.
+    """
+    ta, tb = np.asarray(ta), np.asarray(tb)
+    if ta.shape != tb.shape:
+        return []
+    n, d = ta.shape[0], ta.ndim
+    lead = tuple(range(d - 2))
+    ca, cb = refine(ta.sum(axis=lead), tb.sum(axis=lead), ca, cb)
+    if sorted(ca) != sorted(cb):
+        return []
+    by_color = {}
+    for j in range(n):
+        by_color.setdefault(cb[j], []).append(j)
+    pa = np.array(sorted(range(n), key=lambda i: (len(by_color[ca[i]]), ca[i], i)),
+                  dtype=np.intp)
+    pb = np.empty(n, dtype=np.intp)
+    used = [False] * n
+    found = []
+
+    def agrees(p, i, j):
+        ia, ib = np.ix_(*[pa[:p + 1]] * (d - 1)), np.ix_(*[pb[:p + 1]] * (d - 1))
+        for axis in range(d):
+            at = (slice(None),) * axis
+            if not np.array_equal(ta[at + (i,)][ia], tb[at + (j,)][ib]):
+                return False
+        return True
+
+    def extend(p):
+        if p == n:
+            images = np.empty(n, dtype=np.intp)
+            images[pa] = pb
+            found.append(tuple(images.tolist()))
+            return
+        i = int(pa[p])
+        for j in by_color[ca[i]]:
+            if max_count is not None and len(found) >= max_count:
+                return
+            if used[j]:
+                continue
+            pb[p] = j
+            if agrees(p, i, j):
+                used[j] = True
+                extend(p + 1)
+                used[j] = False
+
+    extend(0)
+    return sorted(found)
 
 
 def digraph_iso(g, h):
-    """Multiplicity-preserving digraph isomorphism (boolean).
+    """Multiplicity-preserving digraph isomorphism (boolean), exact.
 
-    Backtracking with color refinement pruning; exact on the graph sizes that
-    occur here (a couple of dozen nodes).
+    Self-loop multiplicities are the start colours of isomorphisms.
     """
-    if g.n != h.n or g.edge_count != h.edge_count:
+    if g.n != h.n:
         return False
     a, b = g.adjacency(), h.adjacency()
-    ca, cb = _refine_pair(a, b)
-    if sorted(ca) != sorted(cb):
-        return False
-    n = g.n
-    # candidates by color; map rarest colors first
-    by_color_b = {}
-    for j in range(n):
-        by_color_b.setdefault(cb[j], []).append(j)
-    order = sorted(range(n), key=lambda i: (len(by_color_b.get(ca[i], ())), ca[i], i))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(pos):
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in by_color_b.get(ca[i], ()):
-            if used[j]:
-                continue
-            ok = True
-            for k in range(pos):
-                i2 = order[k]
-                j2 = mapping[i2]
-                if a[i, i2] != b[j, j2] or a[i2, i] != b[j2, j]:
-                    ok = False
-                    break
-            if ok and a[i, i] == b[j, j]:
-                mapping[i] = j
-                used[j] = True
-                if extend(pos + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return extend(0)
+    return bool(isomorphisms(a, b, np.diag(a).tolist(), np.diag(b).tolist(), max_count=1))
 
 
 def perron_vector(a):

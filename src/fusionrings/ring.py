@@ -22,7 +22,7 @@ from .errors import (
     MalformedRingError,
     NonConvergenceError,
 )
-from .graphs import Digraph, perron_vector
+from .graphs import Digraph, isomorphisms, perron_vector
 
 
 class Grading:
@@ -548,83 +548,27 @@ def universal_grading(ring):
 # isomorphism search
 
 
-def _iso_keys(ring, dims):
-    t = ring.tensor
-    r = ring.rank
-    rowsums = t.sum(axis=(1, 2))
-    colsums = t.sum(axis=(0, 2))
-    keys = []
-    for i in range(r):
-        keys.append((
-            round(dims[i] * 1e6),
-            int(ring.dual[i] == i),
-            int(rowsums[i]),
-            int(colsums[i]),
-            int(t[i, i].sum()),
-            int(t[i, int(ring.dual[i])].sum()),
-        ))
-    return keys
-
-
 def find_isomorphisms(a, b, max_count=None):
-    """All fusion-ring isomorphisms a -> b, as index tuples.
+    """All fusion-ring isomorphisms a -> b, as sorted index tuples.
 
-    A bijection sigma qualifies when sigma(unit) = unit, sigma commutes with
-    duals, and N_{sigma i, sigma j}^{sigma k} = N_{ij}^k.  Candidate images
-    are pruned by per-object invariants (FP dimension, self-duality, row
-    statistics).  The output order is deterministic.  An empty list means the
-    rings are not isomorphic; pass max_count=1 when only existence matters.
+    A bijection sigma qualifies when sigma(unit) = unit and
+    N_{sigma i, sigma j}^{sigma k} = N_{ij}^k; it then commutes with duals,
+    since N_{ij}^{unit} = delta_{j, i*}.  This is graphs.isomorphisms on the
+    fusion tensors, started from exact integer colours: is-unit,
+    is-self-dual, row sum, column sum, sum_k N_{ii}^k and sum_k N_{ii*}^k.
+    An empty list means the rings are not isomorphic; pass max_count=1 when
+    only existence matters.
     """
     if a.rank != b.rank:
         return []
-    da, db = fp_dims(a).dims, fp_dims(b).dims
-    ka, kb = _iso_keys(a, da), _iso_keys(b, db)
-    if sorted(ka) != sorted(kb):
-        return []
-    r = a.rank
-    cands = {i: [j for j in range(r) if kb[j] == ka[i]] for i in range(r)}
-    if any(not c for c in cands.values()):
-        return []
-    order = sorted(range(r), key=lambda i: (i != a.unit, len(cands[i]), ka[i], i))
-    ta, tb = a.tensor, b.tensor
-    mapping = np.full(r, -1, dtype=np.int64)
-    used = [False] * r
-    found = []
 
-    def extend(pos, assigned):
-        if max_count is not None and len(found) >= max_count:
-            return
-        if pos == r:
-            found.append(tuple(int(x) for x in mapping))
-            return
-        i = order[pos]
-        di = int(a.dual[i])
-        for j in cands[i]:
-            if used[j]:
-                continue
-            if i == a.unit and j != b.unit:
-                continue
-            if di == i and int(b.dual[j]) != j:
-                continue
-            if mapping[di] != -1 and int(b.dual[j]) != mapping[di]:
-                continue
-            sa = assigned + [i]
-            sb = [int(mapping[x]) for x in assigned] + [j]
-            ia, ib = np.asarray(sa), np.asarray(sb)
-            if not (
-                np.array_equal(ta[i][np.ix_(ia, ia)], tb[j][np.ix_(ib, ib)])
-                and np.array_equal(ta[np.ix_(ia, [i], ia)], tb[np.ix_(ib, [j], ib)])
-                and np.array_equal(ta[np.ix_(ia, ia, [i])], tb[np.ix_(ib, ib, [j])])
-            ):
-                continue
-            mapping[i] = j
-            used[j] = True
-            extend(pos + 1, sa)
-            mapping[i] = -1
-            used[j] = False
+    def colors(ring):
+        t, idx = ring.tensor, np.arange(ring.rank)
+        cols = [idx == ring.unit, ring.dual == idx, t.sum(axis=(1, 2)), t.sum(axis=(0, 2)),
+                np.einsum("iik->i", t), t[idx, ring.dual].sum(axis=1)]
+        return [tuple(c) for c in np.stack(cols, axis=1).tolist()]
 
-    extend(0, [])
-    return sorted(found)
+    return isomorphisms(a.tensor, b.tensor, colors(a), colors(b), max_count)
 
 
 # ---------------------------------------------------------------------------

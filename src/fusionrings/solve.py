@@ -17,11 +17,10 @@ completion to a fusion ring.  The pipeline:
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
   5. verify the full axioms on every leaf;
-  6. dedupe deterministically and group the survivors into isomorphism
-     classes.
+  6. sort the survivors by tensor bytes (leaves never repeat: the tensor
+     fixes the dual, and two leaves of one dual branch part at a branching)
+     and class each against one representative per class found so far.
 """
-
-from itertools import permutations
 
 import numpy as np
 
@@ -99,7 +98,11 @@ class PartialRing:
 
 
 class SolveResult:
-    """Completions found by the solver, grouped into isomorphism classes."""
+    """Completions found by the solver, grouped into isomorphism classes.
+
+    ``solutions`` are sorted by tensor bytes; each class lists indices into
+    them in increasing order, and its first index is its representative.
+    """
 
     def __init__(self, solutions, classes, nodes):
         self.solutions = list(solutions)
@@ -474,48 +477,6 @@ def _search(state, out, cap, counter, conflicts):
         state.restore(snap)
 
 
-def _canonical_key(tensor, dims, unit, cap=40320):
-    """Deterministic key: minimal serialization over dim-sorted relabelings."""
-    r = tensor.shape[0]
-    buckets = {}
-    for i in range(r):
-        if i == unit:
-            continue
-        buckets.setdefault(round(float(dims[i]) * 1e6), []).append(i)
-    total = 1
-    for b in buckets.values():
-        f = 1
-        for t in range(2, len(b) + 1):
-            f *= t
-        total *= f
-        if total > cap:
-            return tensor.tobytes()
-    best = None
-    groups = sorted(buckets.values())
-    for perm_parts in _product_perms(groups):
-        perm = list(range(r))
-        for orig, new in perm_parts:
-            for a, b in zip(orig, new):
-                perm[a] = b
-        p = np.array(perm)
-        inv = np.empty(r, dtype=np.int64)
-        inv[p] = np.arange(r)
-        key = tensor[np.ix_(inv, inv, inv)].tobytes()
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _product_perms(groups):
-    if not groups:
-        yield []
-        return
-    head, rest = groups[0], groups[1:]
-    for p in permutations(head):
-        for tail in _product_perms(rest):
-            yield [(head, p)] + tail
-
-
 def complete_partial_ring(partial, search_cap=10_000_000):
     """All completions of a partial ring, grouped into isomorphism classes.
 
@@ -541,12 +502,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
 
     d = partial.dims
     solutions = []
-    seen = set()
     for tensor, sigma in raw:
-        key = (tensor.tobytes(), tuple(sigma))
-        if key in seen:
-            continue
-        seen.add(key)
         ring = FusionRing(partial.labels, partial.unit, sigma, tensor, partial.grading)
         rep = verify_axioms(ring)
         if not rep.ok:
@@ -561,11 +517,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
             "no completion satisfies the constraints",
             conflict=conflicts[0] if conflicts else "empty search space")
 
-    solutions.sort(key=lambda ring: (
-        _canonical_key(ring.tensor, d, partial.unit),
-        ring.tensor.tobytes(),
-        tuple(int(x) for x in ring.dual),
-    ))
+    solutions.sort(key=lambda ring: ring.tensor.tobytes())
     classes = []
     reps = []
     for idx, ring in enumerate(solutions):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -179,6 +180,125 @@ def test_find_isomorphisms(a5):
     # the A_5 diagram flip f_i -> f_{4-i} is the one nontrivial symmetry
     assert len(autos) == 2
     assert not find_isomorphisms(a5, ade_ring("A", 7))
+
+
+def _unit_fixing_automorphisms(ring):
+    # oracle: every bijection that fixes the unit, commutes with the dual
+    # and preserves the tensor, found by trying all of them
+    r, t, dual = ring.rank, ring.tensor, ring.dual
+    others = [i for i in range(r) if i != ring.unit]
+    found = []
+    for images in itertools.permutations(others):
+        p = np.arange(r)
+        p[others] = images
+        if np.array_equal(t[np.ix_(p, p, p)], t) and np.array_equal(dual[p], p[dual]):
+            found.append(tuple(p.tolist()))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("ring", [
+    ade_ring("A", 3), ade_ring("A", 4), ade_ring("A", 5), ade_ring("A", 6),
+    ade_ring("A", 7), ade_ring("D", 4), ade_ring("D", 6), ade_ring("E6"),
+    ade_ring("E8"), ade_ring("adD", 10), pointed_ring([2, 2, 2]),
+], ids=["A3", "A4", "A5", "A6", "A7", "D4", "D6", "E6", "E8", "adD10", "Z2^3"])
+def test_find_isomorphisms_matches_brute_force(ring):
+    assert find_isomorphisms(ring, ring) == _unit_fixing_automorphisms(ring)
+
+
+def _relabelled(ring, p):
+    # the copy of ring in which simple i is simple p[i]
+    inv = np.argsort(p)
+    return FusionRing([ring.labels[i] for i in inv], p[ring.unit],
+                      [p[ring.dual[i]] for i in inv], ring.tensor[np.ix_(inv, inv, inv)])
+
+
+@pytest.mark.parametrize("name,n_autos", [("e4", 4), ("e166", 2), ("d-even M=2", 4)])
+def test_find_isomorphisms_of_relabelled_copies(request, name, n_autos):
+    ring = (theorem_row("d-even", M=2).ring if name == "d-even M=2"
+            else request.getfixturevalue(name))
+    p = np.arange(ring.rank)
+    random.Random(20261018).shuffle(p)
+    copy = _relabelled(ring, p)
+    autos = find_isomorphisms(ring, ring)
+    assert len(autos) == n_autos
+    isos = find_isomorphisms(ring, copy)
+    assert isos == sorted(tuple(int(p[s[i]]) for i in range(ring.rank)) for s in autos)
+    for m in map(np.array, isos):
+        assert m[ring.unit] == copy.unit
+        assert np.array_equal(copy.dual[m], m[ring.dual])
+        for i, j, k in itertools.product(range(ring.rank), repeat=3):
+            assert copy.tensor[m[i], m[j], m[k]] == ring.tensor[i, j, k]
+
+
+def _brute_force_digraph_iso(a, b):
+    perms = np.array(list(itertools.permutations(range(len(a)))))
+    return bool(np.all(b[perms[:, :, None], perms[:, None, :]] == a, axis=(1, 2)).any())
+
+
+def _random_digraph(rng, n, regular):
+    # regular: a sum of one or two permutation matrices without its loops,
+    # which colour refinement can hardly split
+    if not regular:
+        return np.array([[rng.choice([0, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)])
+    a = np.zeros((n, n), dtype=np.int64)
+    for _ in range(rng.randint(1, 2)):
+        p = list(range(n))
+        rng.shuffle(p)
+        a[range(n), p] += 1
+    np.fill_diagonal(a, 0)
+    return a
+
+
+def test_digraph_iso_matches_brute_force():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(400):
+        n, regular = rng.randint(1, 6), rng.random() < 0.5
+        a = _random_digraph(rng, n, regular)
+        if rng.random() < 0.5:
+            b = _random_digraph(rng, n, regular)
+        else:
+            p = list(range(n))
+            rng.shuffle(p)
+            b = a[np.ix_(p, p)].copy()
+            if b.any() and rng.random() < 0.5:
+                # move one unit of multiplicity to a random place
+                u, v = rng.choice(np.argwhere(b > 0).tolist())
+                b[u, v] -= 1
+                b[rng.randrange(n), rng.randrange(n)] += 1
+        expected = _brute_force_digraph_iso(a, b)
+        assert digraph_iso(Digraph.from_adjacency(a), Digraph.from_adjacency(b)) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+    # every node of a directed 6-cycle and of two directed 3-cycles has one
+    # edge in and one out, so refinement alone cannot tell them apart
+    hexagon = Digraph.from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = Digraph.from_edge_list(6, [(i, 3 * (i // 3) + (i + 1) % 3) for i in range(6)])
+    assert not digraph_iso(hexagon, triangles)
+    assert digraph_iso(triangles, Digraph.from_edge_list(6, [(0, 2), (2, 4), (4, 0),
+                                                             (1, 3), (3, 5), (5, 1)]))
+
+
+@pytest.mark.parametrize("name,generator", [("e4", "5"), ("e166", "a0")])
+def test_digraph_iso_on_relabelled_fusion_graphs(request, name, generator):
+    ring = request.getfixturevalue(name)
+    a = fusion_graph(ring, ring.labels.index(generator)).adjacency()
+    rng = random.Random(20261018)
+    p = list(range(len(a)))
+    rng.shuffle(p)
+    b = a[np.ix_(p, p)]
+    assert digraph_iso(Digraph.from_adjacency(a), Digraph.from_adjacency(b))
+    # move an edge u -> v to u -> w where v and w have the same in-degree:
+    # the sorted in-degrees change, so no relabelling can match
+    indeg = b.sum(axis=0)
+    u, v = next((u, v) for u, v in np.argwhere(b > 0)
+                if any(indeg[w] == indeg[v] and w != v for w in range(len(b))))
+    w = next(w for w in range(len(b)) if indeg[w] == indeg[v] and w != v)
+    moved = b.copy()
+    moved[u, v] -= 1
+    moved[u, w] += 1
+    assert sorted(moved.sum(axis=0)) != sorted(indeg)
+    assert not digraph_iso(Digraph.from_adjacency(a), Digraph.from_adjacency(moved))
 
 
 def test_decompose_word():

@@ -45,6 +45,25 @@ def test_e4_completion_counts():
         assert verify_axioms(ring).ok
 
 
+def test_e4_from_dims_and_parity_only(e4):
+    # the solver stress case: e4 from its dimensions and the Z_2 parity of
+    # its Z_4 grading, with no fusion coefficient known
+    from fusionrings.ring import Grading
+
+    parity = Grading((2,), [(d[0] % 2,) for d in e4.grading.deg])
+    partial = PartialRing(list(e4.labels), e4.unit, [float(x) for x in fp_dims(e4)], parity)
+    result = complete_partial_ring(partial)
+    assert len(result.solutions) == 72
+    assert sorted(len(c) for c in result.classes) == [12, 12, 24, 24]
+    assert sorted(sum(result.classes, [])) == list(range(72))
+    reps = result.class_representatives()
+    assert sum(bool(find_isomorphisms(rep, e4, max_count=1)) for rep in reps) == 1
+    assert not any(find_isomorphisms(a, b, max_count=1)
+                   for x, a in enumerate(reps) for b in reps[x + 1:])
+    keys = [ring.tensor.tobytes() for ring in result.solutions]
+    assert len(set(keys)) == 72 and keys == sorted(keys)
+
+
 def test_search_cap():
     with pytest.raises(SearchCapExceededError):
         complete_partial_ring(_e4_partial(), search_cap=1)
