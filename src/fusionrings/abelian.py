@@ -168,22 +168,31 @@ def integer_kernel(a):
 
 def solve_integer(a, b):
     """One integer solution x of A x = b, or None if none exists."""
+    return _integer_solver(a)(b)
+
+
+def _integer_solver(a):
+    """b -> one integer solution x of A x = b, or None; one SNF serves every b."""
     m = len(a)
     n = len(a[0]) if m else 0
     s = smith_normal_form(a, u=True, v=True)
-    c = mat_vec(s.u, b)
     diag = diagonal_entries(s.d)
-    y = [0] * n
-    for i in range(m):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    return mat_vec(s.v, y)
+
+    def solve(b):
+        c = mat_vec(s.u, b)
+        y = [0] * n
+        for i in range(m):
+            di = diag[i] if i < len(diag) else 0
+            if di == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % di:
+                    return None
+                y[i] = c[i] // di
+        return mat_vec(s.v, y)
+
+    return solve
 
 
 def lattice_basis(cols):
@@ -218,9 +227,10 @@ def quotient_invariants(basis, subgens):
         return ()
     n = len(basis[0])
     bmat = [[basis[j][i] for j in range(r)] for i in range(n)]
+    solve = _integer_solver(bmat)
     ys = []
     for g in subgens:
-        y = solve_integer(bmat, list(g))
+        y = solve(list(g))
         if y is None:
             raise ValueError("generator outside the lattice")
         ys.append(y)

@@ -7,24 +7,17 @@ T^{M-1},
     H^{2k}(Z_M, A)   = ker(T - 1) / im(Norm)        (k >= 1)
     H^{2k+1}(Z_M, A) = ker(Norm) / im(T - 1)
 
-All kernels are taken in A = Z^n / diag(orders) and all quotients are reduced
-with the Smith normal form, so results are exact.  An independent brute-force
-oracle enumerates 2-cocycles directly on small instances.
+An independent oracle for H^2 on small instances runs the normalised bar
+complex instead (Brown, Cohomology of Groups, I.5): cochains are functions
+(Z_M \\ {0})^n -> A, and H^2 = ker d^2 / im d^1.  Both read the same powers
+T^0, ..., T^{M-1} and the same kernel-modulo-image routine, which works in
+A^k = Z^(kn) / diag(orders, ..., orders) and reduces every quotient with the
+Smith normal form, so results are exact.
 """
 
-import math
+from itertools import product
 
-import numpy as np
-
-from .abelian import (
-    FiniteAbelianGroup,
-    diagonal_entries,
-    group_from_table,
-    integer_kernel,
-    lattice_basis,
-    quotient_invariants,
-    smith_normal_form,
-)
+from .abelian import FiniteAbelianGroup, integer_kernel, lattice_basis, quotient_invariants
 from .errors import BoundsExceededError, InvalidActionError
 
 # Cohomology groups are reported as plain finite abelian groups
@@ -37,8 +30,8 @@ class GroupAction:
 
     The generator acts by the integer matrix ``matrix`` (column j = image of
     the j-th cyclic generator).  Validity against a coefficient group means:
-    well-defined (matrix[i][j] * orders[j] = 0 mod orders[i]), invertible on
-    the group, and of multiplicative order dividing M.
+    well-defined (matrix[i][j] * orders[j] = 0 mod orders[i]) and T^M = 1 on
+    the group, which makes T invertible of multiplicative order dividing M.
     """
 
     def __init__(self, m, matrix):
@@ -55,6 +48,11 @@ class GroupAction:
         return cls(m, [[1 if i == j else 0 for j in range(n_factors)] for i in range(n_factors)])
 
     def validate(self, coeffs):
+        """Check the action on ``coeffs``; return the powers T^0, ..., T^{M-1}.
+
+        Each power is reduced mod the orders, row i mod orders[i].  Raises
+        InvalidActionError when T is not well defined or T^M != 1 on A.
+        """
         orders = coeffs.orders
         n = len(orders)
         if len(self.matrix) != n:
@@ -66,74 +64,48 @@ class GroupAction:
                 if (self.matrix[i][j] * orders[j]) % orders[i]:
                     raise InvalidActionError(
                         "matrix does not define an endomorphism of %s" % coeffs)
-        # invertibility: surjective on the finite group
-        if _endo_cokernel_order(self.matrix, orders) != 1:
-            raise InvalidActionError("action matrix is not invertible on %s" % coeffs)
-        k = _endo_order(self.matrix, orders)
-        if self.m % k:
+        p = [[int(i == j) % o for j in range(n)] for i, o in enumerate(orders)]
+        powers = []
+        for _ in range(self.m):
+            powers.append(p)
+            p = [[sum(p[i][t] * self.matrix[t][j] for t in range(n)) % orders[i]
+                  for j in range(n)] for i in range(n)]
+        if p != powers[0]:
             raise InvalidActionError(
-                "action has order %d, which does not divide M=%d" % (k, self.m))
+                "T^%d is not 1 on %s: the action is not invertible of order "
+                "dividing %d" % (self.m, coeffs, self.m))
+        return powers
 
     def __repr__(self):
         return "GroupAction(m=%d, matrix=%r)" % (self.m, self.matrix)
 
 
-def _mat_mul_mod(a, b, orders):
-    n = len(orders)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) % orders[i] for j in range(n)]
-        for i in range(n)
-    ]
+def _action_powers(m, coeffs, action):
+    """Powers T^0, ..., T^{m-1} of the checked action (trivial if None)."""
+    if action is None:
+        action = GroupAction.trivial(m, len(coeffs.orders))
+    if action.m != m:
+        raise InvalidActionError("action is for M=%d, not %d" % (action.m, m))
+    return action.validate(coeffs)
 
 
-def _reduce_rows(a, orders):
-    return [[x % orders[i] for x in row] for i, row in enumerate(a)]
+def _kernel_mod_image(f, g, orders, a, b):
+    """ker f / im g for f: A^a -> A^b and g: A^c -> A^a.
 
-
-def _endo_order(matrix, orders, cap=10000):
-    n = len(orders)
-    ident = _reduce_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], orders)
-    p = _reduce_rows(matrix, orders)
-    k = 1
-    while p != ident:
-        p = _mat_mul_mod(p, matrix, orders)
-        k += 1
-        if k > cap:
-            raise InvalidActionError("action order exceeds cap (not invertible?)")
-    return k
-
-
-def _endo_cokernel_order(matrix, orders):
-    # order of Z^n/(im + Lambda): product of the SNF diagonal of [matrix | Lambda]
-    n = len(orders)
-    a = [[matrix[i][j] for j in range(n)] + [orders[i] if r == i else 0 for r in range(n)]
-         for i in range(n)]
-    return math.prod(diagonal_entries(smith_normal_form(a).d))
-
-
-def norm_matrix(action, m, orders):
-    """Norm = sum of the first m powers of the action matrix."""
-    n = len(orders)
-    total = [[0] * n for _ in range(n)]
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(m):
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += p[i][j]
-        p = _mat_mul_mod(p, action, orders)
-    return total
-
-
-def _kernel_mod_image(f, g, orders):
-    """{x in A : f x = 0} / (g A), both taken in A = Z^n/diag(orders)."""
-    n = len(orders)
-    lam_cols = [[orders[i] if r == i else 0 for i in range(n)] for r in range(n)]
-    stacked = [row[:] + [-lam_cols[c][i] for c in range(n)] for i, row in enumerate(f)]
-    kernel = integer_kernel(stacked)
-    proj = [v[:n] for v in kernel]
-    basis = lattice_basis(proj + lam_cols)
-    subgens = [[g[i][j] for i in range(n)] for j in range(n)] + lam_cols
-    return FiniteAbelianGroup(quotient_invariants(basis, subgens))
+    A = Z^n / diag(orders) and A^k is k copies of it, coordinate i*n + t for
+    factor t of copy i.  The maps are integer matrices on these coordinates
+    (f is bn x an, g is an x cn) and must be well defined on A.  Callers
+    pass b = 0 only with a = 0: a map with no rows has no kernel vectors here.
+    """
+    mid, out = orders * a, orders * b
+    lam = [[o if r == i else 0 for i in range(len(mid))] for r, o in enumerate(mid)]
+    # x lies in ker f when f x = diag(out) y for some integer y
+    stacked = [row + [-o if c == i else 0 for c in range(len(out))]
+               for i, (row, o) in enumerate(zip(f, out))]
+    kernel = [v[:len(mid)] for v in integer_kernel(stacked)]
+    basis = lattice_basis(kernel + lam)
+    image = [list(col) for col in zip(*g)]
+    return FiniteAbelianGroup(quotient_invariants(basis, image + lam))
 
 
 def h_cyclic(n, m, coeffs, action=None):
@@ -152,21 +124,14 @@ def h_cyclic(n, m, coeffs, action=None):
     """
     if n not in (1, 2, 3):
         raise ValueError("only H^1, H^2, H^3 are provided")
-    orders = coeffs.orders
-    k = len(orders)
-    if action is None:
-        action = GroupAction.trivial(m, k)
-    if action.m != m:
-        raise InvalidActionError("action is for M=%d, not %d" % (action.m, m))
-    if k == 0:
-        return CohomologyGroup(())
-    action.validate(coeffs)
-    t = action.matrix
-    s = [[t[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
-    nm = norm_matrix(t, m, orders)
+    powers = _action_powers(m, coeffs, action)
+    k = len(coeffs.orders)
+    # T - 1 and the norm; T = T^0 = 1 when m = 1
+    s = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(powers[1 % m])]
+    nm = [[sum(p[i][j] for p in powers) for j in range(k)] for i in range(k)]
     if n % 2 == 0:
-        return _kernel_mod_image(s, nm, orders)
-    return _kernel_mod_image(nm, s, orders)
+        return _kernel_mod_image(s, nm, coeffs.orders, 1, 1)
+    return _kernel_mod_image(nm, s, coeffs.orders, 1, 1)
 
 
 def h3_roots_of_unity(m):
@@ -183,198 +148,55 @@ def h3_roots_of_unity(m):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# bar-complex oracle
 
 
-def _gf_rank(mat, p):
-    """Rank of an integer matrix over GF(p)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        mask = (a[:, c] % p) != 0
-        mask[rank] = False
-        a[mask] = (a[mask] - np.outer(a[mask, c], a[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _coboundary(n, m, powers, orders):
+    """d^n: C^n -> C^{n+1} of the normalised bar complex of Z_m with values in A.
 
+    C^n holds the functions f: (Z_m \\ {0})^n -> A, extended by 0 to
+    arguments containing 0; the n-tuples are ordered lexicographically and f
+    is stored as in ``_kernel_mod_image``.  With g_1 acting by T^(g_1),
 
-def _h2_mod_p(m, r, p, powers):
-    """dim H^2 for coefficients Z_p^r via bar-complex linear algebra."""
-    def c2_index(a, b, t):
-        return ((a * m) + b) * r + t
-
-    def c3_index(a, b, c, t):
-        return (((a * m) + b) * m + c) * r + t
-
-    d2 = np.zeros((r * m ** 3, r * m ** 2), dtype=np.int64)
-    for u in range(m):
-        for v in range(m):
-            for t in range(r):
-                col = c2_index(u, v, t)
-                for a in range(m):
-                    # alpha_a f(b, c) with (b, c) = (u, v)
-                    for s in range(r):
-                        d2[c3_index(a, u, v, s), col] += powers[a][s][t]
-                    # -f(a+b, c): a + b = u, c = v
-                    d2[c3_index(a, (u - a) % m, v, t), col] -= 1
-                    # +f(a, b+c): a = u, b + c = v  (reuse loop var as b)
-                    d2[c3_index(u, a, (v - a) % m, t), col] += 1
-                    # -f(a, b): (a, b) = (u, v)
-                    d2[c3_index(u, v, a, t), col] -= 1
-    d1 = np.zeros((r * m ** 2, r * m), dtype=np.int64)
-    for u in range(m):
-        for t in range(r):
-            col = u * r + t
-            for a in range(m):
-                for s in range(r):
-                    d1[c2_index(a, u, s), col] += powers[a][s][t]  # alpha_a g(b)
-                d1[c2_index(a, (u - a) % m, t), col] -= 1          # -g(a+b)
-                d1[c2_index(u, a, t), col] += 1                    # +g(a)
-    dim_ker = r * m ** 2 - _gf_rank(d2, p)
-    dim_im = _gf_rank(d1, p)
-    return dim_ker - dim_im
+        (d f)(g_1, ..., g_{n+1}) = g_1 f(g_2, ..., g_{n+1})
+            + sum_{i=1..n} (-1)^i f(..., g_i + g_{i+1}, ...)
+            + (-1)^(n+1) f(g_1, ..., g_n).
+    """
+    k = len(orders)
+    index = {h: i for i, h in enumerate(product(range(1, m), repeat=n))}
+    rows = list(product(range(1, m), repeat=n + 1))
+    d = [[0] * (len(index) * k) for _ in range(len(rows) * k)]
+    for r, g in enumerate(rows):
+        c = index[g[1:]]
+        for s in range(k):
+            for t in range(k):
+                d[r * k + s][c * k + t] += powers[g[0]][s][t]
+        faces = [(g[:i] + ((g[i] + g[i + 1]) % m,) + g[i + 2:], (-1) ** (i + 1))
+                 for i in range(n)] + [(g[:n], (-1) ** (n + 1))]
+        for h, sign in faces:
+            if 0 not in h:
+                for t in range(k):
+                    d[r * k + t][index[h] * k + t] += sign
+    return d
 
 
 def brute_force_h2(m, coeffs, action=None):
     """Independent H^2 oracle for small instances (m <= 6, |A| <= 9).
 
-    Either enumerates every function Z_m x Z_m -> A and filters by the
-    2-cocycle identity, or (when enumeration is infeasible but A has prime
-    exponent p) runs exact linear algebra over GF(p) on the bar complex.
+    Returns ker d^2 / im d^1 on the normalised bar complex (``_coboundary``),
+    for any finite A and any action; the periodic resolution behind
+    ``h_cyclic`` is not used.  Raises BoundsExceededError outside the bounds
+    and InvalidActionError when the action is not a Z_m-module structure.
+
+    >>> str(brute_force_h2(4, FiniteAbelianGroup((4,))))
+    'Z_4'
     """
-    orders = tuple(o for o in coeffs.orders if o > 1)
-    size = 1
-    for o in orders:
-        size *= o
-    if m > 6 or size > 9:
+    if m > 6 or coeffs.order > 9:
         raise BoundsExceededError("brute_force_h2 bounds are m <= 6, |A| <= 9")
-    group = FiniteAbelianGroup(orders)
-    k = len(orders)
-    if action is None:
-        action = GroupAction.trivial(m, len(coeffs.orders))
-    action.validate(coeffs)
-    # restrict the matrix to the nontrivial factors
-    live = [i for i, o in enumerate(coeffs.orders) if o > 1]
-    t = [[action.matrix[i][j] for j in live] for i in live]
-    powers = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for _ in range(m - 1):
-        powers.append(_mat_mul_mod(powers[-1], t, orders))
-
-    if k == 0 or size == 1:
-        return CohomologyGroup(())
-
-    n_funcs = size ** (m * m)
-    if n_funcs <= 2_000_000:
-        return _enumerate_h2(m, group, powers)
-
-    from math import gcd
-
-    exponent = 1
-    for o in orders:
-        exponent = exponent * o // gcd(exponent, o)
-    if not _is_prime(exponent):
-        raise BoundsExceededError(
-            "instance too large to enumerate and exponent %d is not prime" % exponent)
-    p = exponent
-    r = 0
-    while size > 1:
-        size //= p
-        r += 1
-    dim = _h2_mod_p(m, r, p, powers)
-    return CohomologyGroup((p,) * dim)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _enumerate_h2(m, group, powers):
-    from itertools import product as cartesian
-
-    elems = list(group.elements())
-    pairs = [(a, b) for a in range(m) for b in range(m)]
-    npairs = len(pairs)
-    pair_pos = {ab: i for i, ab in enumerate(pairs)}
-
-    def act(a, x):
-        mat = powers[a]
-        return tuple(
-            sum(mat[i][j] * x[j] for j in range(len(x))) % o
-            for i, o in enumerate(group.orders)
-        )
-
-    cocycles = []
-    for vals in cartesian(elems, repeat=npairs):
-        ok = True
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    # cocycle: act_a f(b,c) - f(a+b,c) + f(a,b+c) - f(a,b) = 0
-                    total = act(a, vals[pair_pos[(b, c)]])
-                    total = group.add(total, group.neg(vals[pair_pos[((a + b) % m, c)]]))
-                    total = group.add(total, vals[pair_pos[(a, (b + c) % m)]])
-                    total = group.add(total, group.neg(vals[pair_pos[(a, b)]]))
-                    if any(total):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            cocycles.append(vals)
-
-    coboundaries = set()
-    for gvals in cartesian(elems, repeat=m):
-        f = []
-        for a, b in pairs:
-            x = act(a, gvals[b])
-            x = group.add(x, group.neg(gvals[(a + b) % m]))
-            x = group.add(x, gvals[a])
-            f.append(x)
-        coboundaries.add(tuple(f))
-
-    def sub(f1, f2):
-        return tuple(group.add(x, group.neg(y)) for x, y in zip(f1, f2))
-
-    reps = []
-    rep_of = {}
-    for f in cocycles:
-        for rep in reps:
-            if sub(f, rep) in coboundaries:
-                rep_of[f] = rep
-                break
-        else:
-            reps.append(f)
-            rep_of[f] = f
-    pos = {rep: i for i, rep in enumerate(reps)}
-
-    def mul(i, j):
-        # the pointwise sum of two cocycles is again a cocycle, so it was seen
-        s = tuple(group.add(x, y) for x, y in zip(reps[i], reps[j]))
-        return pos[rep_of[s]]
-
-    return group_from_table(len(reps), mul)
+    powers = _action_powers(m, coeffs, action)
+    d1 = _coboundary(1, m, powers, coeffs.orders)
+    d2 = _coboundary(2, m, powers, coeffs.orders)
+    return _kernel_mod_image(d2, d1, coeffs.orders, (m - 1) ** 2, (m - 1) ** 3)
 
 
 def parse_action(spec, m, orders):

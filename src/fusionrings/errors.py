@@ -62,7 +62,7 @@ class InvalidActionError(RingError):
 
 class BoundsExceededError(RingError):
     """A computation asked to run outside the bounds it is exact or
-    affordable in: the brute-force H^2 oracle past its size limits, or
+    affordable in: the bar-complex H^2 oracle past m <= 6, |A| <= 9, or
     verify_axioms on a ring whose associativity sums could reach 2**53."""
 
 

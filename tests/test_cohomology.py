@@ -9,7 +9,8 @@ from fusionrings import (
     h3_roots_of_unity,
     h_cyclic,
 )
-from fusionrings.cohomology import parse_action
+from fusionrings.abelian import mat_mul
+from fusionrings.cohomology import _coboundary, parse_action
 from fusionrings.errors import BoundsExceededError, InvalidActionError
 
 
@@ -55,24 +56,42 @@ def test_h3_roots_of_unity():
         assert h3_roots_of_unity(m) == FiniteAbelianGroup.cyclic(m)
 
 
-def test_brute_force_agrees_with_periodic():
-    cases = [
-        ((2,), "trivial"),
-        ((3,), "trivial"),
-        ((2, 2), "trivial"),
-        ((2, 2), "swap"),
-        ((3, 3), "inv2"),
-        ((3, 3), "inv"),
-    ]
-    for m in range(1, 7):
-        for orders, spec in cases:
-            coeffs = FiniteAbelianGroup(orders)
-            action = parse_action(spec, m, orders)
-            try:
-                periodic = h_cyclic(2, m, coeffs, action)
-            except InvalidActionError:
-                continue
-            assert brute_force_h2(m, coeffs, action) == periodic
+def test_brute_force_closed_form_beyond_prime_exponent():
+    # H^2(Z_m, A) = A / mA for the trivial action: a sum of Z_gcd(m, a)
+    for orders in ((4,), (8,), (9,), (2, 4)):
+        coeffs = FiniteAbelianGroup(orders)
+        for m in (4, 6):
+            want = FiniteAbelianGroup(tuple(math.gcd(m, a) for a in orders))
+            got = brute_force_h2(m, coeffs)
+            assert got == want, (m, orders, str(got))
+            assert h_cyclic(2, m, coeffs) == want
+
+
+def test_bar_coboundaries_compose_to_zero():
+    # d^(n+1) d^n = 0 on A; orders 3, 4 and 5 keep a sign error visible
+    for spec, orders in (("swap", (4, 4)), ("inv", (5,)), ("inv2", (4, 3))):
+        coeffs, k = FiniteAbelianGroup(orders), len(orders)
+        for m in (2, 4):
+            powers = parse_action(spec, m, orders).validate(coeffs)
+            for n in (0, 1, 2):
+                d = _coboundary(n, m, powers, orders)
+                dd = mat_mul(_coboundary(n + 1, m, powers, orders), d)
+                assert dd and len(dd[0]) == len(d[0])
+                assert all(x % orders[r % k] == 0 for r, row in enumerate(dd) for x in row), \
+                    (spec, m, n)
+
+
+def test_brute_force_checks_the_action_order():
+    # T = 2 on Z_7 has order 3: a Z_3-module, not a Z_2-module
+    z7 = FiniteAbelianGroup((7,))
+    with pytest.raises(InvalidActionError):
+        brute_force_h2(2, z7, GroupAction(3, [[2]]))
+    with pytest.raises(InvalidActionError):
+        h_cyclic(2, 2, z7, GroupAction(3, [[2]]))
+    with pytest.raises(InvalidActionError):
+        brute_force_h2(2, z7, GroupAction(2, [[2]]))
+    action = GroupAction(3, [[2]])
+    assert brute_force_h2(3, z7, action) == h_cyclic(2, 3, z7, action) == FiniteAbelianGroup(())
 
 
 def test_brute_force_bounds():
