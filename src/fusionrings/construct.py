@@ -14,6 +14,10 @@ the constraint solver from their Dynkin generator graphs, with a per-instance
 uniqueness assertion.  Ring-level constructors take no root-of-unity or sign
 parameter: every category in one family shares a single fusion ring, and
 IVec(Z_2M) has the same ring as Vec(Z_2M).
+
+Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
+through the dense product; each dense tensor built here is first checked
+against config.MAX_DENSE_BYTES.
 """
 
 import math
@@ -21,8 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import config
 from .abelian import FiniteAbelianGroup, quotient_with_map
 from .errors import (
+    BoundsExceededError,
     DegenerateGradeError,
     FixedPointError,
     InconsistentGradingError,
@@ -45,6 +51,12 @@ from .ring import (
 from .solve import PartialRing, complete_partial_ring, unique_ring_from_graph
 
 
+def _check_dense(rank):
+    if rank ** 3 * 8 > config.MAX_DENSE_BYTES:
+        raise BoundsExceededError("a rank-%d int64 fusion tensor is past "
+                                  "config.MAX_DENSE_BYTES" % rank)
+
+
 def pointed_ring(group):
     """The group ring of a finite abelian group, fully graded by itself.
 
@@ -55,6 +67,7 @@ def pointed_ring(group):
     els = list(group.elements())
     pos = {e: i for i, e in enumerate(els)}
     n = len(els)
+    _check_dense(n)
     t = np.zeros((n, n, n), dtype=np.int64)
     for i, a in enumerate(els):
         for j, b in enumerate(els):
@@ -149,9 +162,11 @@ def deligne_product(a, b):
     The grading is the product grading when both factors carry one.
     """
     ra, rb = a.rank, b.rank
+    _check_dense(ra * rb)
     ta, tb = a.tensor, b.tensor
     t = (ta[:, None, :, None, :, None] * tb[None, :, None, :, None, :])
     t = t.reshape(ra * rb, ra * rb, ra * rb)
+    t.setflags(write=False)
     labels = ["(%s,%s)" % (la, lb) for la in a.labels for lb in b.labels]
     dual = [int(a.dual[i]) * rb + int(b.dual[j]) for i in range(ra) for j in range(rb)]
     grading = None
@@ -173,30 +188,58 @@ def one_one_subring(ring, grading):
         raise MalformedRingError("grading does not match the ring's rank")
     if not grading.orders:
         raise MalformedRingError("grading must have at least one cyclic factor")
+    _check_multiplicative(ring, grading)
+    return _diagonal_subring(ring, grading)
+
+
+def _check_multiplicative(ring, grading):
     bad = grading_violations(ring.tensor, grading)
     if bad:
-        i, j, k = bad[0]
-        raise InconsistentGradingError(
-            "grading is not multiplicative at (%s, %s, %s)"
-            % (ring.labels[i], ring.labels[j], ring.labels[k]))
-    orders = grading.orders
-    lcm = math.lcm(*orders)
-    target = tuple(1 % o for o in orders)
-    seeds = [i for i in range(ring.rank) if grading.deg[i] == target]
+        raise InconsistentGradingError("grading is not multiplicative at (%s, %s, %s)"
+                                       % tuple(ring.labels[x] for x in bad[0]))
+
+
+def _diagonal_index(orders):
+    # the degree (a mod o)_o of the diagonal cyclic subgroup -> a, for a < lcm
+    return {tuple(a % o for o in orders): a for a in range(math.lcm(*orders))}
+
+
+def _diagonal_subring(ring, grading):
+    # one_one_subring past its checks: generate from degree (1,1,...),
+    # restrict, and grade by the diagonal Z_lcm
+    lcm = math.lcm(*grading.orders)
+    diag = _diagonal_index(grading.orders)
+    seeds = [i for i in range(ring.rank) if diag.get(grading.deg[i]) == 1 % lcm]
     if not seeds:
         raise DegenerateGradeError("no simples of degree (1,1)")
     support = subring_generated(ring, seeds)
-
-    def diag(d):
-        for a in range(lcm):
-            if all(a % o == c for o, c in zip(orders, d)):
-                return a
-        raise InconsistentGradingError(
-            "degree %r lies outside the diagonal cyclic subgroup" % (d,))
-
-    degs = [(diag(grading.deg[i]),) for i in support]
-    induced = Grading((lcm,), degs) if lcm > 1 else Grading((), [() for _ in support])
+    degs = [diag.get(grading.deg[i]) for i in support]
+    if None in degs:
+        raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
+    induced = Grading((lcm,), [(a,) for a in degs]) if lcm > 1 else Grading((), [()] * len(degs))
     return restrict(ring, support, grading=induced)
+
+
+def _one_one_product(base, n):
+    # one_one_subring(deligne_product(base, pointed_ring(Z_n))) filled on the
+    # pairs (x, g) of diagonal degree: N_{(x,g),(y,h)}^{(z,k)} = N_{xy}^z [g+h = k].
+    # The product grading is multiplicative exactly when base.grading is.
+    _check_multiplicative(base, base.grading)
+    orders = base.grading.orders + (n,)
+    diag = _diagonal_index(orders)
+    pairs = [(x, g) for x in range(base.rank) for g in range(n)
+             if base.grading.deg[x] + (g,) in diag]
+    _check_dense(len(pairs))
+    pos = {p: a for a, p in enumerate(pairs)}
+    xs, gs = (np.array(c) for c in zip(*pairs))
+    t = base.tensor[np.ix_(xs, xs, xs)]
+    t *= (gs[:, None, None] + gs[None, :, None]) % n == gs
+    t.setflags(write=False)
+    labels = ["(%s,%s)" % (base.labels[x], g) for x, g in pairs]
+    dual = [pos[(int(base.dual[x]), -g % n)] for x, g in pairs]
+    grading = Grading(orders, [base.grading.deg[x] + (g,) for x, g in pairs])
+    ring = FusionRing(labels, pos[(base.unit, 0)], dual, t, grading)
+    return _diagonal_subring(ring, grading)
 
 
 def dequiv_free(ring, h):
@@ -232,43 +275,26 @@ def _dequiv(ring, h):
                     frontier.append(z)
     H = sorted(H)
     # an invertible g permutes the simples by x -> (the unique) support of g (x) x
-    perms = {g: ring.tensor[g].argmax(axis=1) for g in H}
-    idx = np.arange(ring.rank)
-    for g in H:
-        if g == ring.unit:
-            continue
-        fixed = np.flatnonzero(perms[g] == idx)
-        if len(fixed):
-            x = int(fixed[0])
-            raise FixedPointError(
-                "invertible %s fixes %s" % (ring.labels[g], ring.labels[x]),
-                invertible=ring.labels[g], fixed=ring.labels[x])
-
-    reps = []
-    orbit_of = [-1] * ring.rank
-    for x in range(ring.rank):
-        if orbit_of[x] != -1:
-            continue
-        orb = sorted({int(perms[g][x]) for g in H})
-        for y in orb:
-            orbit_of[y] = len(reps)
-        reps.append(orb[0])
-
-    n = len(reps)
-    t = np.zeros((n, n, n), dtype=np.int64)
-    for a, i in enumerate(reps):
-        for b, j in enumerate(reps):
-            row = ring.tensor[i, j]
-            for c, k in enumerate(reps):
-                t[a, b, c] = sum(int(row[perms[g][k]]) for g in H)
-    dual = [orbit_of[int(ring.dual[i])] for i in reps]
+    perms = ring.tensor[H].argmax(axis=2)
+    fixed = np.argwhere((perms == np.arange(ring.rank)) & (np.array(H) != ring.unit)[:, None])
+    if len(fixed):
+        g, x = H[fixed[0][0]], fixed[0][1]
+        raise FixedPointError(
+            "invertible %s fixes %s" % (ring.labels[g], ring.labels[x]),
+            invertible=ring.labels[g], fixed=ring.labels[x])
+    # each orbit is represented by its least simple
+    reps, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
+    _check_dense(len(reps))
+    t = ring.tensor[np.ix_(reps, reps)][:, :, perms[:, reps]].sum(axis=2)
+    t.setflags(write=False)
+    dual = orbit_of[ring.dual[reps]]
     labels = ["[%s]" % ring.labels[i] for i in reps]
     grading = None
     if ring.grading is not None:
         go = ring.grading.orders
         group, f = quotient_with_map(go, [list(ring.grading.deg[g]) for g in H])
         grading = Grading(group.orders, [f(list(ring.grading.deg[i])) for i in reps])
-    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of
+    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +415,13 @@ class RowBuild:
 
 def _assemble(base, base_name, pointed_order, deq_label=None, gen_label=None,
               oneone=True):
-    steps = []
-    p = pointed_ring(FiniteAbelianGroup.cyclic(pointed_order))
-    ring = deligne_product(base, p)
-    steps.append("deligne_product(%s, Vec(Z_%d))" % (base_name, pointed_order))
+    steps = ["deligne_product(%s, Vec(Z_%d))" % (base_name, pointed_order)]
     if oneone:
-        ring = one_one_subring(ring, ring.grading)
+        ring = _one_one_product(base, pointed_order)
         steps.append("one_one_subring over Z_%s x Z_%d"
                      % ("x".join(str(o) for o in base.grading.orders), pointed_order))
+    else:
+        ring = deligne_product(base, pointed_ring(FiniteAbelianGroup.cyclic(pointed_order)))
     gen = ring.index("(%s,%s)" % (gen_label, 1 % pointed_order))
     if deq_label is not None:
         ring, orbit_of = _dequiv(ring, [deq_label])

@@ -62,6 +62,14 @@ class Grading:
         return "Grading(orders=%r, rank=%d)" % (self.orders, len(self.deg))
 
 
+def _read_only(a):
+    # a's entries as a read-only int64 array; a writeable array is copied
+    writeable = isinstance(a, np.ndarray) and a.flags.writeable
+    out = np.ascontiguousarray(a.copy() if writeable else a, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 class FusionRing:
     """Immutable fusion ring.
 
@@ -74,7 +82,9 @@ class FusionRing:
     grading : optional Grading
 
     Construction checks only structure (shapes, involution, nonnegativity);
-    the ring axioms are checked by :func:`verify_axioms`.
+    the ring axioms are checked by :func:`verify_axioms`.  A read-only
+    int64 tensor or dual is kept as given; a writeable one is copied, so
+    the caller's array is neither frozen nor shared.
     """
 
     __slots__ = ("labels", "unit", "dual", "tensor", "grading", "_index")
@@ -84,12 +94,12 @@ class FusionRing:
         rank = len(labels)
         if len(set(labels)) != rank:
             raise MalformedRingError("labels must be distinct")
-        tensor = np.ascontiguousarray(np.asarray(tensor, dtype=np.int64))
+        tensor = _read_only(tensor)
         if tensor.shape != (rank, rank, rank):
             raise MalformedRingError("tensor shape %r does not match rank %d" % (tensor.shape, rank))
         if tensor.min(initial=0) < 0:
             raise MalformedRingError("negative fusion coefficient")
-        dual = np.asarray(dual, dtype=np.int64)
+        dual = _read_only(dual)
         if dual.shape != (rank,) or sorted(dual.tolist()) != list(range(rank)):
             raise MalformedRingError("dual must be a permutation of the indices")
         if not all(dual[dual[i]] == i for i in range(rank)):
@@ -101,8 +111,6 @@ class FusionRing:
             raise MalformedRingError("dual must fix the unit")
         if grading is not None and len(grading.deg) != rank:
             raise MalformedRingError("grading degree list does not match rank")
-        tensor.setflags(write=False)
-        dual.setflags(write=False)
         self.labels = labels
         self.unit = unit
         self.dual = dual
@@ -608,5 +616,6 @@ def restrict(ring, indices, grading=None, relabel=None):
     if relabel:
         labels = [relabel.get(l, l) for l in labels]
     sub = t[np.ix_(idx, idx, idx)]
+    sub.setflags(write=False)  # FusionRing keeps a read-only array without a copy
     dual = [pos[int(ring.dual[i])] for i in idx]
     return FusionRing(labels, pos[ring.unit], dual, sub, grading)

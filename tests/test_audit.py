@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from fusionrings import audit_all, audit_row, separation_check
+from fusionrings import audit_all, audit_row, separation_check, theorem_row
 from fusionrings.audit import AuditReport, K_HORIZON, SeparationVerdict
 from fusionrings.construct import ROWS, TheoremRowSpec
 
@@ -80,3 +82,23 @@ def test_separation_isomorphic():
 def test_separation_needs_matching_grading():
     with pytest.raises(ValueError, match="different grading groups"):
         separation_check(("a-odd", 1), ("a3-deq", 1))
+
+
+@pytest.mark.parametrize("row, M, rank, least_k", [
+    ("d4-deq", 3, 36, "1"), ("d4-deq", 4, 48, "1"), ("exc4-deq", 4, 96, "2")])
+def test_audit_rows_left_out_of_the_benchmark(row, M, rank, least_k):
+    r = audit_row(row, M=M)
+    assert r.passed
+    assert r.rank == rank
+    assert r.checks["k_normal"][1] == least_k
+
+
+def test_exc4_deq_m4_builds_in_bounded_memory(e4):
+    # the dense Deligne product alone would be 768**3 int64 entries, 3.6 GB
+    tracemalloc.start()
+    try:
+        theorem_row("exc4-deq", M=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 10 ** 6

@@ -6,6 +6,7 @@ import pytest
 
 from fusionrings import (
     FiniteAbelianGroup,
+    FusionRing,
     Grading,
     TheoremRowSpec,
     ade_ring,
@@ -21,8 +22,10 @@ from fusionrings import (
     universal_grading,
     verify_axioms,
 )
+from fusionrings import config, construct
 from fusionrings.construct import ROWS, expected_adjoint
 from fusionrings.errors import (
+    BoundsExceededError,
     DegenerateGradeError,
     FixedPointError,
     InconsistentGradingError,
@@ -125,6 +128,93 @@ def test_dequiv_free_pipeline():
     assert invertibles(quot).group == FiniteAbelianGroup.cyclic(4)
     assert universal_grading(quot).group == FiniteAbelianGroup.cyclic(4)
     assert verify_axioms(quot).ok
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Record the (args, result) of every call to a construct helper."""
+    def install(name):
+        calls = []
+        real = getattr(construct, name)
+
+        def record(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(construct, name, record)
+        return calls
+    return install
+
+
+def test_one_one_product_matches_dense_oracle(spy):
+    calls = spy("_one_one_product")
+    for row in ROWS:
+        for M in (1, 2):
+            theorem_row(row, M=M)
+    # every row but pointed and a-even takes a (1,1) step
+    assert len(calls) == 2 * (len(ROWS) - 2)
+    for (base, n), ring in calls:
+        prod = deligne_product(base, pointed_ring((n,)))
+        assert ring == one_one_subring(prod, prod.grading)
+
+
+def test_moved_degree_fails_both_one_one_paths(a5):
+    deg = list(a5.grading.deg)
+    deg[1] = (0,)
+    bad = FusionRing(a5.labels, a5.unit, a5.dual, a5.tensor, Grading((2,), deg))
+    with pytest.raises(InconsistentGradingError):
+        construct._one_one_product(bad, 4)
+    prod = deligne_product(bad, pointed_ring((4,)))
+    with pytest.raises(InconsistentGradingError):
+        one_one_subring(prod, prod.grading)
+
+
+def _orbit_ring_loop(ring, gen):
+    # the orbit ring entry by entry: H = the powers of gen,
+    # N_[i][j]^[k] = sum over h in H of N_ij^{h.k}
+    move = {}
+    h = ring.unit
+    while h not in move:
+        move[h] = [int(np.flatnonzero(ring.tensor[h, x])[0]) for x in range(ring.rank)]
+        h = move[h][gen]
+    reps, seen = [], set()
+    for x in range(ring.rank):
+        if x not in seen:
+            reps.append(x)
+            seen |= {p[x] for p in move.values()}
+    t = np.zeros((len(reps),) * 3, dtype=np.int64)
+    for a, i in enumerate(reps):
+        for b, j in enumerate(reps):
+            for c, k in enumerate(reps):
+                t[a, b, c] = sum(int(ring.tensor[i, j, p[k]]) for p in move.values())
+    return tuple("[%s]" % ring.labels[i] for i in reps), t
+
+
+def test_dequiv_matches_loop_oracle(spy):
+    calls = spy("_dequiv")
+    for row in ("a3-deq", "e6-deq", "exc4-deq", "d4-deq"):
+        theorem_row(row, M=2)
+    assert len(calls) == 4
+    for (ring, (gen,)), (quot, _) in calls:
+        labels, t = _orbit_ring_loop(ring, ring.index(gen))
+        assert quot.labels == labels
+        assert np.array_equal(quot.tensor, t)
+
+
+def test_dense_tensors_past_the_bound_raise_before_allocating():
+    # 1600**3 int64 entries would take about 32.8 GB
+    with pytest.raises(BoundsExceededError):
+        deligne_product(ade_ring("A", 40), ade_ring("A", 40))
+    with pytest.raises(BoundsExceededError):
+        theorem_row("exc4-deq", M=20)
+
+
+def test_table_rows_stay_far_below_the_dense_bound(monkeypatch):
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", config.MAX_DENSE_BYTES // 16)
+    for row in ROWS:
+        for M in range(1, 5):
+            theorem_row(row, M=M)
 
 
 def test_row_spec_validation():

@@ -128,6 +128,19 @@ def test_malformed_dual_rejected(a5):
         FusionRing(a5.labels, a5.unit, [0, 1, 2, 3, 3], a5.tensor)
 
 
+def test_ring_neither_freezes_nor_shares_callers_arrays(a5):
+    t = a5.tensor.copy()
+    dual = np.array(a5.dual)
+    ring = FusionRing(a5.labels, a5.unit, dual, t)
+    assert t.flags.writeable and dual.flags.writeable
+    t[:] = 0
+    dual[:] = 0
+    assert ring == FusionRing(a5.labels, a5.unit, a5.dual, a5.tensor)
+    assert not ring.tensor.flags.writeable and not ring.dual.flags.writeable
+    # a read-only array, such as another ring's tensor, is shared as is
+    assert FusionRing(a5.labels, a5.unit, a5.dual, a5.tensor).tensor is a5.tensor
+
+
 def test_pointed_ring_is_its_group():
     ring = pointed_ring(FiniteAbelianGroup((6,)))
     assert ring.rank == 6
