@@ -342,21 +342,6 @@ class FiniteAbelianGroup:
             n = n * k // gcd(n, k)
         return n
 
-    def subgroup_generated(self, gens):
-        """Set of all elements generated by ``gens``."""
-        seen = {self.zero()}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.add(a, tuple(g))
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return seen
-
     def __eq__(self, other):
         if not isinstance(other, FiniteAbelianGroup):
             return NotImplemented

@@ -20,11 +20,6 @@ from itertools import product
 from .abelian import FiniteAbelianGroup, integer_kernel, lattice_basis, quotient_invariants
 from .errors import BoundsExceededError, InvalidActionError
 
-# Cohomology groups are reported as plain finite abelian groups
-# (isomorphism type + order).
-CohomologyGroup = FiniteAbelianGroup
-
-
 class GroupAction:
     """Action of Z_M on a finite abelian coefficient group.
 

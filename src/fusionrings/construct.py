@@ -36,7 +36,7 @@ from .errors import (
     NotASubgroupError,
     UnknownFamilyError,
 )
-from .graphs import dynkin, perron_vector
+from .graphs import components, dynkin, perron_vector
 from .ring import (
     FusionRing,
     Grading,
@@ -256,25 +256,17 @@ def dequiv_free(ring, h):
 def _dequiv(ring, h):
     # dequiv_free's quotient, and the index of each simple's orbit in it
     gens = [x if isinstance(x, (int, np.integer)) else ring.index(x) for x in h]
-    inv = invertibles(ring)
-    invset = set(inv.indices)
+    invset = set(invertibles(ring).indices)
     for g in gens:
         if g not in invset:
             raise NotASubgroupError(
                 "%s is not invertible, so it generates no subgroup of the "
                 "invertibles" % ring.labels[g])
-    # the subgroup the generators span under the multiplication table
-    H = {ring.unit} | {int(g) for g in gens}
-    frontier = list(H)
-    while frontier:
-        x = frontier.pop()
-        for y in list(H):
-            for z in (inv.table[(x, y)], inv.table[(y, x)]):
-                if z not in H:
-                    H.add(z)
-                    frontier.append(z)
-    H = sorted(H)
-    # an invertible g permutes the simples by x -> (the unique) support of g (x) x
+    # an invertible g permutes the simples by x -> (the unique) support of g (x) x;
+    # the subgroup the generators span is the unit's orbit under their moves
+    moves = ring.tensor[gens].argmax(axis=2)
+    label = components(ring.rank, np.broadcast_to(np.arange(ring.rank), moves.shape), moves)
+    H = np.flatnonzero(label == label[ring.unit]).tolist()
     perms = ring.tensor[H].argmax(axis=2)
     fixed = np.argwhere((perms == np.arange(ring.rank)) & (np.array(H) != ring.unit)[:, None])
     if len(fixed):

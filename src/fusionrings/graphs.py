@@ -1,7 +1,9 @@
 """Multiplicity-weighted digraphs, DOT export, Perron vectors and
-bipartitions, the ADE Dynkin graphs used as generator fusion graphs, and
-the one exact isomorphism search on integer tensors (``isomorphisms``),
-which ``digraph_iso`` and ``ring.find_isomorphisms`` wrap.
+bipartitions, the ADE Dynkin graphs used as generator fusion graphs, the
+one exact isomorphism search on integer tensors (``isomorphisms``), which
+``digraph_iso`` and ``ring.find_isomorphisms`` wrap, and the one closure
+routine (``components``), which generated subrings, grading components,
+quotient subgroups and the solver's Frobenius orbits are read from.
 """
 
 import numpy as np
@@ -71,6 +73,33 @@ class Digraph:
 
     def __repr__(self):
         return "Digraph(n=%d, edges=%d)" % (self.n, self.edge_count)
+
+
+def components(n, src, dst):
+    """The least node of each node's connected component.
+
+    The graph has nodes 0..n-1 and one undirected edge src[e] -- dst[e] per
+    e; isolated nodes, self-loops and repeated edges are allowed.  Every
+    node starts labelled by itself; each round lowers both ends of every
+    edge to the smaller of their labels and then each label to its own
+    label's label, until no label changes.  A label is always a node of the
+    same component, so at the fixed point it is the component's least node.
+
+    >>> components(6, [0, 3, 4], [2, 4, 5]).tolist()
+    [0, 1, 0, 3, 3, 3]
+    """
+    src = np.asarray(src, dtype=np.intp).ravel()
+    dst = np.asarray(dst, dtype=np.intp).ravel()
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[src], label[dst])
+        new = label.copy()
+        np.minimum.at(new, src, low)
+        np.minimum.at(new, dst, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def refine(a, b, ca, cb):

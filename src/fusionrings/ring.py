@@ -22,7 +22,7 @@ from .errors import (
     MalformedRingError,
     NonConvergenceError,
 )
-from .graphs import Digraph, isomorphisms, perron_vector
+from .graphs import Digraph, components, isomorphisms, perron_vector
 
 
 class Grading:
@@ -414,22 +414,18 @@ def subring_generated(ring, seeds):
     """Support of the fusion subring generated by the seed simples.
 
     The least index set containing the unit and the seeds that is closed
-    under duals and under taking fusion-product support.
+    under duals and under taking fusion-product support.  It is the unit's
+    component of the graph joining x to every constituent of x (x) g, for g
+    a seed or a seed's dual: by Frobenius reciprocity N_{xg}^z = N_{zg*}^x,
+    every edge also runs back, so the component is what words in the seeds
+    and their duals reach.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    s = {ring.unit}
-    for x in seeds:
-        s.add(int(x))
-        s.add(int(ring.dual[x]))
-    while True:
-        idx = np.array(sorted(s))
-        support = np.unique(np.nonzero(ring.tensor[np.ix_(idx, idx)])[2])
-        new = set(int(k) for k in support) | set(int(ring.dual[k]) for k in support)
-        if new <= s:
-            return tuple(sorted(s))
-        s |= new
+    gens = np.union1d(seeds, ring.dual[seeds])
+    label = components(ring.rank, *np.nonzero(ring.tensor[:, gens].any(axis=1)))
+    return tuple(np.flatnonzero(label == label[ring.unit]).tolist())
 
 
 def is_generator(ring, x):
@@ -439,10 +435,8 @@ def is_generator(ring, x):
 
 def adjoint_subring(ring):
     """Support of the subring generated by all i (x) i*."""
-    support = set()
-    for i in range(ring.rank):
-        support |= set(int(k) for k in np.nonzero(ring.tensor[i, ring.dual[i]])[0])
-    return subring_generated(ring, sorted(support))
+    t = ring.tensor
+    return subring_generated(ring, np.flatnonzero(t[np.arange(ring.rank), ring.dual].any(axis=0)))
 
 
 class InvertiblesReport:
@@ -499,44 +493,34 @@ def universal_grading(ring):
     InconsistentGradingError if components do not multiply single-valuedly
     (or multiply noncommutatively, which cannot happen for the rings here).
     """
-    adj = adjoint_subring(ring)
     t = ring.tensor
     r = ring.rank
-    reach = (t[np.asarray(adj)].sum(axis=0) > 0)
-    comp = [-1] * r
-    n_comp = 0
-    for s in range(r):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = n_comp
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(reach[u] | reach[:, u])[0]:
-                if comp[v] == -1:
-                    comp[int(v)] = n_comp
-                    stack.append(int(v))
-        n_comp += 1
+    reach = t[np.asarray(adjoint_subring(ring))].any(axis=0)
+    # components numbered by least member
+    least, comp = np.unique(components(r, *np.nonzero(reach)), return_inverse=True)
+    n_comp = len(least)
 
-    # induced product on components, checked single-valued over all pairs
-    prod = {}
-    for i in range(r):
-        for j in range(r):
-            ks = np.nonzero(t[i, j])[0]
-            if len(ks) == 0:
-                raise InconsistentGradingError("empty fusion product (broken ring)")
-            cs = {comp[int(k)] for k in ks}
-            if len(cs) != 1:
-                raise InconsistentGradingError(
-                    "product of components %d,%d is not single-valued" % (comp[i], comp[j]))
-            key = (comp[i], comp[j])
-            c = cs.pop()
-            if prod.setdefault(key, c) != c:
-                raise InconsistentGradingError(
-                    "inconsistent component product at %r" % (key,))
-    for (c1, c2), c in prod.items():
-        if prod[(c2, c1)] != c:
-            raise InconsistentGradingError("nonabelian universal grading")
+    # hit[i, j, c]: i (x) j has a constituent in component c
+    hit = (t @ np.eye(n_comp, dtype=np.int64)[comp]) > 0
+    count = hit.sum(axis=2)
+    bad = np.argwhere(count != 1)
+    if len(bad):
+        i, j = bad[0]
+        if count[i, j] == 0:
+            raise InconsistentGradingError("empty fusion product (broken ring)")
+        raise InconsistentGradingError(
+            "product of components %d,%d is not single-valued" % (comp[i], comp[j]))
+    # induced product on components, checked to be one table for all pairs
+    c = hit.argmax(axis=2)
+    prod = np.zeros((n_comp, n_comp), dtype=np.int64)
+    prod[comp[:, None], comp[None, :]] = c
+    bad = np.argwhere(prod[comp[:, None], comp[None, :]] != c)
+    if len(bad):
+        i, j = bad[0]
+        raise InconsistentGradingError(
+            "inconsistent component product at %r" % ((int(comp[i]), int(comp[j])),))
+    if (prod != prod.T).any():
+        raise InconsistentGradingError("nonabelian universal grading")
 
     # coordinates: present the component group and read off degrees
     rels = []
@@ -545,11 +529,11 @@ def universal_grading(ring):
             row = [0] * n_comp
             row[c1] += 1
             row[c2] += 1
-            row[prod[(c1, c2)]] -= 1
+            row[prod[c1, c2]] -= 1
             rels.append(row)
     group, f = quotient_with_map((0,) * n_comp, rels)
-    unit_vectors = identity_matrix(n_comp)
-    return Grading(group.orders, [f(unit_vectors[comp[i]]) for i in range(r)])
+    degrees = [f(u) for u in identity_matrix(n_comp)]
+    return Grading(group.orders, [degrees[c] for c in comp])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ completion to a fusion ring.  The pipeline:
      known coefficients (branching when two same-dimension objects could be
      either mutually dual or separately self-dual);
   2. tie coefficients into Frobenius-reciprocity orbits (one variable per
-     orbit), pre-fill unit laws, duality, grading zeros and known entries,
-     and bound every variable by floor(d_i d_j / d_k + tol);
+     orbit, read off graphs.components), pre-fill unit laws, duality,
+     grading zeros and known entries, and bound every variable by
+     floor(d_i d_j / d_k + tol); the search state is these bounds alone,
+     and a variable is assigned once they meet;
   3. propagate: row dimension sums (sum_k N_{ij}^k d_k = d_i d_j) are
      enumerated exactly per row, and associativity instances with a single
      undetermined occurrence are solved linearly (vectorized over all
@@ -31,8 +33,15 @@ from .errors import (
     NonUniqueCompletionError,
     SearchCapExceededError,
 )
-from .graphs import Digraph, bipartition, perron_vector
-from .ring import FusionRing, Grading, find_isomorphisms, verify_axioms
+from .graphs import Digraph, bipartition, components, perron_vector
+from .ring import (
+    FusionRing,
+    Grading,
+    find_isomorphisms,
+    fp_dims,
+    universal_grading,
+    verify_axioms,
+)
 
 
 class PartialRing:
@@ -78,23 +87,11 @@ class PartialRing:
     def from_ring(cls, ring, forget=()):
         """Partial ring with every entry of a finished ring known, except the
         triples listed in ``forget``."""
-        grading = ring.grading
-        if grading is None:
-            from .ring import universal_grading
-
-            grading = universal_grading(ring)
-        known = {}
+        grading = ring.grading if ring.grading is not None else universal_grading(ring)
         forget = set(forget)
-        r = ring.rank
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if (i, j, k) not in forget:
-                        known[(i, j, k)] = int(ring.tensor[i, j, k])
-        from .ring import fp_dims
-
+        known = {ijk: int(n) for ijk, n in np.ndenumerate(ring.tensor) if ijk not in forget}
         return cls(ring.labels, ring.unit, fp_dims(ring).dims, grading,
-                   dual={i: int(ring.dual[i]) for i in range(r)}, known=known)
+                   dual={i: int(d) for i, d in enumerate(ring.dual)}, known=known)
 
 
 class SolveResult:
@@ -198,14 +195,14 @@ class _OverCap(Exception):
 
 
 class _State:
-    """Search state for one dual branch: values, bounds, orbit variables."""
+    """Search state for one dual branch: the bounds lo/hi of each orbit
+    variable; a variable is assigned once its bounds meet."""
 
     def __init__(self, partial, sigma, tol):
         r = partial.rank
         self.r = r
         self.dims = partial.dims
         self.unit = partial.unit
-        self.sigma = list(sigma)
         self.tol = tol
         d = partial.dims
         g = partial.grading
@@ -217,39 +214,19 @@ class _State:
             bad = (degs[:, None, None, :] + degs[None, :, None, :]
                    - degs[None, None, :, :]) % orders
             ub[np.any(bad != 0, axis=3)] = 0
-        self.ub = ub
 
-        # orbit variables
-        var_of = np.full((r, r, r), -1, dtype=np.int64)
-        orbits = []
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if var_of[i, j, k] != -1:
-                        continue
-                    orb = set()
-                    stack = [(i, j, k)]
-                    while stack:
-                        t = stack.pop()
-                        if t in orb:
-                            continue
-                        orb.add(t)
-                        a, b, c = t
-                        stack.append((sigma[a], c, b))
-                        stack.append((c, sigma[b], a))
-                    vid = len(orbits)
-                    members = tuple(sorted(orb))
-                    orbits.append(members)
-                    for t in members:
-                        var_of[t] = vid
-        self.var_of = var_of
-        self.orbits = orbits
-        nv = len(orbits)
+        # orbit variables: the classes of (a, b, c) -> (a*, c, b) and
+        # (a, b, c) -> (c, b*, a), numbered by least member
+        flat = np.arange(r ** 3).reshape(r, r, r)
+        sig = np.asarray(sigma)
+        moves = [flat[sig].transpose(0, 2, 1), flat[:, sig].transpose(2, 1, 0)]
+        least, var_of = np.unique(components(r ** 3, [flat, flat], moves), return_inverse=True)
+        self.var_of = var_of.reshape(r, r, r)
+        self.first = list(zip(*(x.tolist() for x in np.unravel_index(least, (r, r, r)))))
 
-        self.val = np.full((r, r, r), -1, dtype=np.int64)
-        self.lo = np.zeros(nv, dtype=np.int64)
-        self.hi = np.array([min(int(ub[t]) for t in members) for members in orbits],
-                           dtype=np.int64)
+        self.lo = np.zeros(len(least), dtype=np.int64)
+        self.hi = np.full(len(least), np.iinfo(np.int64).max)
+        np.minimum.at(self.hi, var_of, ub.ravel())
 
         # prefill: unit laws, duality row, known entries, grading zeros
         try:
@@ -272,10 +249,8 @@ class _State:
     def assign(self, v, value):
         if value < self.lo[v] or value > self.hi[v]:
             raise _Conflict("value %d for %r outside [%d, %d]"
-                            % (value, self.orbits[v][0], self.lo[v], self.hi[v]))
+                            % (value, self.first[v], self.lo[v], self.hi[v]))
         self.lo[v] = self.hi[v] = value
-        for t in self.orbits[v]:
-            self.val[t] = value
 
     def tighten(self, v, lo=None, hi=None):
         changed = False
@@ -286,16 +261,21 @@ class _State:
             self.hi[v] = hi
             changed = True
         if self.lo[v] > self.hi[v]:
-            raise _Conflict("empty domain for %r" % (self.orbits[v][0],))
+            raise _Conflict("empty domain for %r" % (self.first[v],))
         if changed and self.lo[v] == self.hi[v]:
             self.assign(v, int(self.lo[v]))
         return changed
 
+    def values(self, idx=...):
+        """N at the given entries: a variable's value once assigned, else -1."""
+        var = self.var_of[idx]
+        return np.where(self.lo[var] == self.hi[var], self.lo[var], -1)
+
     def snapshot(self):
-        return self.val.copy(), self.lo.copy(), self.hi.copy()
+        return self.lo.copy(), self.hi.copy()
 
     def restore(self, snap):
-        self.val, self.lo, self.hi = snap[0].copy(), snap[1].copy(), snap[2].copy()
+        self.lo, self.hi = snap[0].copy(), snap[1].copy()
 
     def unassigned(self):
         return np.flatnonzero(self.lo != self.hi)
@@ -309,26 +289,21 @@ class _State:
             if not changed:
                 return
 
-    def _row_vars(self, i, j):
-        ks = np.flatnonzero(self.val[i, j] < 0)
-        coef = {}
-        for k in ks:
-            v = int(self.var_of[i, j, int(k)])
-            coef[v] = coef.get(v, 0.0) + float(self.dims[int(k)])
-        return coef
-
     def _rows_pass(self):
         d = self.dims
         changed = False
-        open_rows = np.argwhere((self.val < 0).any(axis=2))
+        open_rows = np.argwhere((self.values() < 0).any(axis=2))
         for i, j in open_rows:
             i, j = int(i), int(j)
-            row = self.val[i, j]
+            row = self.values((i, j))
             unknown = row < 0
             if not unknown.any():
                 continue  # filled by an earlier row in this pass
             target = float(d[i] * d[j]) - float(np.dot(np.where(unknown, 0, row), d))
-            coef = self._row_vars(i, j)
+            coef = {}
+            for k in np.flatnonzero(unknown):
+                v = int(self.var_of[i, j, k])
+                coef[v] = coef.get(v, 0.0) + float(d[k])
             tol = self.tol * max(1.0, float(d[i] * d[j]))
             changed |= self._solve_row(coef, target, tol)
         return changed
@@ -386,7 +361,7 @@ class _State:
         return changed
 
     def _assoc_pass(self):
-        val = self.val
+        val = self.values()
         known = val >= 0
         v = np.where(known, val, 0).astype(np.float64)
         w = (v > 0).astype(np.float64)  # known and nonzero
@@ -410,6 +385,8 @@ class _State:
             i, j, k, l = (int(x) for x in np.argwhere(bad)[0])
             raise _Conflict("associativity fails at (%d,%d,%d,%d)" % (i, j, k, l))
 
+        # an instance with one open occurrence has one candidate m below;
+        # its variable may since have been assigned earlier in this pass
         changed = False
         for i, j, k, l in np.argwhere(occ == 1):
             i, j, k, l = int(i), int(j), int(k), int(l)
@@ -426,19 +403,18 @@ class _State:
                 if hit is not None:
                     break
             if hit is None:
-                continue  # stale after an assignment earlier in this pass
+                continue  # the open occurrence is a product of two unknowns
             var, coef, side = int(hit[0]), float(hit[1]), hit[2]
+            if self.lo[var] == self.hi[var]:
+                continue
             gap = (rhs_v[i, j, k, l] - lhs_v[i, j, k, l]) * side
             value = gap / coef
             if abs(value - round(value)) > 1e-9 or round(value) < 0:
                 raise _Conflict(
                     "associativity at (%d,%d,%d,%d) forces non-integer %r"
                     % (i, j, k, l, value))
-            if self.lo[var] != self.hi[var]:
-                self.assign(var, int(round(value)))
-                changed = True
-            elif self.lo[var] != int(round(value)):
-                raise _Conflict("associativity contradiction at (%d,%d,%d,%d)" % (i, j, k, l))
+            self.assign(var, int(round(value)))
+            changed = True
         return changed
 
 
@@ -447,34 +423,37 @@ class _State:
 
 
 def _dim_key(state, v):
-    i, j, k = state.orbits[v][0]
+    i, j, k = state.first[v]
     d = state.dims
     return (float(d[i] * d[j]), float(d[k]), (i, j, k))
 
 
-def _search(state, out, cap, counter, conflicts):
+def _search(state, out, cap, counter):
+    # appends every leaf's tensor to out; returns the first conflict met, or None
     try:
         state.propagate()
     except _Conflict as exc:
-        conflicts.append(str(exc))
-        return
+        return str(exc)
     free = state.unassigned()
     if len(free) == 0:
-        out.append(state.val.copy())
-        return
+        out.append(state.values())
+        return None
     v = min(free, key=lambda x: (int(state.hi[x] - state.lo[x]), _dim_key(state, int(x))))
     v = int(v)
     snap = state.snapshot()
+    first = None
     for value in range(int(state.lo[v]), int(state.hi[v]) + 1):
         counter[0] += 1
         if counter[0] > cap:
             raise SearchCapExceededError("search cap %d exceeded" % cap)
         try:
             state.assign(v, value)
-            _search(state, out, cap, counter, conflicts)
+            conflict = _search(state, out, cap, counter)
         except _Conflict as exc:
-            conflicts.append(str(exc))
+            conflict = str(exc)
+        first = first or conflict
         state.restore(snap)
+    return first
 
 
 def complete_partial_ring(partial, search_cap=10_000_000):
@@ -488,15 +467,16 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     tol = config.tolerance()
     raw = []
     counter = [0]
-    conflicts = []
+    conflict = None
     for sigma in _dual_branches(partial, tol):
         try:
             state = _State(partial, sigma, tol)
         except NoSolutionError as exc:
-            conflicts.append(str(exc))
+            conflict = conflict or str(exc)
             continue
         tensors = []
-        _search(state, tensors, search_cap, counter, conflicts)
+        found = _search(state, tensors, search_cap, counter)
+        conflict = conflict or found
         for t in tensors:
             raw.append((t, sigma))
 
@@ -515,7 +495,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     if not solutions:
         raise NoSolutionError(
             "no completion satisfies the constraints",
-            conflict=conflicts[0] if conflicts else "empty search space")
+            conflict=conflict or "empty search space")
 
     solutions.sort(key=lambda ring: ring.tensor.tobytes())
     classes = []

@@ -1,10 +1,8 @@
-import doctest
 import random
 
 import numpy as np
 import pytest
 
-import fusionrings.abelian
 from fusionrings.abelian import (
     FiniteAbelianGroup,
     diagonal_entries,
@@ -57,13 +55,6 @@ def test_elements_and_orders():
     assert g.element_order((1, 1)) == 4
     assert g.add((1, 3), (1, 2)) == (0, 1)
     assert g.neg((1, 1)) == (1, 3)
-
-
-def test_subgroup_generated():
-    g = FiniteAbelianGroup((2, 4))
-    assert len(g.subgroup_generated([(0, 2)])) == 2
-    assert len(g.subgroup_generated([(1, 1)])) == 4
-    assert len(g.subgroup_generated([(1, 0), (0, 1)])) == 8
 
 
 def test_group_from_table():
@@ -132,12 +123,6 @@ def test_group_from_table_rejects_non_groups():
         group_from_table(3, lambda i, j: 0 if i == j else max(i, j))
     with pytest.raises(ValueError):
         group_from_table(0, max)
-
-
-def test_doctests_run():
-    result = doctest.testmod(fusionrings.abelian)
-    assert result.attempted > 0
-    assert result.failed == 0
 
 
 def test_quotient_with_map():

@@ -129,8 +129,10 @@ def test_doctests_stay_true():
     import fusionrings.abelian
     import fusionrings.catalog
     import fusionrings.cohomology
+    import fusionrings.graphs
 
-    for mod in (fusionrings.abelian, fusionrings.catalog, fusionrings.cohomology):
+    for mod in (fusionrings.abelian, fusionrings.catalog, fusionrings.cohomology,
+                fusionrings.graphs):
         result = doctest.testmod(mod)
         assert result.attempted > 0, mod.__name__
         assert result.failed == 0

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionrings import (
     Digraph,
@@ -28,8 +29,9 @@ from fusionrings import (
     universal_grading,
     verify_axioms,
 )
-from fusionrings.errors import BoundsExceededError, MalformedRingError
-from fusionrings.graphs import perron_vector
+from fusionrings.construct import ROWS
+from fusionrings.errors import BoundsExceededError, InconsistentGradingError, MalformedRingError
+from fusionrings.graphs import components, perron_vector
 from fusionrings.ring import grading_violations
 
 
@@ -164,6 +166,50 @@ def test_adjoint_and_generation():
     assert is_generator(a7, a7.labels.index("f1"))
     assert not is_generator(a7, a7.labels.index("f2"))
     assert set(subring_generated(a7, [a7.labels.index("f2")])) == set(adj)
+
+
+def _closure_loop(ring, seeds):
+    # oracle: add the support of every product inside the set, and its
+    # duals, until nothing new appears
+    s = {ring.unit} | {int(x) for x in seeds} | {int(ring.dual[x]) for x in seeds}
+    while True:
+        idx = np.array(sorted(s))
+        support = np.unique(np.nonzero(ring.tensor[np.ix_(idx, idx)])[2])
+        new = set(int(k) for k in support) | set(int(ring.dual[k]) for k in support)
+        if new <= s:
+            return tuple(sorted(s))
+        s |= new
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_subring_generated_matches_closure_loop(row):
+    for M in (1, 2):
+        build = theorem_row(row, M=M)
+        ring = build.ring
+        for seeds in [[build.generator]] + [[x] for x in range(ring.rank)]:
+            assert subring_generated(ring, seeds) == _closure_loop(ring, seeds)
+
+
+def _s3_group_ring():
+    els = list(itertools.permutations(range(3)))
+    pos = {p: i for i, p in enumerate(els)}
+    t = np.zeros((6, 6, 6), dtype=np.int64)
+    for i, p in enumerate(els):
+        for j, q in enumerate(els):
+            t[i, j, pos[tuple(p[x] for x in q)]] = 1
+    dual = [pos[tuple(np.argsort(p).tolist())] for p in els]
+    return FusionRing([str(p) for p in els], pos[(0, 1, 2)], dual, t)
+
+
+def test_universal_grading_rejects_inconsistent_rings():
+    # S_3 is its own universal grading group, which is not abelian
+    with pytest.raises(InconsistentGradingError, match="nonabelian"):
+        universal_grading(_s3_group_ring())
+    # x (x) x is empty
+    t = np.zeros((2, 2, 2), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(2, dtype=np.int64)
+    with pytest.raises(InconsistentGradingError, match="empty fusion product"):
+        universal_grading(FusionRing(["e", "x"], 0, [0, 1], t))
 
 
 def test_k_normality(e4, a5):
@@ -338,3 +384,33 @@ def test_digraph_helpers():
     assert doubled.edges[(0, 1)] == 2 and doubled.edge_count == 2
     dot = path.to_dot(labels=["a", "b", "c", "d"])
     assert dot.startswith("digraph") and '"a" -> "b"' in dot
+
+
+def _bfs_components(n, edges):
+    # oracle: breadth-first search from each unlabelled node in order
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    label = [-1] * n
+    for s in range(n):
+        if label[s] == -1:
+            label[s], queue = s, [s]
+            for u in queue:
+                for v in nbrs[u]:
+                    if label[v] == -1:
+                        label[v] = s
+                        queue.append(v)
+    return label
+
+
+graphs = st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs)
+def test_components_match_bfs(graph):
+    n, edges = graph
+    src, dst = [u for u, _ in edges], [v for _, v in edges]
+    assert components(n, src, dst).tolist() == _bfs_components(n, edges)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from fusionrings import (
     unique_ring_from_graph,
     verify_axioms,
 )
+from fusionrings import config
 from fusionrings.errors import (
     MalformedRingError,
     NoSolutionError,
     SearchCapExceededError,
 )
+from fusionrings.solve import _dual_branches, _State
 from conftest import data_path
 
 
@@ -74,8 +78,42 @@ def test_no_solution_for_bad_dims():
 
     # a rank-2 ring with a non-unit of dimension 1.3 cannot close up
     partial = PartialRing(["e", "x"], 0, [1.0, 1.3], Grading((1,), [(0,), (0,)]))
-    with pytest.raises(NoSolutionError):
+    with pytest.raises(NoSolutionError) as info:
         complete_partial_ring(partial)
+    assert info.value.conflict == "no integer solution for a row dimension sum"
+
+
+def _stack_orbits(r, sigma):
+    # oracle: each orbit of (a, b, c) -> (a*, c, b) and (a, b, c) -> (c, b*, a)
+    # walked with a stack, numbered in lexicographic order of least members
+    var_of = np.full((r, r, r), -1)
+    first = []
+    for start in itertools.product(range(r), repeat=3):
+        if var_of[start] != -1:
+            continue
+        orbit, stack = set(), [start]
+        while stack:
+            t = stack.pop()
+            if t not in orbit:
+                orbit.add(t)
+                a, b, c = t
+                stack += [(sigma[a], c, b), (c, sigma[b], a)]
+        for t in orbit:
+            var_of[t] = len(first)
+        first.append(min(orbit))
+    return var_of, first
+
+
+def test_orbit_variables_match_stack_orbits():
+    partial = _e4_partial()
+    tol = config.tolerance()
+    branches = list(_dual_branches(partial, tol))
+    assert len(branches) > 1
+    for sigma in branches:
+        state = _State(partial, sigma, tol)
+        var_of, first = _stack_orbits(partial.rank, sigma)
+        assert np.array_equal(state.var_of, var_of)
+        assert state.first == first
 
 
 def test_ring_from_generator_graph_a_series(a5):
