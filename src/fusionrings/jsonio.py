@@ -9,7 +9,8 @@ Ring format::
 
 Partial-ring format: same envelope, with "dims": [[label, float], ...] and a
 "known" list replacing "tensor".  In "known", absent triples are *unknown*;
-an explicit ["a","b","c",0] records a known zero.
+an explicit ["a","b","c",0] records a known zero.  "dual" is optional and
+may list the pairs of only some labels.
 """
 
 import json
@@ -38,7 +39,9 @@ def _labels_and_unit(data):
     return labels, index, index[data["unit"]]
 
 
-def _dual_from(data, labels, index):
+def _dual_from(data, index):
+    """The pairs in data["dual"] as a dict position -> position, holding
+    both directions of each pair."""
     pairs = data.get("dual")
     _check(isinstance(pairs, list), "missing 'dual'")
     dual = {}
@@ -47,9 +50,8 @@ def _dual_from(data, labels, index):
         a, b = p
         _check(a in index and b in index, "dual pair mentions unknown label %r" % (p,))
         for x, y in ((a, b), (b, a)):
-            _check(dual.setdefault(x, y) == y, "conflicting duals for %r" % x)
-    _check(set(dual) == set(labels), "dual must cover every label")
-    return [index[dual[l]] for l in labels]
+            _check(dual.setdefault(index[x], index[y]) == index[y], "conflicting duals for %r" % x)
+    return dual
 
 
 def grading_from_dict(data, labels, index):
@@ -92,9 +94,11 @@ def _entries_from(data, key, index):
 
 def ring_from_dict(data):
     labels, index, unit = _labels_and_unit(data)
-    dual = _dual_from(data, labels, index)
-    grading = grading_from_dict(data, labels, index)
     rank = len(labels)
+    dual = _dual_from(data, index)
+    _check(len(dual) == rank, "dual must cover every label")
+    dual = [dual[i] for i in range(rank)]
+    grading = grading_from_dict(data, labels, index)
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     for (i, j, k), n in _entries_from(data, "tensor", index).items():
         tensor[i, j, k] = n
@@ -129,8 +133,8 @@ def partial_from_dict(data):
 
     labels, index, unit = _labels_and_unit(data)
     dual = None
-    if "dual" in data and data["dual"] is not None:
-        dual = _dual_from(data, labels, index)
+    if data.get("dual") is not None:
+        dual = _dual_from(data, index)
     grading = grading_from_dict(data, labels, index)
     _check(grading is not None, "partial rings require a 'grading'")
     dims = data.get("dims")
@@ -171,7 +175,7 @@ def partial_to_dict(partial):
         },
     }
     if partial.dual is not None:
-        data["dual"] = [[labels[i], labels[partial.dual[i]]] for i in range(len(labels))]
+        data["dual"] = [[labels[i], labels[j]] for i, j in sorted(partial.dual.items())]
     return data
 
 

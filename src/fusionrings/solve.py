@@ -13,9 +13,10 @@ completion to a fusion ring.  The pipeline:
      floor(d_i d_j / d_k + tol); the search state is these bounds alone,
      and a variable is assigned once they meet;
   3. propagate: row dimension sums (sum_k N_{ij}^k d_k = d_i d_j) are
-     enumerated exactly per row, and associativity instances with a single
-     undetermined occurrence are solved linearly (vectorized over all
-     rank^4 instances at once);
+     enumerated exactly per row, a row being re-solved only after a bound
+     of one of its variables moved, and associativity instances with a
+     single undetermined occurrence are solved linearly (vectorized over
+     all rank^4 instances at once);
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
   5. verify the full axioms on every leaf;
@@ -49,7 +50,7 @@ class PartialRing:
 
     ``known`` maps (i, j, k) to a coefficient; absent triples are unknown
     (an explicit 0 is a known zero).  ``dual`` may be None, a full
-    involution, or a partial dict {i: j}.
+    involution, or a partial dict {i: j}; it is kept as a dict.
     """
 
     def __init__(self, labels, unit, dims, grading, dual=None, known=None):
@@ -57,11 +58,16 @@ class PartialRing:
         self.unit = int(unit)
         self.dims = np.asarray(dims, dtype=np.float64)
         self.grading = grading
+        r = len(self.labels)
+        if r == 0:
+            raise MalformedRingError("partial rings need at least one label")
+        if not 0 <= self.unit < r:
+            raise MalformedRingError("unit index out of range")
         if grading is None:
             raise MalformedRingError("partial rings require a grading (may be trivial)")
-        if len(grading.deg) != len(self.labels):
+        if len(grading.deg) != r:
             raise MalformedRingError("grading does not match rank")
-        if self.dims.shape != (len(self.labels),):
+        if self.dims.shape != (r,):
             raise MalformedRingError("dims do not match rank")
         if self.dims.min() <= 0:
             raise MalformedRingError("dims must be positive")
@@ -69,12 +75,14 @@ class PartialRing:
             raise MalformedRingError("unit must have dimension 1")
         if dual is None:
             self.dual = None
-        elif isinstance(dual, dict):
-            self.dual = dict(dual)
         else:
-            self.dual = {i: int(d) for i, d in enumerate(dual)}
+            pairs = dual.items() if isinstance(dual, dict) else enumerate(dual)
+            self.dual = {int(i): int(j) for i, j in pairs}
+            if not all(0 <= x < r for pair in self.dual.items() for x in pair):
+                raise MalformedRingError("dual index out of range")
+            if any(self.dual.get(j, i) != i for i, j in self.dual.items()):
+                raise MalformedRingError("dual is not an involution")
         self.known = {tuple(int(x) for x in k): int(v) for k, v in (known or {}).items()}
-        r = len(self.labels)
         for (i, j, k), v in self.known.items():
             if not (0 <= i < r and 0 <= j < r and 0 <= k < r) or v < 0:
                 raise MalformedRingError("bad known entry %r" % (((i, j, k), v),))
@@ -196,7 +204,12 @@ class _OverCap(Exception):
 
 class _State:
     """Search state for one dual branch: the bounds lo/hi of each orbit
-    variable; a variable is assigned once its bounds meet."""
+    variable; a variable is assigned once its bounds meet.
+
+    Two stamps on one rising clock skip rows whose solve would change
+    nothing: ``moved[v]`` is when v's bounds last changed, ``solved[i, j]``
+    when row (i, j) was last solved to its exact hull.
+    """
 
     def __init__(self, partial, sigma, tol):
         r = partial.rank
@@ -227,6 +240,9 @@ class _State:
         self.lo = np.zeros(len(least), dtype=np.int64)
         self.hi = np.full(len(least), np.iinfo(np.int64).max)
         np.minimum.at(self.hi, var_of, ub.ravel())
+        self.clock = 0
+        self.moved = np.zeros(len(least), dtype=np.int64)
+        self.solved = np.full((r, r), -1, dtype=np.int64)
 
         # prefill: unit laws, duality row, known entries, grading zeros
         try:
@@ -250,21 +266,21 @@ class _State:
         if value < self.lo[v] or value > self.hi[v]:
             raise _Conflict("value %d for %r outside [%d, %d]"
                             % (value, self.first[v], self.lo[v], self.hi[v]))
+        if self.lo[v] != self.hi[v]:
+            self._move(v)
         self.lo[v] = self.hi[v] = value
 
-    def tighten(self, v, lo=None, hi=None):
-        changed = False
-        if lo is not None and lo > self.lo[v]:
-            self.lo[v] = lo
-            changed = True
-        if hi is not None and hi < self.hi[v]:
-            self.hi[v] = hi
-            changed = True
+    def tighten(self, v, lo, hi):
+        if lo > self.lo[v] or hi < self.hi[v]:
+            self._move(v)
+            self.lo[v] = max(lo, self.lo[v])
+            self.hi[v] = min(hi, self.hi[v])
         if self.lo[v] > self.hi[v]:
             raise _Conflict("empty domain for %r" % (self.first[v],))
-        if changed and self.lo[v] == self.hi[v]:
-            self.assign(v, int(self.lo[v]))
-        return changed
+
+    def _move(self, v):
+        self.clock += 1
+        self.moved[v] = self.clock
 
     def values(self, idx=...):
         """N at the given entries: a variable's value once assigned, else -1."""
@@ -272,10 +288,12 @@ class _State:
         return np.where(self.lo[var] == self.hi[var], self.lo[var], -1)
 
     def snapshot(self):
-        return self.lo.copy(), self.hi.copy()
+        # the stamps go with the bounds: a row solved under a child's
+        # tighter bounds must look dirty again once they are undone
+        return self.lo.copy(), self.hi.copy(), self.moved.copy(), self.solved.copy()
 
     def restore(self, snap):
-        self.lo, self.hi = snap[0].copy(), snap[1].copy()
+        self.lo, self.hi, self.moved, self.solved = (a.copy() for a in snap)
 
     def unassigned(self):
         return np.flatnonzero(self.lo != self.hi)
@@ -284,17 +302,21 @@ class _State:
 
     def propagate(self):
         while True:
-            changed = self._rows_pass()
-            changed |= self._assoc_pass()
-            if not changed:
+            clock = self.clock
+            self._rows_pass()
+            self._assoc_pass()
+            if self.clock == clock:
                 return
 
     def _rows_pass(self):
+        # rows in (i, j) order; a row is dirty if a variable of it moved
+        # since its last exact solve, judged when the pass reaches it
         d = self.dims
-        changed = False
         open_rows = np.argwhere((self.values() < 0).any(axis=2))
         for i, j in open_rows:
             i, j = int(i), int(j)
+            if self.moved[self.var_of[i, j]].max() <= self.solved[i, j]:
+                continue
             row = self.values((i, j))
             unknown = row < 0
             if not unknown.any():
@@ -305,10 +327,15 @@ class _State:
                 v = int(self.var_of[i, j, k])
                 coef[v] = coef.get(v, 0.0) + float(d[k])
             tol = self.tol * max(1.0, float(d[i] * d[j]))
-            changed |= self._solve_row(coef, target, tol)
-        return changed
+            clock = self.clock
+            exact = self._solve_row(coef, target, tol)
+            # solving again from the exact hull returns the same hull
+            self.solved[i, j] = self.clock if exact else clock
 
     def _solve_row(self, coef, target, tol):
+        """Tighten the row's variables to the hull of its integer solutions;
+        returns False when it fell back to one round of interval tightening,
+        after which a second solve may tighten further."""
         vars_ = sorted(coef, key=lambda v: -coef[v])
         cs = [coef[v] for v in vars_]
         lo = [int(self.lo[v]) for v in vars_]
@@ -344,21 +371,19 @@ class _State:
             rec(0, target, [])
         except _OverCap:
             # fall back to interval tightening
-            changed = False
             for t, v in enumerate(vars_):
                 others_min = sum(cs[s] * lo[s] for s in range(n) if s != t)
                 others_max = sum(cs[s] * hi[s] for s in range(n) if s != t)
                 new_hi = int(np.floor((target - others_min) / cs[t] + tol))
                 new_lo = int(np.ceil((target - others_max) / cs[t] - tol))
-                changed |= self.tighten(v, max(new_lo, 0), new_hi)
-            return changed
+                self.tighten(v, max(new_lo, 0), new_hi)
+            return False
         if not solutions:
             raise _Conflict("no integer solution for a row dimension sum")
-        changed = False
         for t, v in enumerate(vars_):
             vals = [s[t] for s in solutions]
-            changed |= self.tighten(v, min(vals), max(vals))
-        return changed
+            self.tighten(v, min(vals), max(vals))
+        return True
 
     def _assoc_pass(self):
         val = self.values()
@@ -387,7 +412,6 @@ class _State:
 
         # an instance with one open occurrence has one candidate m below;
         # its variable may since have been assigned earlier in this pass
-        changed = False
         for i, j, k, l in np.argwhere(occ == 1):
             i, j, k, l = int(i), int(j), int(k), int(l)
             hit = None
@@ -414,8 +438,6 @@ class _State:
                     "associativity at (%d,%d,%d,%d) forces non-integer %r"
                     % (i, j, k, l, value))
             self.assign(var, int(round(value)))
-            changed = True
-        return changed
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from fusionrings import ade_ring, find_isomorphisms, load_ring, ring_from_dict, ring_to_dict
 from fusionrings.errors import RingFormatError
 from fusionrings.jsonio import dump_ring, load_partial, partial_from_dict, partial_to_dict
+from conftest import data_path
 
 
 def test_ring_round_trip(e4, tmp_path):
@@ -55,8 +56,6 @@ def test_format_errors(mutate, fragment):
 
 
 def test_partial_round_trip(tmp_path):
-    from conftest import data_path
-
     partial = load_partial(data_path("e4_partial.json"))
     assert partial.rank == 12
     assert partial.dual is None and partial.known == {}
@@ -78,3 +77,12 @@ def test_known_zero_vs_unknown():
     partial = partial_from_dict(data)
     # the explicit zero is a known entry; everything else stays unknown
     assert partial.known == {(1, 1, 1): 0}
+
+
+def test_partial_dual_may_cover_some_labels():
+    data = partial_to_dict(load_partial(data_path("e4_partial.json")))
+    data["dual"] = [["5", "11"]]
+    assert partial_from_dict(data).dual == {4: 10, 10: 4}
+    data["dual"].append(["6", "11"])
+    with pytest.raises(RingFormatError, match="conflicting duals"):
+        partial_from_dict(data)

@@ -1,4 +1,7 @@
+import collections
 import itertools
+import json
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from fusionrings import (
     ade_ring,
     complete_partial_ring,
     dynkin,
+    e4_ring,
+    e166_ring,
     find_isomorphisms,
     fp_dims,
     ring_from_generator_graph,
@@ -20,14 +25,22 @@ from fusionrings.errors import (
     NoSolutionError,
     SearchCapExceededError,
 )
-from fusionrings.solve import _dual_branches, _State
-from conftest import data_path
+from fusionrings.graphs import Digraph
+from fusionrings.jsonio import load_partial, partial_from_dict, partial_to_dict
+from fusionrings.ring import Grading
+from fusionrings.solve import _dual_branches, _graph_partial, _State
+from conftest import data_path, load_json
 
 
 def _e4_partial():
-    from fusionrings.jsonio import load_partial
-
     return load_partial(data_path("e4_partial.json"))
+
+
+def _e4_parity(e4):
+    # e4 from its dimensions and the Z_2 parity of its Z_4 grading, with no
+    # fusion coefficient known
+    parity = Grading((2,), [(d[0] % 2,) for d in e4.grading.deg])
+    return PartialRing(list(e4.labels), e4.unit, [float(x) for x in fp_dims(e4)], parity)
 
 
 def test_forgotten_entries_are_recovered(a5):
@@ -50,13 +63,8 @@ def test_e4_completion_counts():
 
 
 def test_e4_from_dims_and_parity_only(e4):
-    # the solver stress case: e4 from its dimensions and the Z_2 parity of
-    # its Z_4 grading, with no fusion coefficient known
-    from fusionrings.ring import Grading
-
-    parity = Grading((2,), [(d[0] % 2,) for d in e4.grading.deg])
-    partial = PartialRing(list(e4.labels), e4.unit, [float(x) for x in fp_dims(e4)], parity)
-    result = complete_partial_ring(partial)
+    # the solver stress case
+    result = complete_partial_ring(_e4_parity(e4))
     assert len(result.solutions) == 72
     assert sorted(len(c) for c in result.classes) == [12, 12, 24, 24]
     assert sorted(sum(result.classes, [])) == list(range(72))
@@ -74,8 +82,6 @@ def test_search_cap():
 
 
 def test_no_solution_for_bad_dims():
-    from fusionrings.ring import Grading
-
     # a rank-2 ring with a non-unit of dimension 1.3 cannot close up
     partial = PartialRing(["e", "x"], 0, [1.0, 1.3], Grading((1,), [(0,), (0,)]))
     with pytest.raises(NoSolutionError) as info:
@@ -138,3 +144,169 @@ def test_d_series_from_graph():
     ring = unique_ring_from_graph(dynkin("D", 6))
     assert find_isomorphisms(ring, d6)
     np.testing.assert_allclose(sorted(fp_dims(ring)), sorted(fp_dims(d6)), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# incremental row propagation against the full pass
+
+
+def _full_rows_pass(monkeypatch):
+    # oracle: every row counts as never solved when a pass starts, so each
+    # pass solves every row that still has an unknown
+    rows_pass = _State._rows_pass
+
+    def full(self):
+        self.solved.fill(-1)
+        rows_pass(self)
+
+    monkeypatch.setattr(_State, "_rows_pass", full)
+
+
+def _outcome(partial):
+    try:
+        result = complete_partial_ring(partial)
+    except NoSolutionError as exc:
+        return exc.conflict
+    return ([ring.tensor.tobytes() + ring.dual.tobytes() for ring in result.solutions],
+            result.classes, result.nodes)
+
+
+def _same_as_full_pass(monkeypatch, partial):
+    got = _outcome(partial)
+    with monkeypatch.context() as m:
+        _full_rows_pass(m)
+        assert _outcome(partial) == got
+    return got
+
+
+def _e166_from_d10():
+    e166, d10 = e166_ring(), ade_ring("D", 10)
+    known = {(i, j, k): int(d10.tensor[i, j, k]) if k < 10 else 0
+             for i in range(10) for j in range(10) for k in range(24)}
+    return PartialRing(list(e166.labels), 0, [float(x) for x in fp_dims(e166)],
+                       Grading((3,), [(0,)] * 10 + [(1,)] * 7 + [(2,)] * 7), known=known)
+
+
+def _e4_graph():
+    fig = load_json("e4_generator_graph.json")
+    graph = Digraph.from_edge_list(fig["nodes"], [(a - 1, b - 1) for a, b in fig["edges"]])
+    return _graph_partial(graph, 0, None)
+
+
+SOLVE_CASES = {
+    "e4 partial fixture": _e4_partial,
+    "e166 from D10 block": _e166_from_d10,
+    "A5 forgotten entries": lambda: PartialRing.from_ring(
+        ade_ring("A", 5), forget=[(1, 1, 0), (1, 1, 2), (2, 2, 0), (1, 2, 3)]),
+    "e4 generator graph": _e4_graph,
+    "A5 Dynkin graph": lambda: _graph_partial(dynkin("A", 5), 0, None),
+    "D6 Dynkin graph": lambda: _graph_partial(dynkin("D", 6), 0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_incremental_rows_match_full_pass(monkeypatch, name):
+    # e4 from Z_2 parity, the fourth completion case, is compared in
+    # test_incremental_rows_save_row_solves
+    _same_as_full_pass(monkeypatch, SOLVE_CASES[name]())
+
+
+def _seeded_partials():
+    # whole Frobenius orbits of a known ring forgotten at random, and some
+    # with one known orbit raised by 1 where the dimension bounds allow it
+    rng = random.Random(20261018)
+    for ring in (ade_ring("A", 5), ade_ring("D", 6), ade_ring("E6"), e4_ring()):
+        d = fp_dims(ring).dims
+        var_of, first = _stack_orbits(ring.rank, [int(x) for x in ring.dual])
+        orbits = [[tuple(t) for t in np.argwhere(var_of == v)] for v in range(len(first))]
+        for case in range(5):
+            frac = rng.choice([0.5, 0.8, 0.95, 1.0])
+            forget = [t for orbit in orbits if rng.random() < frac for t in orbit]
+            partial = PartialRing.from_ring(ring, forget=forget)
+            yield partial
+            known = dict(partial.known)
+            room = [orbit for orbit in orbits if known.get(orbit[0], 0) >= 1
+                    and all(d[i] * d[j] / d[k] >= known[orbit[0]] + 1 - 1e-9 for i, j, k in orbit)]
+            if case % 2 and room:
+                known.update({t: known[t] + 1 for t in rng.choice(room)})
+                yield PartialRing(partial.labels, partial.unit, partial.dims, partial.grading,
+                                  dual=partial.dual, known=known)
+
+
+def test_incremental_rows_match_full_pass_on_seeded_partials(monkeypatch):
+    outcomes = [_same_as_full_pass(monkeypatch, p) for p in _seeded_partials()]
+    assert len(outcomes) >= 20
+    conflicts = [o for o in outcomes if isinstance(o, str)]
+    # some conflicts are met while propagating, past the input checks
+    assert any(not c.startswith("inconsistent input") for c in conflicts)
+    assert any(not isinstance(o, str) and o[2] > 0 for o in outcomes)
+
+
+def test_incremental_rows_save_row_solves(monkeypatch, e4):
+    calls = collections.Counter()
+    rows_pass, solve_row = _State._rows_pass, _State._solve_row
+
+    def counted_rows_pass(self):
+        calls["rows_pass"] += 1
+        rows_pass(self)
+
+    def counted_solve_row(self, *args):
+        calls["solve_row"] += 1
+        return solve_row(self, *args)
+
+    monkeypatch.setattr(_State, "_rows_pass", counted_rows_pass)
+    monkeypatch.setattr(_State, "_solve_row", counted_solve_row)
+    partial = _e4_parity(e4)
+    got = _outcome(partial)
+    incremental = dict(calls)
+    calls.clear()
+    with monkeypatch.context() as m:
+        _full_rows_pass(m)
+        assert _outcome(partial) == got
+    assert incremental["rows_pass"] == calls["rows_pass"]
+    assert incremental["solve_row"] <= 0.4 * calls["solve_row"]
+
+
+# ---------------------------------------------------------------------------
+# partial-ring input
+
+
+def _two_labels(**kw):
+    args = dict(labels=["e", "x"], unit=0, dims=[1.0, 1.0], grading=Grading((2,), [(0,), (1,)]))
+    args.update(kw)
+    return PartialRing(**args)
+
+
+@pytest.mark.parametrize("kw,fragment", [
+    (dict(unit=2), "unit index out of range"),
+    (dict(labels=[], dims=[], grading=Grading((), [])), "at least one label"),
+    (dict(dual={1: 5}), "dual index out of range"),
+    (dict(dual=[0, -1]), "dual index out of range"),
+    (dict(dual=[1, 1]), "not an involution"),
+])
+def test_partial_ring_rejects_malformed_input(kw, fragment):
+    with pytest.raises(MalformedRingError, match=fragment):
+        _two_labels(**kw)
+
+
+def test_partial_dual_round_trips_through_json():
+    partial = _e4_partial()
+    half = PartialRing(partial.labels, partial.unit, partial.dims, partial.grading,
+                       dual={4: 10}, known=partial.known)
+    data = json.loads(json.dumps(partial_to_dict(half)))
+    assert data["dual"] == [["5", "11"]]
+    back = partial_from_dict(data)
+    assert back.dual == {4: 10, 10: 4}
+    assert _outcome(back) == _outcome(half)
+
+
+def test_row_solve_reports_interval_fallback():
+    # nine variables in [0, 9] summing to 9 have C(17, 8) = 24,310 integer
+    # solutions, past the enumeration cap: the row gets one round of
+    # interval tightening instead of its hull, so it must stay dirty
+    partial = _e4_partial()
+    state = _State(partial, next(_dual_branches(partial, config.tolerance())), config.tolerance())
+    free = state.unassigned()[:9]
+    state.lo[free], state.hi[free] = 0, 9
+    assert state._solve_row({int(v): 1.0 for v in free}, 9.0, 1e-9) is False
+    assert state._solve_row({int(v): 1.0 for v in free[:2]}, 3.0, 1e-9) is True
