@@ -1,12 +1,13 @@
 """Finite abelian groups and exact linear algebra over Z.
 
 Everything in this module is computed with plain Python integers, so there is
-no overflow to worry about.  The workhorse is the Smith normal form
+no overflow to worry about.  Integer kernels come from a sparse column
+reduction that never forms a dense transform.  The Smith normal form
 (U A V = D with U, V unimodular), which tracks only the transforms its caller
-asks for; from it we get integer kernels, integer linear solves, lattice bases
-and quotient types — all that is needed to present finite abelian groups and
-compute subquotients exactly.  Groups given by a multiplication table are
-typed from their element orders instead.
+asks for, gives integer linear solves and quotient types — with the kernels,
+all that is needed to present finite abelian groups and compute subquotients
+exactly.  Groups given by a multiplication table are typed from their element
+orders instead.
 
 Matrices are lists of rows of ints.  Vectors are lists of ints.
 """
@@ -31,26 +32,23 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-SNF = namedtuple("SNF", ["d", "u", "v", "uinv"])
+SNF = namedtuple("SNF", ["d", "u", "v"])
 
 
-def smith_normal_form(a, u=False, v=False, uinv=False):
+def smith_normal_form(a, u=False, v=False):
     """Smith normal form, with only the transforms asked for.
 
-    ``smith_normal_form(a, u=False, v=False, uinv=False) -> SNF(d, u, v, uinv)``
+    ``smith_normal_form(a, u=False, v=False) -> SNF(d, u, v)``
 
     U A V = D where U (m x m) and V (n x n) are unimodular and D is diagonal
-    with nonnegative entries d_1 | d_2 | ... ; Uinv is the exact integer
-    inverse of U.  D is always returned; each transform is tracked only when
-    its flag is set and is None otherwise, since every tracked transform
-    adds work to each row or column operation.
+    with nonnegative entries d_1 | d_2 | ... .  D is always returned; each
+    transform is tracked only when its flag is set and is None otherwise,
+    since every tracked transform adds work to each row or column operation.
 
-    >>> s = smith_normal_form([[2, 4], [6, 8]], u=True, v=True, uinv=True)
+    >>> s = smith_normal_form([[2, 4], [6, 8]], u=True, v=True)
     >>> [s.d[i][i] for i in range(2)]
     [2, 4]
     >>> mat_mul(mat_mul(s.u, [[2, 4], [6, 8]]), s.v) == s.d
-    True
-    >>> mat_mul(s.u, s.uinv) == identity_matrix(2)
     True
     """
     m = len(a)
@@ -59,12 +57,6 @@ def smith_normal_form(a, u=False, v=False, uinv=False):
     # below them, so row operations carry U and column operations carry V
     d = [list(row) + e for row, e in zip(a, identity_matrix(m) if u else [[]] * m)]
     d += identity_matrix(n) if v else []
-    tuinv = identity_matrix(m) if uinv else None
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        for r in tuinv or ():  # the inverse gets the inverse column op
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in d:
@@ -73,18 +65,11 @@ def smith_normal_form(a, u=False, v=False, uinv=False):
     def add_row(i, j, c):
         # row_i += c * row_j
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        for r in tuinv or ():  # col_j -= c * col_i
-            r[j] -= c * r[i]
 
     def add_col(i, j, c):
         # col_i += c * col_j
         for r in d:
             r[i] += c * r[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        for r in tuinv or ():
-            r[i] = -r[i]
 
     t = 0
     while t < min(m, n):
@@ -101,7 +86,7 @@ def smith_normal_form(a, u=False, v=False, uinv=False):
                 break
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        d[t], d[piv[0]] = d[piv[0]], d[t]
         swap_cols(t, piv[1])
         # clear row and column t; restart whenever a remainder appears,
         # which shrinks the pivot and so terminates
@@ -113,7 +98,7 @@ def smith_normal_form(a, u=False, v=False, uinv=False):
             if any(d[i][t] for i in range(t + 1, m)):
                 # a nonzero remainder became the new, smaller pivot
                 i = next(i for i in range(t + 1, m) if d[i][t])
-                swap_rows(t, i)
+                d[t], d[i] = d[i], d[t]
                 continue
             for j in range(t + 1, n):
                 if d[t][j]:
@@ -137,10 +122,10 @@ def smith_normal_form(a, u=False, v=False, uinv=False):
         if not fixed:
             continue
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
         t += 1
     return SNF([r[:n] for r in d[:m]], [r[n:] for r in d[:m]] if u else None,
-               d[m:] if v else None, tuinv)
+               d[m:] if v else None)
 
 
 def diagonal_entries(d):
@@ -150,20 +135,53 @@ def diagonal_entries(d):
 def integer_kernel(a):
     """Basis (list of columns) of {x in Z^n : A x = 0}.
 
+    A sparse unimodular column reduction of [A; I] (Cohen, GTM 138, 2.4):
+    each column is a dict row -> entry of A V with its transform column
+    (a dict index -> entry of V) beside it.  Row by row, Euclid runs among
+    the active columns that are nonzero there: the least |entry| is the
+    pivot (of those, the sparsest column, which keeps fill-in down), the
+    others drop a quotient multiple of it, until one column is left; it
+    becomes the row's pivot and leaves the active set.  Pivot columns are
+    independent and the operations are unimodular, so the transform parts of
+    the columns still active at the end, whose A part is zero, are a Z-basis
+    of the kernel.
+
     >>> integer_kernel([[2, -1, 0]])
     [[1, 2, 0], [0, 0, 1]]
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    s = smith_normal_form(a, v=True)
-    diag = diagonal_entries(s.d)
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append([s.v[i][j] for i in range(n)])
-    return basis
+    cols = [({i: row[j] for i, row in enumerate(a) if row[j]}, {j: 1}) for j in range(n)]
+    active = list(range(n))
+    for i in range(m):
+        hit = [c for c in active if i in cols[c][0]]
+        while len(hit) > 1:
+            p = min(hit, key=lambda c: (abs(cols[c][0][i]),
+                                        len(cols[c][0]) + len(cols[c][1])))
+            pa, pt = cols[p]
+            rest = []
+            for c in hit:
+                if c != p:
+                    ca, ct = cols[c]
+                    q = ca[i] // pa[i]
+                    _sub_multiple(ca, pa, q)
+                    _sub_multiple(ct, pt, q)
+                    if i in ca:
+                        rest.append(c)
+            hit = rest + [p]
+        if hit:
+            active.remove(hit[0])
+    return [[cols[c][1].get(j, 0) for j in range(n)] for c in active]
+
+
+def _sub_multiple(x, y, q):
+    """x -= q * y for sparse vectors (dicts index -> nonzero int)."""
+    for k, v in y.items():
+        w = x.get(k, 0) - q * v
+        if w:
+            x[k] = w
+        else:
+            del x[k]
 
 
 def solve_integer(a, b):
@@ -193,24 +211,6 @@ def _integer_solver(a):
         return mat_vec(s.v, y)
 
     return solve
-
-
-def lattice_basis(cols):
-    """Basis of the lattice spanned by the given columns (vectors in Z^n).
-
-    Returns a list of basis vectors (length = rank of the span).
-    """
-    if not cols:
-        return []
-    n = len(cols[0])
-    a = [[col[i] for col in cols] for i in range(n)]
-    s = smith_normal_form(a, uinv=True)
-    diag = diagonal_entries(s.d)
-    basis = []
-    for i, di in enumerate(diag):
-        if di != 0:
-            basis.append([di * s.uinv[r][i] for r in range(n)])
-    return basis
 
 
 def quotient_invariants(basis, subgens):

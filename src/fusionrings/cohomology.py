@@ -11,13 +11,14 @@ An independent oracle for H^2 on small instances runs the normalised bar
 complex instead (Brown, Cohomology of Groups, I.5): cochains are functions
 (Z_M \\ {0})^n -> A, and H^2 = ker d^2 / im d^1.  Both read the same powers
 T^0, ..., T^{M-1} and the same kernel-modulo-image routine, which works in
-A^k = Z^(kn) / diag(orders, ..., orders) and reduces every quotient with the
-Smith normal form, so results are exact.
+A^k = Z^(kn) / diag(orders, ..., orders): the kernel comes from a sparse
+integer column reduction and the quotient from the Smith normal form, so
+results are exact.
 """
 
 from itertools import product
 
-from .abelian import FiniteAbelianGroup, integer_kernel, lattice_basis, quotient_invariants
+from .abelian import FiniteAbelianGroup, integer_kernel, quotient_invariants
 from .errors import BoundsExceededError, InvalidActionError
 
 class GroupAction:
@@ -45,8 +46,10 @@ class GroupAction:
     def validate(self, coeffs):
         """Check the action on ``coeffs``; return the powers T^0, ..., T^{M-1}.
 
-        Each power is reduced mod the orders, row i mod orders[i].  Raises
-        InvalidActionError when T is not well defined or T^M != 1 on A.
+        Each power is reduced mod the orders, row i mod orders[i], and only
+        T^0, ..., T^{o-1} are computed for the order o of T; the list repeats
+        them.  Raises InvalidActionError when T is not well defined or
+        T^M != 1 on A (o does not divide M).
         """
         orders = coeffs.orders
         n = len(orders)
@@ -59,17 +62,20 @@ class GroupAction:
                 if (self.matrix[i][j] * orders[j]) % orders[i]:
                     raise InvalidActionError(
                         "matrix does not define an endomorphism of %s" % coeffs)
-        p = [[int(i == j) % o for j in range(n)] for i, o in enumerate(orders)]
-        powers = []
-        for _ in range(self.m):
+        one = [[int(i == j) % o for j in range(n)] for i, o in enumerate(orders)]
+        # multiply until T^i returns to 1 (i is then the order of T) or M steps
+        powers, p = [], one
+        while True:
             powers.append(p)
             p = [[sum(p[i][t] * self.matrix[t][j] for t in range(n)) % orders[i]
                   for j in range(n)] for i in range(n)]
-        if p != powers[0]:
+            if p == one or len(powers) == self.m:
+                break
+        if p != one or self.m % len(powers):
             raise InvalidActionError(
                 "T^%d is not 1 on %s: the action is not invertible of order "
                 "dividing %d" % (self.m, coeffs, self.m))
-        return powers
+        return [powers[i % len(powers)] for i in range(self.m)]
 
     def __repr__(self):
         return "GroupAction(m=%d, matrix=%r)" % (self.m, self.matrix)
@@ -91,14 +97,19 @@ def _kernel_mod_image(f, g, orders, a, b):
     factor t of copy i.  The maps are integer matrices on these coordinates
     (f is bn x an, g is an x cn) and must be well defined on A.  Callers
     pass b = 0 only with a = 0: a map with no rows has no kernel vectors here.
+
+    x lies in the preimage L of ker f when f x = diag(out) y for an integer
+    y, so L is the set of heads x of the integer kernel vectors (x, y) of
+    [f | -diag(out)].  That matrix has full row rank, so its kernel has
+    exactly an vectors, and a kernel vector with x = 0 has y = 0.  Their heads
+    are thus an independent vectors spanning L: a basis of L, which holds
+    diag(mid) Z^(an) because f is well defined on A.
     """
     mid, out = orders * a, orders * b
     lam = [[o if r == i else 0 for i in range(len(mid))] for r, o in enumerate(mid)]
-    # x lies in ker f when f x = diag(out) y for some integer y
     stacked = [row + [-o if c == i else 0 for c in range(len(out))]
                for i, (row, o) in enumerate(zip(f, out))]
-    kernel = [v[:len(mid)] for v in integer_kernel(stacked)]
-    basis = lattice_basis(kernel + lam)
+    basis = [v[:len(mid)] for v in integer_kernel(stacked)]
     image = [list(col) for col in zip(*g)]
     return FiniteAbelianGroup(quotient_invariants(basis, image + lam))
 
@@ -176,7 +187,7 @@ def _coboundary(n, m, powers, orders):
 
 
 def brute_force_h2(m, coeffs, action=None):
-    """Independent H^2 oracle for small instances (m <= 6, |A| <= 9).
+    """Independent H^2 oracle for small instances (m <= 8, |A| <= 16).
 
     Returns ker d^2 / im d^1 on the normalised bar complex (``_coboundary``),
     for any finite A and any action; the periodic resolution behind
@@ -186,8 +197,8 @@ def brute_force_h2(m, coeffs, action=None):
     >>> str(brute_force_h2(4, FiniteAbelianGroup((4,))))
     'Z_4'
     """
-    if m > 6 or coeffs.order > 9:
-        raise BoundsExceededError("brute_force_h2 bounds are m <= 6, |A| <= 9")
+    if m > 8 or coeffs.order > 16:
+        raise BoundsExceededError("brute_force_h2 bounds are m <= 8, |A| <= 16")
     powers = _action_powers(m, coeffs, action)
     d1 = _coboundary(1, m, powers, coeffs.orders)
     d2 = _coboundary(2, m, powers, coeffs.orders)

@@ -62,7 +62,7 @@ class InvalidActionError(RingError):
 
 class BoundsExceededError(RingError):
     """A computation asked to run outside the bounds it is exact or
-    affordable in: the bar-complex H^2 oracle past m <= 6, |A| <= 9,
+    affordable in: the bar-complex H^2 oracle past m <= 8, |A| <= 16,
     verify_axioms on a ring whose associativity sums could reach 2**53, or
     a construction whose dense fusion tensor would pass
     config.MAX_DENSE_BYTES."""

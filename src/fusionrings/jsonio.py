@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import RingFormatError
+from .errors import MalformedRingError, RingFormatError
 from .ring import FusionRing, Grading
 
 
@@ -148,14 +148,17 @@ def partial_from_dict(data):
         dimmap[lab] = float(val)
     _check(set(dimmap) == set(labels), "dims must cover every label")
     known = _entries_from(data, "known", index)
-    return PartialRing(
-        labels=labels,
-        unit=unit,
-        dims=[dimmap[l] for l in labels],
-        grading=grading,
-        dual=dual,
-        known=known,
-    )
+    try:
+        return PartialRing(
+            labels=labels,
+            unit=unit,
+            dims=[dimmap[l] for l in labels],
+            grading=grading,
+            dual=dual,
+            known=known,
+        )
+    except MalformedRingError as exc:
+        raise RingFormatError(str(exc)) from exc
 
 
 def partial_to_dict(partial):

@@ -8,7 +8,7 @@ from fusionrings.abelian import (
     diagonal_entries,
     group_from_table,
     integer_kernel,
-    lattice_basis,
+    mat_vec,
     quotient_with_map,
     smith_normal_form,
     solve_integer,
@@ -19,11 +19,10 @@ def test_smith_normal_form_certificate():
     rng = np.random.default_rng(7)
     for _ in range(25):
         a = rng.integers(-4, 5, size=rng.integers(1, 5, size=2)).tolist()
-        s = smith_normal_form(a, u=True, v=True, uinv=True)
+        s = smith_normal_form(a, u=True, v=True)
         u, d, v = np.array(s.u), np.array(s.d), np.array(s.v)
         assert np.array_equal(u @ np.array(a) @ v, d)
-        assert np.array_equal(u @ np.array(s.uinv), np.eye(len(a), dtype=int))
-        assert smith_normal_form(a) == (s.d, None, None, None)
+        assert smith_normal_form(a) == (s.d, None, None)
         diag = [d[i, i] for i in range(min(d.shape))]
         assert all(x >= 0 for x in diag)
         for x, y in zip(diag, diag[1:]):
@@ -148,8 +147,44 @@ def test_integer_linear_algebra():
         assert 2 * v[0] - 2 * v[1] == 0
 
 
-def test_lattice_basis_spans():
-    basis = lattice_basis([[2, 0], [0, 2], [1, 1]])
-    b = np.array(basis)
-    # the three columns span an index-2 sublattice of Z^2
-    assert abs(round(np.linalg.det(b))) == 2
+def _snf_kernel(a):
+    # reference kernel: the columns of V where the Smith diagonal is zero
+    n = len(a[0]) if a else 0
+    s = smith_normal_form(a, v=True)
+    diag = diagonal_entries(s.d)
+    return [[s.v[i][j] for i in range(n)] for j in range(n)
+            if j >= len(diag) or diag[j] == 0]
+
+
+def _in_lattice(vectors, basis):
+    if not basis:
+        return not any(any(x) for x in vectors)
+    cols = [[b[i] for b in basis] for i in range(len(basis[0]))]
+    return all(solve_integer(cols, x) is not None for x in vectors)
+
+
+def _kernel_inputs():
+    rng = random.Random(20261018)
+    yield []
+    yield [[], []]
+    yield [[0, 0, 0], [0, 0, 0]]
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        yield [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5, 12)) for _ in range(n)] for _ in range(m)]
+    for _ in range(20):
+        # [F | -diag(orders)]: full row rank, the shape of the cohomology kernels
+        m, n = rng.randint(1, 8), rng.randint(0, 6)
+        yield [[rng.randint(-4, 4) for _ in range(n)] + [-rng.randint(1, 6) if c == r else 0
+                                                         for c in range(m)]
+               for r in range(m)]
+
+
+def test_integer_kernel_matches_snf_oracle():
+    for a in _kernel_inputs():
+        n = len(a[0]) if a else 0
+        kernel, oracle = integer_kernel(a), _snf_kernel(a)
+        rank = sum(1 for d in diagonal_entries(smith_normal_form(a).d) if d)
+        assert len(kernel) == len(oracle) == n - rank, a
+        for x in kernel:
+            assert len(x) == n and not any(mat_vec(a, x)), a
+        assert _in_lattice(kernel, oracle) and _in_lattice(oracle, kernel), a

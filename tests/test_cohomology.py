@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -58,9 +59,9 @@ def test_h3_roots_of_unity():
 
 def test_brute_force_closed_form_beyond_prime_exponent():
     # H^2(Z_m, A) = A / mA for the trivial action: a sum of Z_gcd(m, a)
-    for orders in ((4,), (8,), (9,), (2, 4)):
+    for orders in ((4,), (8,), (9,), (16,), (2, 4)):
         coeffs = FiniteAbelianGroup(orders)
-        for m in (4, 6):
+        for m in (4, 6, 8):
             want = FiniteAbelianGroup(tuple(math.gcd(m, a) for a in orders))
             got = brute_force_h2(m, coeffs)
             assert got == want, (m, orders, str(got))
@@ -96,9 +97,9 @@ def test_brute_force_checks_the_action_order():
 
 def test_brute_force_bounds():
     with pytest.raises(BoundsExceededError):
-        brute_force_h2(7, FiniteAbelianGroup((2,)), None)
+        brute_force_h2(9, FiniteAbelianGroup((2,)), None)
     with pytest.raises(BoundsExceededError):
-        brute_force_h2(2, FiniteAbelianGroup((2, 2, 3)), None)
+        brute_force_h2(2, FiniteAbelianGroup((2, 3, 3)), None)
 
 
 def test_action_validation():
@@ -108,6 +109,47 @@ def test_action_validation():
         GroupAction(3, [[-1]]).validate(FiniteAbelianGroup((3,)))
     with pytest.raises(InvalidActionError):
         GroupAction(2, [[2]]).validate(FiniteAbelianGroup((4,)))  # not invertible
+
+
+def _full_period_powers(action, coeffs):
+    # reference: every power T^0, ..., T^M, then T^M = 1; None when invalid
+    orders, n = coeffs.orders, len(coeffs.orders)
+    t = action.matrix
+    if any((t[i][j] * orders[j]) % orders[i] for i in range(n) for j in range(n)):
+        return None
+    p = [[int(i == j) % o for j in range(n)] for i, o in enumerate(orders)]
+    powers = []
+    for _ in range(action.m):
+        powers.append(p)
+        p = [[sum(p[i][s] * t[s][j] for s in range(n)) % orders[i] for j in range(n)]
+             for i in range(n)]
+    return powers if p == powers[0] else None
+
+
+def test_action_powers_stop_at_the_period():
+    rng = random.Random(20261018)
+    valid = invalid = 0
+    for _ in range(1500):
+        orders = tuple(rng.choice((1, 2, 3, 4, 5, 6, 8, 9)) for _ in range(rng.randint(1, 3)))
+        n, m = len(orders), rng.randint(1, 24)
+        if rng.random() < 0.5:
+            # a monomial matrix on equal factors is often a valid action
+            orders = (orders[0],) * n
+            perm = rng.sample(range(n), n)
+            t = [[rng.choice((1, -1, 2)) if perm[j] == i else 0 for j in range(n)]
+                 for i in range(n)]
+        else:
+            t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        action, coeffs = GroupAction(m, t), FiniteAbelianGroup(orders)
+        want = _full_period_powers(action, coeffs)
+        if want is None:
+            invalid += 1
+            with pytest.raises(InvalidActionError):
+                action.validate(coeffs)
+        else:
+            valid += 1
+            assert action.validate(coeffs) == want, (m, orders, t)
+    assert valid > 300 and invalid > 300, (valid, invalid)
 
 
 def test_parse_action_forms():

@@ -86,3 +86,13 @@ def test_partial_dual_may_cover_some_labels():
     data["dual"].append(["6", "11"])
     with pytest.raises(RingFormatError, match="conflicting duals"):
         partial_from_dict(data)
+
+
+def test_partial_checks_surface_as_format_errors(tmp_path):
+    data = partial_to_dict(load_partial(data_path("e4_partial.json")))
+    unit = data["unit"]
+    data["dims"] = [[l, 2.0 if l == unit else d] for l, d in data["dims"]]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(RingFormatError, match="unit must have dimension 1"):
+        load_partial(path)
