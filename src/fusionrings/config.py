@@ -6,7 +6,8 @@ FR_TOLERANCE environment variable.  The one convergence threshold,
 CONVERGENCE_TOL = 1e-13, stops the Perron power iteration
 (graphs.perron_vector) behind both graph and ring dimensions.
 MAX_DENSE_BYTES = 2**31 caps each dense fusion tensor the constructions
-allocate; a larger one raises BoundsExceededError before it is allocated.
+allocate and each rank^4 contraction of the solver's associativity pass; a
+larger one raises BoundsExceededError before it is allocated.
 """
 
 import os

@@ -14,9 +14,11 @@ completion to a fusion ring.  The pipeline:
      and a variable is assigned once they meet;
   3. propagate: row dimension sums (sum_k N_{ij}^k d_k = d_i d_j) are
      enumerated exactly per row, a row being re-solved only after a bound
-     of one of its variables moved, and associativity instances with a
-     single undetermined occurrence are solved linearly (vectorized over
-     all rank^4 instances at once);
+     of one of its variables moved; associativity is then checked on all
+     rank^4 instances with float64 matmuls, and an instance with a single
+     open term assigns its unknown the integer it forces (the matmuls are
+     exact while r * max(N)^2 < 2**53; that, and the size of one rank^4
+     array against config.MAX_DENSE_BYTES, are checked up front);
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
   5. verify the full axioms on every leaf;
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import config
 from .errors import (
+    BoundsExceededError,
     MalformedRingError,
     NoSolutionError,
     NonUniqueCompletionError,
@@ -206,9 +209,9 @@ class _State:
     """Search state for one dual branch: the bounds lo/hi of each orbit
     variable; a variable is assigned once its bounds meet.
 
-    Two stamps on one rising clock skip rows whose solve would change
-    nothing: ``moved[v]`` is when v's bounds last changed, ``solved[i, j]``
-    when row (i, j) was last solved to its exact hull.
+    ``dirty[i*r + j]`` marks row (i, j) for a solve: it is set whenever a
+    bound of one of the row's variables moves (``rows_of[v]`` lists v's
+    rows) and cleared once the row is solved to its exact hull.
     """
 
     def __init__(self, partial, sigma, tol):
@@ -219,6 +222,10 @@ class _State:
         self.tol = tol
         d = partial.dims
         g = partial.grading
+        # each associativity pass holds a few rank^4 float64 arrays
+        if 8 * r ** 4 > config.MAX_DENSE_BYTES:
+            raise BoundsExceededError("rank-%d associativity contractions are past "
+                                      "config.MAX_DENSE_BYTES" % r)
 
         ub = np.floor(np.einsum("i,j,k->ijk", d, d, 1.0 / d) + tol).astype(np.int64)
         degs = np.array([g.degree(i) for i in range(r)], dtype=np.int64)
@@ -240,9 +247,15 @@ class _State:
         self.lo = np.zeros(len(least), dtype=np.int64)
         self.hi = np.full(len(least), np.iinfo(np.int64).max)
         np.minimum.at(self.hi, var_of, ub.ravel())
-        self.clock = 0
-        self.moved = np.zeros(len(least), dtype=np.int64)
-        self.solved = np.full((r, r), -1, dtype=np.int64)
+        # the contractions sum r products of two values: exact below 2**53
+        if r * int(self.hi.max()) ** 2 >= 2 ** 53:
+            raise BoundsExceededError(
+                "associativity sums can reach %d * %d**2, past the exact float range 2**53"
+                % (r, int(self.hi.max())))
+        self.rows_of = np.zeros((len(least), r * r), dtype=bool)
+        self.rows_of[var_of.reshape(r * r, r), np.arange(r * r)[:, None]] = True
+        self.dirty = np.ones(r * r, dtype=bool)
+        self.moves = 0
 
         # prefill: unit laws, duality row, known entries, grading zeros
         try:
@@ -279,21 +292,21 @@ class _State:
             raise _Conflict("empty domain for %r" % (self.first[v],))
 
     def _move(self, v):
-        self.clock += 1
-        self.moved[v] = self.clock
+        self.moves += 1
+        self.dirty |= self.rows_of[v]
 
-    def values(self, idx=...):
-        """N at the given entries: a variable's value once assigned, else -1."""
-        var = self.var_of[idx]
-        return np.where(self.lo[var] == self.hi[var], self.lo[var], -1)
+    def values(self):
+        """N: a variable's value once assigned, else -1."""
+        lo, hi = self.lo[self.var_of], self.hi[self.var_of]
+        return np.where(lo == hi, lo, -1)
 
     def snapshot(self):
-        # the stamps go with the bounds: a row solved under a child's
-        # tighter bounds must look dirty again once they are undone
-        return self.lo.copy(), self.hi.copy(), self.moved.copy(), self.solved.copy()
+        # the flags go with the bounds: a row solved under a child's
+        # tighter bounds must be dirty again once they are undone
+        return self.lo.copy(), self.hi.copy(), self.dirty.copy()
 
     def restore(self, snap):
-        self.lo, self.hi, self.moved, self.solved = (a.copy() for a in snap)
+        self.lo, self.hi, self.dirty = (a.copy() for a in snap)
 
     def unassigned(self):
         return np.flatnonzero(self.lo != self.hi)
@@ -302,35 +315,38 @@ class _State:
 
     def propagate(self):
         while True:
-            clock = self.clock
+            moves = self.moves
             self._rows_pass()
             self._assoc_pass()
-            if self.clock == clock:
+            if self.moves == moves:
                 return
 
     def _rows_pass(self):
-        # rows in (i, j) order; a row is dirty if a variable of it moved
-        # since its last exact solve, judged when the pass reaches it
-        d = self.dims
-        open_rows = np.argwhere((self.values() < 0).any(axis=2))
-        for i, j in open_rows:
-            i, j = int(i), int(j)
-            if self.moved[self.var_of[i, j]].max() <= self.solved[i, j]:
+        # the rows open when the pass starts, in (i, j) order; a row is
+        # solved if it is dirty when the pass reaches it
+        r, d = self.r, self.dims
+        var_rows = self.var_of.reshape(r * r, r)
+        open_rows = (self.lo[var_rows] != self.hi[var_rows]).any(axis=1)
+        for row in np.flatnonzero(open_rows).tolist():
+            if not self.dirty[row]:
                 continue
-            row = self.values((i, j))
-            unknown = row < 0
+            var = var_rows[row]
+            lo = self.lo[var]
+            unknown = lo != self.hi[var]
             if not unknown.any():
                 continue  # filled by an earlier row in this pass
-            target = float(d[i] * d[j]) - float(np.dot(np.where(unknown, 0, row), d))
+            i, j = divmod(row, r)
+            target = float(d[i] * d[j]) - float(np.dot(np.where(unknown, 0, lo), d))
             coef = {}
-            for k in np.flatnonzero(unknown):
-                v = int(self.var_of[i, j, k])
+            for k in np.flatnonzero(unknown).tolist():
+                v = int(var[k])
                 coef[v] = coef.get(v, 0.0) + float(d[k])
             tol = self.tol * max(1.0, float(d[i] * d[j]))
-            clock = self.clock
-            exact = self._solve_row(coef, target, tol)
-            # solving again from the exact hull returns the same hull
-            self.solved[i, j] = self.clock if exact else clock
+            # moves during the solve mark the row dirty again; solving
+            # again from the exact hull returns the same hull
+            self.dirty[row] = False
+            if self._solve_row(coef, target, tol):
+                self.dirty[row] = False
 
     def _solve_row(self, coef, target, tol):
         """Tighten the row's variables to the hull of its integer solutions;
@@ -386,58 +402,75 @@ class _State:
         return True
 
     def _assoc_pass(self):
+        # one instance (i, j, k, l) per rank^4 entry:
+        #   sum_m N_ij^m N_mk^l  (left)  =  sum_m N_jk^m N_im^l  (right);
+        # a term is open when one factor is unknown and the other is unknown
+        # or known nonzero, so (u + w)(u + w) - w w counts it, with u marking
+        # the unknowns and w the known nonzeros; stacking [u + w, w] against
+        # [u + w, -w] along m gives that count in one product per side
+        r = self.r
         val = self.values()
-        known = val >= 0
-        v = np.where(known, val, 0).astype(np.float64)
-        w = (v > 0).astype(np.float64)  # known and nonzero
-        u = (~known).astype(np.float64)
-        uw = u + w
+        unknown = val < 0
+        val[unknown] = 0
+        known_pos = val > 0
+        w = known_pos.astype(np.float64)
+        uw = unknown + w
 
-        def lhs_contract(x, y):
-            return np.tensordot(x, y, axes=([2], [0]))
+        def left(x, y):
+            # x[i, j, m] y[m, k, l] summed over m
+            return (x.reshape(r * r, -1) @ y.reshape(-1, r * r)).reshape(r, r, r, r)
 
-        def rhs_contract(x, y):
-            return np.tensordot(x, y, axes=([2], [1])).transpose(2, 0, 1, 3)
+        def right(x, y):
+            # x[j, k, m] y[i, m, l] summed over m
+            xy = x.reshape(r * r, -1) @ y.transpose(1, 0, 2).reshape(-1, r * r)
+            return xy.reshape(r, r, r, r).transpose(2, 0, 1, 3)
 
-        occ = (lhs_contract(uw, uw) - lhs_contract(w, w)
-               + rhs_contract(uw, uw) - rhs_contract(w, w))
-        lhs_v = lhs_contract(v, v)
-        rhs_v = rhs_contract(v, v)
+        pair = np.concatenate([uw, w], axis=2)
+        occ = left(pair, np.concatenate([uw, -w]))
+        occ += right(pair, np.concatenate([uw, -w], axis=1))
+        closed = occ == 0
+        single = np.flatnonzero(occ == 1)
+        del occ  # at most two rank^4 float64 arrays are alive at once
+        v = val.astype(np.float64)
+        gap = right(v, v)
+        gap -= left(v, v)
 
-        fully = occ == 0
-        bad = fully & (lhs_v != rhs_v)
+        bad = closed & (gap != 0)
         if bad.any():
             i, j, k, l = (int(x) for x in np.argwhere(bad)[0])
             raise _Conflict("associativity fails at (%d,%d,%d,%d)" % (i, j, k, l))
 
-        # an instance with one open occurrence has one candidate m below;
-        # its variable may since have been assigned earlier in this pass
-        for i, j, k, l in np.argwhere(occ == 1):
-            i, j, k, l = int(i), int(j), int(k), int(l)
-            hit = None
-            for m in range(self.r):
-                if val[i, j, m] < 0 and v[m, k, l] > 0:
-                    hit = (self.var_of[i, j, m], v[m, k, l], +1)
-                elif v[i, j, m] > 0 and val[m, k, l] < 0:
-                    hit = (self.var_of[m, k, l], v[i, j, m], +1)
-                elif val[j, k, m] < 0 and v[i, m, l] > 0:
-                    hit = (self.var_of[j, k, m], v[i, m, l], -1)
-                elif v[j, k, m] > 0 and val[i, m, l] < 0:
-                    hit = (self.var_of[i, m, l], v[j, k, m], -1)
-                if hit is not None:
-                    break
-            if hit is None:
-                continue  # the open occurrence is a product of two unknowns
-            var, coef, side = int(hit[0]), float(hit[1]), hit[2]
-            if self.lo[var] == self.hi[var]:
-                continue
-            gap = (rhs_v[i, j, k, l] - lhs_v[i, j, k, l]) * side
-            value = gap / coef
-            if abs(value - round(value)) > 1e-9 or round(value) < 0:
+        # an instance with one open term is linear in its unknown unless both
+        # factors are unknown; opens[n, m, p] marks the term m whose factor
+        # p (left first, left second, right first, right second) is unknown
+        # and the other known nonzero
+        i, j, k, l = np.unravel_index(single, (r, r, r, r))
+        opens = np.stack([
+            unknown[i, j] & known_pos[:, k, l].T,
+            known_pos[i, j] & unknown[:, k, l].T,
+            unknown[j, k] & known_pos[i, :, l],
+            known_pos[j, k] & unknown[i, :, l],
+        ], axis=2).reshape(len(single), 4 * r)
+        at = opens.argmax(axis=1)
+        hit = np.flatnonzero(opens[np.arange(len(single)), at])
+        i, j, k, l, gap = i[hit], j[hit], k[hit], l[hit], gap.ravel()[single[hit]]
+        m, p = np.divmod(at[hit], 4)
+        var = np.choose(p, [self.var_of[i, j, m], self.var_of[m, k, l],
+                            self.var_of[j, k, m], self.var_of[i, m, l]])
+        coef = np.choose(p, [val[m, k, l], val[i, j, m], val[i, m, l], val[j, k, m]])
+        gap = np.where(p < 2, 1, -1) * gap.astype(np.int64)
+
+        # values are read at the start of the pass and applied in
+        # (i, j, k, l) order: a variable is set by its first instance, and
+        # later ones find it assigned
+        _, first = np.unique(var, return_index=True)
+        for n in np.sort(first).tolist():
+            g, c = int(gap[n]), int(coef[n])
+            if g % c or g // c < 0:
                 raise _Conflict(
                     "associativity at (%d,%d,%d,%d) forces non-integer %r"
-                    % (i, j, k, l, value))
-            self.assign(var, int(round(value)))
+                    % (i[n], j[n], k[n], l[n], np.float64(g) / c))
+            self.assign(int(var[n]), g // c)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from fusionrings import (
 )
 from fusionrings import config
 from fusionrings.errors import (
+    BoundsExceededError,
     MalformedRingError,
     NoSolutionError,
     SearchCapExceededError,
@@ -28,7 +29,7 @@ from fusionrings.errors import (
 from fusionrings.graphs import Digraph
 from fusionrings.jsonio import load_partial, partial_from_dict, partial_to_dict
 from fusionrings.ring import Grading
-from fusionrings.solve import _dual_branches, _graph_partial, _State
+from fusionrings.solve import _Conflict, _dual_branches, _graph_partial, _State
 from conftest import data_path, load_json
 
 
@@ -151,12 +152,12 @@ def test_d_series_from_graph():
 
 
 def _full_rows_pass(monkeypatch):
-    # oracle: every row counts as never solved when a pass starts, so each
-    # pass solves every row that still has an unknown
+    # oracle: every row counts as dirty when a pass starts, so each pass
+    # solves every row that still has an unknown
     rows_pass = _State._rows_pass
 
     def full(self):
-        self.solved.fill(-1)
+        self.dirty.fill(True)
         rows_pass(self)
 
     monkeypatch.setattr(_State, "_rows_pass", full)
@@ -265,6 +266,155 @@ def test_incremental_rows_save_row_solves(monkeypatch, e4):
         assert _outcome(partial) == got
     assert incremental["rows_pass"] == calls["rows_pass"]
     assert incremental["solve_row"] <= 0.4 * calls["solve_row"]
+
+
+# ---------------------------------------------------------------------------
+# vectorised associativity pass against a loop over its instances
+
+
+def _loop_assoc_pass(self):
+    # oracle: tensordot contractions, then a Python loop over the instances
+    # with one open occurrence, with float gap arithmetic
+    val = self.values()
+    known = val >= 0
+    v = np.where(known, val, 0).astype(np.float64)
+    w = (v > 0).astype(np.float64)  # known and nonzero
+    u = (~known).astype(np.float64)
+    uw = u + w
+
+    def lhs_contract(x, y):
+        return np.tensordot(x, y, axes=([2], [0]))
+
+    def rhs_contract(x, y):
+        return np.tensordot(x, y, axes=([2], [1])).transpose(2, 0, 1, 3)
+
+    occ = (lhs_contract(uw, uw) - lhs_contract(w, w)
+           + rhs_contract(uw, uw) - rhs_contract(w, w))
+    lhs_v = lhs_contract(v, v)
+    rhs_v = rhs_contract(v, v)
+
+    fully = occ == 0
+    bad = fully & (lhs_v != rhs_v)
+    if bad.any():
+        i, j, k, l = (int(x) for x in np.argwhere(bad)[0])
+        raise _Conflict("associativity fails at (%d,%d,%d,%d)" % (i, j, k, l))
+
+    for i, j, k, l in np.argwhere(occ == 1):
+        i, j, k, l = int(i), int(j), int(k), int(l)
+        hit = None
+        for m in range(self.r):
+            if val[i, j, m] < 0 and v[m, k, l] > 0:
+                hit = (self.var_of[i, j, m], v[m, k, l], +1)
+            elif v[i, j, m] > 0 and val[m, k, l] < 0:
+                hit = (self.var_of[m, k, l], v[i, j, m], +1)
+            elif val[j, k, m] < 0 and v[i, m, l] > 0:
+                hit = (self.var_of[j, k, m], v[i, m, l], -1)
+            elif v[j, k, m] > 0 and val[i, m, l] < 0:
+                hit = (self.var_of[i, m, l], v[j, k, m], -1)
+            if hit is not None:
+                break
+        if hit is None:
+            continue  # the open occurrence is a product of two unknowns
+        var, coef, side = int(hit[0]), float(hit[1]), hit[2]
+        if self.lo[var] == self.hi[var]:
+            continue
+        gap = (rhs_v[i, j, k, l] - lhs_v[i, j, k, l]) * side
+        value = gap / coef
+        if abs(value - round(value)) > 1e-9 or round(value) < 0:
+            raise _Conflict(
+                "associativity at (%d,%d,%d,%d) forces non-integer %r"
+                % (i, j, k, l, value))
+        self.assign(var, int(round(value)))
+
+
+def _outcome_and_assoc_passes(monkeypatch, partial, assoc_pass):
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        assoc_pass(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(_State, "_assoc_pass", counted)
+        return _outcome(partial), calls[0]
+
+
+def _same_as_loop_oracle(monkeypatch, partial):
+    got = _outcome_and_assoc_passes(monkeypatch, partial, _State._assoc_pass)
+    assert got == _outcome_and_assoc_passes(monkeypatch, partial, _loop_assoc_pass)
+    return got
+
+
+ASSOC_CASES = dict(SOLVE_CASES, **{"e4 from Z2 parity": lambda: _e4_parity(e4_ring())})
+
+
+@pytest.mark.parametrize("name", sorted(ASSOC_CASES))
+def test_assoc_pass_matches_loop_oracle(monkeypatch, name):
+    _same_as_loop_oracle(monkeypatch, ASSOC_CASES[name]())
+
+
+def test_assoc_pass_matches_loop_oracle_on_seeded_partials(monkeypatch):
+    outcomes = [_same_as_loop_oracle(monkeypatch, p)[0] for p in _seeded_partials()]
+    assert any(isinstance(o, str) and o.startswith("associativity fails at") for o in outcomes)
+
+
+def _a5_state(opened, raised):
+    # every entry of A5 known, then the orbits of ``opened`` reopened to
+    # [0, 9] and the orbit of ``raised`` raised by 2
+    partial = PartialRing.from_ring(ade_ring("A", 5))
+    state = _State(partial, next(_dual_branches(partial, config.tolerance())),
+                   config.tolerance())
+    for t in opened:
+        v = state.var_of[t]
+        state.lo[v], state.hi[v] = 0, 9
+    if raised is not None:
+        v = state.var_of[raised]
+        state.lo[v] += 2
+        state.hi[v] += 2
+    return state
+
+
+def _after_assoc_pass(state, assoc_pass):
+    try:
+        assoc_pass(state)
+    except _Conflict as exc:
+        return str(exc)
+    return state.lo.tobytes(), state.hi.tobytes(), state.dirty.tobytes()
+
+
+@pytest.mark.parametrize("opened,raised,fragment", [
+    (((1, 1, 2), (1, 2, 3)), None, None),
+    ((), (1, 1, 2), "associativity fails at (1,1,2,2)"),
+    # two instances force non-integers; the first in (i, j, k, l) order
+    # is reported
+    (((2, 3, 3), (0, 2, 2), (2, 2, 4), (0, 4, 4)), (1, 1, 2),
+     "associativity at (1,1,2,4) forces non-integer "),
+    (((0, 0, 0), (0, 2, 2), (0, 3, 3), (1, 1, 2), (1, 2, 3)), (2, 4, 4),
+     "associativity at (1,3,2,4) forces non-integer "),
+])
+def test_assoc_pass_unit_cases_match_loop_oracle(opened, raised, fragment):
+    state = _a5_state(opened, raised)
+    got = _after_assoc_pass(state, _State._assoc_pass)
+    assert got == _after_assoc_pass(_a5_state(opened, raised), _loop_assoc_pass)
+    if fragment is None:
+        # single-open instances solve both reopened orbits in one pass
+        assert np.array_equal(state.values(), ade_ring("A", 5).tensor)
+    else:
+        assert got.startswith(fragment)
+
+
+def test_solver_contractions_past_the_dense_bound_raise(monkeypatch):
+    partial = _e4_partial()
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", 8 * partial.rank ** 4 - 1)
+    with pytest.raises(BoundsExceededError):
+        complete_partial_ring(partial)
+
+
+def test_solver_sums_past_2_53_raise():
+    # N_xx^e may reach 1e16, so associativity sums could reach 2e32
+    partial = PartialRing(["e", "x"], 0, [1.0, 1e8], Grading((1,), [(0,), (0,)]))
+    with pytest.raises(BoundsExceededError):
+        complete_partial_ring(partial)
 
 
 # ---------------------------------------------------------------------------
