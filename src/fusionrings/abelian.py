@@ -1,15 +1,15 @@
 """Finite abelian groups and exact linear algebra over Z.
 
 Everything in this module is computed with plain Python integers, so there is
-no overflow to worry about.  Integer kernels come from a sparse column
-reduction that never forms a dense transform.  The Smith normal form
-(U A V = D with U, V unimodular), which tracks only the transforms its caller
-asks for, gives integer linear solves and quotient types — with the kernels,
-all that is needed to present finite abelian groups and compute subquotients
-exactly.  Groups given by a multiplication table are typed from their element
-orders instead.
+no overflow to worry about.  One sparse unimodular column reduction does the
+lattice work: its zeroed columns give integer kernels and its pivot columns
+echelon bases, along which quotients of lattices reduce to one square
+matrix.  The Smith normal form (U A V = D with U, V unimodular), with only
+the transforms asked for, types that matrix and presentations with a map.
+Groups given by a multiplication table are typed from their element orders.
 
-Matrices are lists of rows of ints.  Vectors are lists of ints.
+Matrices are lists of rows of ints.  Vectors are lists of ints; sparse ones
+are dicts index -> nonzero int.
 """
 
 import math
@@ -26,10 +26,6 @@ def mat_mul(a, b):
     m = len(b[0]) if k else 0
     bt = list(zip(*b)) if k else []
     return [[sum(ra[t] * ct[t] for t in range(k)) for ct in bt] for ra in a]
-
-
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 SNF = namedtuple("SNF", ["d", "u", "v"])
@@ -133,27 +129,49 @@ def diagonal_entries(d):
 
 
 def integer_kernel(a):
-    """Basis (list of columns) of {x in Z^n : A x = 0}.
-
-    A sparse unimodular column reduction of [A; I] (Cohen, GTM 138, 2.4):
-    each column is a dict row -> entry of A V with its transform column
-    (a dict index -> entry of V) beside it.  Row by row, Euclid runs among
-    the active columns that are nonzero there: the least |entry| is the
-    pivot (of those, the sparsest column, which keeps fill-in down), the
-    others drop a quotient multiple of it, until one column is left; it
-    becomes the row's pivot and leaves the active set.  Pivot columns are
-    independent and the operations are unimodular, so the transform parts of
-    the columns still active at the end, whose A part is zero, are a Z-basis
-    of the kernel.
+    """Basis (list of columns) of {x in Z^n : A x = 0}: ``congruence_kernel``
+    with every modulus 0.
 
     >>> integer_kernel([[2, -1, 0]])
     [[1, 2, 0], [0, 0, 1]]
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    cols = [({i: row[j] for i, row in enumerate(a) if row[j]}, {j: 1}) for j in range(n)]
-    active = list(range(n))
-    for i in range(m):
+    n = len(a[0]) if a else 0
+    return [[t.get(j, 0) for j in range(n)]
+            for t in congruence_kernel(sparse_columns(a), [0] * len(a))]
+
+
+def congruence_kernel(cols, moduli):
+    """Z-basis, as sparse vectors, of {x : sum_j x_j cols[j] = 0 mod moduli}.
+
+    Row i is taken mod ``moduli[i]``, 0 meaning an exact equation.  The x
+    are the heads of the kernel of [cols | -diag(moduli)] (nonzero moduli
+    only): the transform parts, kept on the heads, of the columns
+    ``_column_reduce`` zeroes.  A kernel vector with a zero head is zero, so
+    they are a basis.
+
+    >>> congruence_kernel([{0: 2}], [4])   # 2 x = 0 mod 4
+    [{0: 2}]
+    """
+    stacked = [(dict(c), {j: 1}) for j, c in enumerate(cols)]
+    stacked += [({i: -o}, {}) for i, o in enumerate(moduli) if o]
+    return _column_reduce(stacked)[1]
+
+
+def _column_reduce(cols):
+    """Sparse unimodular column reduction (Cohen, GTM 138, 2.4), in place.
+
+    Each column is a pair of sparse vectors, the column and its transform
+    part, which every operation also applies to.  Row by row, Euclid runs
+    among the active columns nonzero there: the least |entry| is the pivot
+    (of those, the sparsest column, which keeps fill-in down), the others drop
+    a quotient multiple of it; the last one left is the row's pivot and leaves
+    the active set.  Returns the pivots as (row, column) in increasing row
+    order, an echelon basis of the columns' span, and the transform parts of
+    the columns reduced to zero.
+    """
+    active = list(range(len(cols)))
+    pivots = []
+    for i in sorted(set().union(*(c for c, _ in cols))):
         hit = [c for c in active if i in cols[c][0]]
         while len(hit) > 1:
             p = min(hit, key=lambda c: (abs(cols[c][0][i]),
@@ -171,7 +189,8 @@ def integer_kernel(a):
             hit = rest + [p]
         if hit:
             active.remove(hit[0])
-    return [[cols[c][1].get(j, 0) for j in range(n)] for c in active]
+            pivots.append((i, cols[hit[0]][0]))
+    return pivots, [cols[c][1] for c in active]
 
 
 def _sub_multiple(x, y, q):
@@ -184,63 +203,45 @@ def _sub_multiple(x, y, q):
             del x[k]
 
 
-def solve_integer(a, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    return _integer_solver(a)(b)
-
-
-def _integer_solver(a):
-    """b -> one integer solution x of A x = b, or None; one SNF serves every b."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s = smith_normal_form(a, u=True, v=True)
-    diag = diagonal_entries(s.d)
-
-    def solve(b):
-        c = mat_vec(s.u, b)
-        y = [0] * n
-        for i in range(m):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % di:
-                    return None
-                y[i] = c[i] // di
-        return mat_vec(s.v, y)
-
-    return solve
+def sparse_columns(a):
+    """The columns of the matrix ``a`` as dicts row -> nonzero entry."""
+    return [{i: row[j] for i, row in enumerate(a) if row[j]}
+            for j in range(len(a[0]) if a else 0)]
 
 
 def quotient_invariants(basis, subgens):
-    """Invariant factors of L / <subgens> for a lattice L with given basis.
+    """Invariant factors of L / <subgens>, L spanned by the sparse ``basis``.
 
-    ``basis`` is a list of r independent vectors spanning L; every vector in
-    ``subgens`` must lie in L.  Raises ValueError if a generator is outside L
-    or if the quotient is infinite.
+    The basis is reduced to echelon form, each generator gets its coordinates
+    by substitution along the pivot rows, and the r pivots the coordinates
+    reduce to give a square matrix with the quotient's invariant factors
+    (Cohen, GTM 138, 2.4.2-2.4.4).  Raises ValueError if the basis vectors
+    are dependent, a generator is outside L or the quotient is infinite.
+
+    >>> quotient_invariants([{0: 2}, {1: 1}], [{0: 4}, {0: 2, 1: 6}, {1: 9}])
+    (3,)
     """
     r = len(basis)
-    if r == 0:
-        if any(any(g) for g in subgens):
-            raise ValueError("generator outside the lattice")
-        return ()
-    n = len(basis[0])
-    bmat = [[basis[j][i] for j in range(r)] for i in range(n)]
-    solve = _integer_solver(bmat)
-    ys = []
+    echelon, _ = _column_reduce([(dict(b), {}) for b in basis])
+    if len(echelon) < r:
+        raise ValueError("basis vectors are dependent")
+    coords = []
     for g in subgens:
-        y = solve(list(g))
-        if y is None:
+        g, y = dict(g), {}
+        for k, (i, p) in enumerate(echelon):
+            if i in g:
+                if g[i] % p[i]:
+                    raise ValueError("generator outside the lattice")
+                y[k] = g[i] // p[i]
+                _sub_multiple(g, p, y[k])
+        if g:
             raise ValueError("generator outside the lattice")
-        ys.append(y)
-    if not ys:
+        coords.append((y, {}))
+    square, _ = _column_reduce(coords)
+    if len(square) < r:
         raise ValueError("infinite quotient")
-    ymat = [[y[i] for y in ys] for i in range(r)]
-    diag = diagonal_entries(smith_normal_form(ymat).d)
-    if len(diag) < r or any(d == 0 for d in diag):
-        raise ValueError("infinite quotient")
-    return tuple(d for d in diag if d > 1)
+    d = smith_normal_form([[p.get(k, 0) for _, p in square] for k in range(r)]).d
+    return tuple(x for x in diagonal_entries(d) if x > 1)
 
 
 def _invariant_factors(orders):
@@ -334,12 +335,10 @@ class FiniteAbelianGroup:
         return _cartesian(*(range(o) for o in self.orders))
 
     def element_order(self, a):
-        from math import gcd
-
         n = 1
         for x, o in zip(a, self.orders):
-            k = o // gcd(x, o)
-            n = n * k // gcd(n, k)
+            k = o // math.gcd(x, o)
+            n = n * k // math.gcd(n, k)
         return n
 
     def __eq__(self, other):

@@ -2,7 +2,7 @@
 
 H^n(Z_M, A) is computed from the periodic free resolution of Z over Z[Z_M]:
 with g a generator acting on A by the matrix T, and Norm = 1 + T + ... +
-T^{M-1},
+T^{M-1} = (M/o)(1 + T + ... + T^{o-1}) for the order o of T,
 
     H^{2k}(Z_M, A)   = ker(T - 1) / im(Norm)        (k >= 1)
     H^{2k+1}(Z_M, A) = ker(Norm) / im(T - 1)
@@ -10,15 +10,15 @@ T^{M-1},
 An independent oracle for H^2 on small instances runs the normalised bar
 complex instead (Brown, Cohomology of Groups, I.5): cochains are functions
 (Z_M \\ {0})^n -> A, and H^2 = ker d^2 / im d^1.  Both read the same powers
-T^0, ..., T^{M-1} and the same kernel-modulo-image routine, which works in
-A^k = Z^(kn) / diag(orders, ..., orders): the kernel comes from a sparse
-integer column reduction and the quotient from the Smith normal form, so
+of T over one period and the same kernel-modulo-image routine, which works in
+A^k = Z^(kn) / diag(orders, ..., orders) on sparse integer columns: a
+preimage basis from a congruence kernel, then ``quotient_invariants``, so
 results are exact.
 """
 
 from itertools import product
 
-from .abelian import FiniteAbelianGroup, integer_kernel, quotient_invariants
+from .abelian import FiniteAbelianGroup, congruence_kernel, quotient_invariants, sparse_columns
 from .errors import BoundsExceededError, InvalidActionError
 
 class GroupAction:
@@ -44,12 +44,16 @@ class GroupAction:
         return cls(m, [[1 if i == j else 0 for j in range(n_factors)] for i in range(n_factors)])
 
     def validate(self, coeffs):
-        """Check the action on ``coeffs``; return the powers T^0, ..., T^{M-1}.
+        """The powers T^0, ..., T^{M-1}: ``period(coeffs)`` repeated."""
+        powers = self.period(coeffs)
+        return [powers[i % len(powers)] for i in range(self.m)]
 
-        Each power is reduced mod the orders, row i mod orders[i], and only
-        T^0, ..., T^{o-1} are computed for the order o of T; the list repeats
-        them.  Raises InvalidActionError when T is not well defined or
-        T^M != 1 on A (o does not divide M).
+    def period(self, coeffs):
+        """Check the action on ``coeffs``; return the powers T^0, ..., T^{o-1}.
+
+        o is the order of T, and each power is reduced mod the orders, row i
+        mod orders[i].  Raises InvalidActionError when T is not well defined
+        or T^M != 1 on A (o does not divide M).
         """
         orders = coeffs.orders
         n = len(orders)
@@ -75,19 +79,19 @@ class GroupAction:
             raise InvalidActionError(
                 "T^%d is not 1 on %s: the action is not invertible of order "
                 "dividing %d" % (self.m, coeffs, self.m))
-        return [powers[i % len(powers)] for i in range(self.m)]
+        return powers
 
     def __repr__(self):
         return "GroupAction(m=%d, matrix=%r)" % (self.m, self.matrix)
 
 
 def _action_powers(m, coeffs, action):
-    """Powers T^0, ..., T^{m-1} of the checked action (trivial if None)."""
+    """One period of powers of the checked action (trivial if None)."""
     if action is None:
         action = GroupAction.trivial(m, len(coeffs.orders))
     if action.m != m:
         raise InvalidActionError("action is for M=%d, not %d" % (action.m, m))
-    return action.validate(coeffs)
+    return action.period(coeffs)
 
 
 def _kernel_mod_image(f, g, orders, a, b):
@@ -98,20 +102,13 @@ def _kernel_mod_image(f, g, orders, a, b):
     (f is bn x an, g is an x cn) and must be well defined on A.  Callers
     pass b = 0 only with a = 0: a map with no rows has no kernel vectors here.
 
-    x lies in the preimage L of ker f when f x = diag(out) y for an integer
-    y, so L is the set of heads x of the integer kernel vectors (x, y) of
-    [f | -diag(out)].  That matrix has full row rank, so its kernel has
-    exactly an vectors, and a kernel vector with x = 0 has y = 0.  Their heads
-    are thus an independent vectors spanning L: a basis of L, which holds
+    x lies in the preimage L of ker f when f x = 0 mod out; L holds
     diag(mid) Z^(an) because f is well defined on A.
     """
     mid, out = orders * a, orders * b
-    lam = [[o if r == i else 0 for i in range(len(mid))] for r, o in enumerate(mid)]
-    stacked = [row + [-o if c == i else 0 for c in range(len(out))]
-               for i, (row, o) in enumerate(zip(f, out))]
-    basis = [v[:len(mid)] for v in integer_kernel(stacked)]
-    image = [list(col) for col in zip(*g)]
-    return FiniteAbelianGroup(quotient_invariants(basis, image + lam))
+    basis = congruence_kernel(sparse_columns(f), out)
+    lam = [{i: o} for i, o in enumerate(mid)]
+    return FiniteAbelianGroup(quotient_invariants(basis, sparse_columns(g) + lam))
 
 
 def h_cyclic(n, m, coeffs, action=None):
@@ -131,10 +128,10 @@ def h_cyclic(n, m, coeffs, action=None):
     if n not in (1, 2, 3):
         raise ValueError("only H^1, H^2, H^3 are provided")
     powers = _action_powers(m, coeffs, action)
-    k = len(coeffs.orders)
-    # T - 1 and the norm; T = T^0 = 1 when m = 1
-    s = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(powers[1 % m])]
-    nm = [[sum(p[i][j] for p in powers) for j in range(k)] for i in range(k)]
+    k, o = len(coeffs.orders), len(powers)
+    # T - 1 and the norm, m/o times the sum over one period; T = 1 when o = 1
+    s = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(powers[1 % o])]
+    nm = [[m // o * sum(p[i][j] for p in powers) for j in range(k)] for i in range(k)]
     if n % 2 == 0:
         return _kernel_mod_image(s, nm, coeffs.orders, 1, 1)
     return _kernel_mod_image(nm, s, coeffs.orders, 1, 1)
@@ -162,7 +159,8 @@ def _coboundary(n, m, powers, orders):
 
     C^n holds the functions f: (Z_m \\ {0})^n -> A, extended by 0 to
     arguments containing 0; the n-tuples are ordered lexicographically and f
-    is stored as in ``_kernel_mod_image``.  With g_1 acting by T^(g_1),
+    is stored as in ``_kernel_mod_image``.  ``powers`` holds T^0, T^1, ...
+    over a whole number of periods.  With g_1 acting by T^(g_1),
 
         (d f)(g_1, ..., g_{n+1}) = g_1 f(g_2, ..., g_{n+1})
             + sum_{i=1..n} (-1)^i f(..., g_i + g_{i+1}, ...)
@@ -176,7 +174,7 @@ def _coboundary(n, m, powers, orders):
         c = index[g[1:]]
         for s in range(k):
             for t in range(k):
-                d[r * k + s][c * k + t] += powers[g[0]][s][t]
+                d[r * k + s][c * k + t] += powers[g[0] % len(powers)][s][t]
         faces = [(g[:i] + ((g[i] + g[i + 1]) % m,) + g[i + 2:], (-1) ** (i + 1))
                  for i in range(n)] + [(g[:n], (-1) ** (n + 1))]
         for h, sign in faces:
@@ -187,7 +185,7 @@ def _coboundary(n, m, powers, orders):
 
 
 def brute_force_h2(m, coeffs, action=None):
-    """Independent H^2 oracle for small instances (m <= 8, |A| <= 16).
+    """Independent H^2 oracle for small instances (m <= 12, |A| <= 16).
 
     Returns ker d^2 / im d^1 on the normalised bar complex (``_coboundary``),
     for any finite A and any action; the periodic resolution behind
@@ -197,8 +195,8 @@ def brute_force_h2(m, coeffs, action=None):
     >>> str(brute_force_h2(4, FiniteAbelianGroup((4,))))
     'Z_4'
     """
-    if m > 8 or coeffs.order > 16:
-        raise BoundsExceededError("brute_force_h2 bounds are m <= 8, |A| <= 16")
+    if m > 12 or coeffs.order > 16:
+        raise BoundsExceededError("brute_force_h2 bounds are m <= 12, |A| <= 16")
     powers = _action_powers(m, coeffs, action)
     d1 = _coboundary(1, m, powers, coeffs.orders)
     d2 = _coboundary(2, m, powers, coeffs.orders)

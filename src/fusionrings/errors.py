@@ -62,7 +62,7 @@ class InvalidActionError(RingError):
 
 class BoundsExceededError(RingError):
     """A computation asked to run outside the bounds it is exact or
-    affordable in: the bar-complex H^2 oracle past m <= 8, |A| <= 16,
+    affordable in: the bar-complex H^2 oracle past m <= 12, |A| <= 16,
     verify_axioms or the solver on a ring whose associativity sums could
     reach 2**53, or a construction or solver whose dense arrays would pass
     config.MAX_DENSE_BYTES."""

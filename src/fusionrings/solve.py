@@ -27,6 +27,8 @@ completion to a fusion ring.  The pipeline:
      and class each against one representative per class found so far.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from . import config
@@ -468,8 +470,8 @@ class _State:
             g, c = int(gap[n]), int(coef[n])
             if g % c or g // c < 0:
                 raise _Conflict(
-                    "associativity at (%d,%d,%d,%d) forces non-integer %r"
-                    % (i[n], j[n], k[n], l[n], np.float64(g) / c))
+                    "associativity at (%d,%d,%d,%d) forces non-integer %s"
+                    % (i[n], j[n], k[n], l[n], Fraction(g, c)))
             self.assign(int(var[n]), g // c)
 
 

@@ -7,11 +7,11 @@ from fusionrings.abelian import (
     FiniteAbelianGroup,
     diagonal_entries,
     group_from_table,
+    congruence_kernel,
     integer_kernel,
-    mat_vec,
+    quotient_invariants,
     quotient_with_map,
     smith_normal_form,
-    solve_integer,
 )
 
 
@@ -135,6 +135,39 @@ def test_quotient_with_map():
     assert f((0, 2)) == f((0, 0))
 
 
+def _mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _integer_solver(a):
+    # reference solver: b -> one integer x with A x = b, or None, read off
+    # one Smith normal form U A V = D as x = V (D^-1 U b)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    s = smith_normal_form(a, u=True, v=True)
+    diag = diagonal_entries(s.d)
+
+    def solve(b):
+        c = _mat_vec(s.u, b)
+        y = [0] * n
+        for i in range(m):
+            di = diag[i] if i < len(diag) else 0
+            if di == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % di:
+                    return None
+                y[i] = c[i] // di
+        return _mat_vec(s.v, y)
+
+    return solve
+
+
+def solve_integer(a, b):
+    return _integer_solver(a)(b)
+
+
 def test_integer_linear_algebra():
     a = [[2, 0], [0, 3]]
     x = solve_integer(a, [4, 9])
@@ -186,5 +219,108 @@ def test_integer_kernel_matches_snf_oracle():
         rank = sum(1 for d in diagonal_entries(smith_normal_form(a).d) if d)
         assert len(kernel) == len(oracle) == n - rank, a
         for x in kernel:
-            assert len(x) == n and not any(mat_vec(a, x)), a
+            assert len(x) == n and not any(_mat_vec(a, x)), a
         assert _in_lattice(kernel, oracle) and _in_lattice(oracle, kernel), a
+
+
+def _sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def test_congruence_kernel_is_a_basis_of_the_preimage():
+    # oracle: the heads of the SNF kernel of [A | -diag(moduli)]
+    rng = random.Random(20261019)
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(0, 5)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        moduli = [rng.randint(1, 6) for _ in range(m)]
+        stacked = [row + [-o if c == i else 0 for c in range(m)]
+                   for i, (row, o) in enumerate(zip(a, moduli))]
+        oracle = [x[:n] for x in _snf_kernel(stacked)]
+        cols = [_sparse(col) for col in zip(*a)]
+        kept = [dict(c) for c in cols]
+        got = [[x.get(j, 0) for j in range(n)] for x in congruence_kernel(cols, moduli)]
+        assert cols == kept  # the input columns are left alone
+        assert len(got) == n, (a, moduli)
+        for x in got:
+            assert all(y % o == 0 for y, o in zip(_mat_vec(a, x), moduli)), (a, moduli)
+        assert _in_lattice(got, oracle) and _in_lattice(oracle, got), (a, moduli)
+
+
+def _quotient_oracle(basis, gens):
+    # reference quotient: each generator's coordinates from the SNF solver
+    # of the basis matrix, then the Smith diagonal of the coordinate matrix
+    r = len(basis)
+    if r == 0:
+        if any(any(g) for g in gens):
+            raise ValueError("generator outside the lattice")
+        return ()
+    bmat = [[b[i] for b in basis] for i in range(len(basis[0]))]
+    if sum(1 for d in diagonal_entries(smith_normal_form(bmat).d) if d) < r:
+        raise ValueError("basis vectors are dependent")
+    solve = _integer_solver(bmat)
+    ys = []
+    for g in gens:
+        y = solve(list(g))
+        if y is None:
+            raise ValueError("generator outside the lattice")
+        ys.append(y)
+    if not ys:
+        raise ValueError("infinite quotient")
+    diag = diagonal_entries(smith_normal_form([[y[i] for y in ys] for i in range(r)]).d)
+    if len(diag) < r or 0 in diag:
+        raise ValueError("infinite quotient")
+    return tuple(d for d in diag if d > 1)
+
+
+def _quotient_inputs():
+    # (kind, basis, generators): full-rank bases made from triangular ones
+    # by unimodular row operations, and dependent bases
+    rng = random.Random(20261018)
+
+    def vec(n, lo=-3, hi=3):
+        return [rng.randint(lo, hi) for _ in range(n)]
+
+    for _ in range(300):
+        r = rng.randint(0, 5)
+        n = r + rng.randint(0, 2)
+        basis = [[0] * j + [rng.choice((1, -1, 2, 3, -4, 6))] + vec(n - j - 1)
+                 for j in range(r)]
+        for _ in range(rng.randint(0, 8)):
+            if n > 1:
+                i, k = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                for b in basis:
+                    b[i] += c * b[k]
+        kind = rng.choice(("inside", "inside", "outside", "deficient", "empty", "dependent"))
+        if kind == "dependent" and r > 1:
+            cs = vec(r - 1)
+            basis[-1] = [sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n)]
+        ngen = {"empty": 0, "deficient": max(r - 1, 0)}.get(kind, rng.randint(r, r + 3))
+        coefs = [vec(r, -4, 4) for _ in range(ngen)]
+        gens = [[sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n)] for cs in coefs]
+        if kind == "outside" and gens:
+            gens[rng.randrange(len(gens))] = vec(n)
+        yield kind, basis, gens
+
+
+def test_quotient_invariants_match_snf_oracle():
+    outcomes = set()
+    for kind, basis, gens in _quotient_inputs():
+        try:
+            want = _quotient_oracle(basis, gens)
+        except ValueError as exc:
+            want = str(exc)
+        sparse_basis, sparse_gens = [_sparse(b) for b in basis], [_sparse(g) for g in gens]
+        try:
+            got = quotient_invariants(sparse_basis, sparse_gens)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (kind, basis, gens)
+        # the inputs are left alone
+        assert sparse_basis == [_sparse(b) for b in basis]
+        assert sparse_gens == [_sparse(g) for g in gens]
+        outcomes.add((kind, want if isinstance(want, str) else bool(want)))
+    assert {("inside", True), ("inside", False), ("outside", "generator outside the lattice"),
+            ("deficient", "infinite quotient"), ("empty", "infinite quotient"),
+            ("dependent", "basis vectors are dependent")} <= outcomes, outcomes

@@ -95,9 +95,17 @@ def test_brute_force_checks_the_action_order():
     assert brute_force_h2(3, z7, action) == h_cyclic(2, 3, z7, action) == FiniteAbelianGroup(())
 
 
+def test_brute_force_at_m_12():
+    # the largest m inside the bounds; these two cases stay cheap there
+    for orders, spec, want in (((16,), "trivial", (4,)), ((4, 4), "swap", (2,))):
+        coeffs, action = FiniteAbelianGroup(orders), parse_action(spec, 12, orders)
+        got = brute_force_h2(12, coeffs, action)
+        assert got == h_cyclic(2, 12, coeffs, action) == FiniteAbelianGroup(want), (orders, spec)
+
+
 def test_brute_force_bounds():
     with pytest.raises(BoundsExceededError):
-        brute_force_h2(9, FiniteAbelianGroup((2,)), None)
+        brute_force_h2(13, FiniteAbelianGroup((2,)), None)
     with pytest.raises(BoundsExceededError):
         brute_force_h2(2, FiniteAbelianGroup((2, 3, 3)), None)
 
