@@ -3,10 +3,13 @@
 Everything in this module is computed with plain Python integers, so there is
 no overflow to worry about.  One sparse unimodular column reduction does the
 lattice work: its zeroed columns give integer kernels and its pivot columns
-echelon bases, along which quotients of lattices reduce to one square
+echelon bases, along which every quotient of lattices reduces to one square
 matrix.  The Smith normal form (U A V = D with U, V unimodular), with only
-the transforms asked for, types that matrix and presentations with a map.
-Groups given by a multiplication table are typed from their element orders.
+the transforms asked for, types that matrix; U is tracked only when a
+finite presentation's quotient map is asked for (``quotient_with_map``).
+Invariant factors are the Smith diagonal of diag(orders), by gcd/lcm steps,
+and groups given by a multiplication table are typed from their element
+orders.
 
 Matrices are lists of rows of ints.  Vectors are lists of ints; sparse ones
 are dicts index -> nonzero int.
@@ -221,6 +224,14 @@ def quotient_invariants(basis, subgens):
     >>> quotient_invariants([{0: 2}, {1: 1}], [{0: 4}, {0: 2, 1: 6}, {1: 9}])
     (3,)
     """
+    d, _ = _quotient(basis, subgens)
+    return tuple(x for x in d if x > 1)
+
+
+def _quotient(basis, subgens, u=False):
+    # the core shared by quotient_invariants and quotient_with_map: the Smith
+    # diagonal of the r x r square, and, when u is set, the U that takes
+    # echelon coordinates to Smith coordinates
     r = len(basis)
     echelon, _ = _column_reduce([(dict(b), {}) for b in basis])
     if len(echelon) < r:
@@ -240,40 +251,20 @@ def quotient_invariants(basis, subgens):
     square, _ = _column_reduce(coords)
     if len(square) < r:
         raise ValueError("infinite quotient")
-    d = smith_normal_form([[p.get(k, 0) for _, p in square] for k in range(r)]).d
-    return tuple(x for x in diagonal_entries(d) if x > 1)
+    s = smith_normal_form([[p.get(k, 0) for _, p in square] for k in range(r)], u=u)
+    return diagonal_entries(s.d), s.u
 
 
 def _invariant_factors(orders):
-    """Canonical invariant factors (each divides the next, 1s dropped)."""
-    primary = {}
-    for o in orders:
-        o = int(o)
-        if o <= 1:
-            continue
-        d = 2
-        while d * d <= o:
-            if o % d == 0:
-                e = 0
-                while o % d == 0:
-                    o //= d
-                    e += 1
-                primary.setdefault(d, []).append(d ** e)
-            d += 1
-        if o > 1:
-            primary.setdefault(o, []).append(o)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for k in range(depth):
-        f = 1
-        for p in primary:
-            if k < len(primary[p]):
-                f *= primary[p][k]
-        factors.append(f)
-    factors.reverse()
-    return tuple(factors)
+    """Canonical invariant factors (each divides the next, 1s dropped): the
+    Smith diagonal of diag(orders), reached by the Smith step for a diagonal
+    matrix, which trades each pair of entries for their gcd and lcm."""
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x > 1)
 
 
 class FiniteAbelianGroup:
@@ -410,33 +401,27 @@ def group_from_table(n, mul):
 
 
 def quotient_with_map(orders, relations):
-    """Quotient of Z_{n_1} x ... x Z_{n_k} by extra relations, with the map.
+    """Finite quotient of Z_{n_1} x ... x Z_{n_k} by extra relations, with the map.
 
     An order n_i = 0 stands for a factor Z.  ``relations`` is a list of
-    integer vectors (length k) whose classes are killed.  Returns (group, f)
-    where ``group`` is the torsion part of the quotient and ``f`` maps an
-    integer vector of length k to its class, a tuple indexed like
-    ``group.orders``.
+    integer vectors (length k) whose classes are killed; together with the
+    orders they must leave a finite quotient, else ValueError.  Returns
+    (group, f) where ``group`` is the quotient and ``f`` maps an integer
+    vector of length k to its class, a tuple indexed like ``group.orders``.
+    The lattice is Z^k, so its echelon basis is the standard one and a
+    vector is its own coordinates.
 
     >>> g, f = quotient_with_map((4,), [[2]])
     >>> str(g), f([1]), f([2]), f([3])
     ('Z_2', (1,), (0,), (1,))
     """
     k = len(orders)
-    if k == 0:
-        return FiniteAbelianGroup.trivial(), lambda v: ()
-    cols = [[orders[i] if r == i else 0 for i in range(k)] for r in range(k) if orders[r]]
-    cols += [list(v) for v in relations]
-    a = [[col[i] for col in cols] for i in range(k)]
-    s = smith_normal_form(a, u=True)
-    diag = diagonal_entries(s.d)
+    gens = [{i: o} for i, o in enumerate(orders) if o]
+    gens += [{i: x for i, x in enumerate(v) if x} for v in relations]
+    diag, u = _quotient([{i: 1} for i in range(k)], gens, u=True)
     keep = [i for i, d in enumerate(diag) if d > 1]
-    group = FiniteAbelianGroup(tuple(diag[i] for i in keep))
-    u = s.u
 
     def f(vec):
-        return tuple(
-            sum(u[i][j] * vec[j] for j in range(k)) % diag[i] for i in keep
-        )
+        return tuple(sum(u[i][j] * vec[j] for j in range(k)) % diag[i] for i in keep)
 
-    return group, f
+    return FiniteAbelianGroup(tuple(diag[i] for i in keep)), f

@@ -322,8 +322,8 @@ def e166_ring():
     are dual E_7-shaped module pieces whose dimensions are the E_7 Perron
     vector, scaled so every graded piece carries the same total squared
     dimension.  The solver completes the rest uniquely; the ring is
-    returned with its universal Z_6 grading, normalized so the generator
-    a0 (dimension 2cos(pi/18)) has degree 1.
+    returned with its universal Z_6 grading, whose normal form gives the
+    generator a0 (dimension 2cos(pi/18)) degree 1.
     """
     d10 = ade_ring("D", 10)
     d0 = list(fp_dims(d10))
@@ -341,14 +341,13 @@ def e166_ring():
                 known[(i, j, k)] = int(d10.tensor[i, j, k])
     partial = PartialRing(labels, 0, dims, Grading((3,), deg), known=known)
     ring = complete_partial_ring(partial).class_representatives()[0]
-    # regrade by the universal Z_6 grading, normalized so a0 has degree 1
+    # regrade by the universal grading, whose normal form gives a0 degree 1
     g = universal_grading(ring)
-    if g.group != FiniteAbelianGroup((6,)):
-        raise InconsistentGradingError("expected a universal Z_6 grading, got %s" % g.group)
-    u = g.deg[ring.index("a0")][0]
-    s = pow(u, -1, 6)
-    deg6 = [((s * d[0]) % 6,) for d in g.deg]
-    return FusionRing(labels, ring.unit, ring.dual, ring.tensor, Grading((6,), deg6))
+    a0 = g.deg[ring.index("a0")]
+    if g.orders != (6,) or a0 != (1,):
+        raise InconsistentGradingError("expected a universal Z_6 grading with a0 of "
+                                       "degree (1,), got %s with %r" % (g.group, a0))
+    return FusionRing(labels, ring.unit, ring.dual, ring.tensor, g)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ search, and fusion graphs.
 All operations are pure; rings are immutable after construction.
 """
 
+import math
+
 import numpy as np
 
 from . import config
@@ -299,13 +301,13 @@ def fp_dims(ring):
     The dimensions are the Perron vector of sum_i L_i^T, which has strictly
     positive entries for a fusion ring, normalized at the unit.  They are
     certified by the residual max |d_i d_j - sum_k N_{ij}^k d_k|, which must
-    stay below config.tolerance() * max(d)^2.
+    stay below config.TOLERANCE * max(d)^2.
     """
     t = ring.tensor.astype(np.float64)
     v = perron_vector(t.sum(axis=0))
     d = v / v[ring.unit]
     residual = float(np.max(np.abs(np.outer(d, d) - np.einsum("ijk,k->ij", t, d))))
-    if residual > config.tolerance() * float(d.max()) ** 2:
+    if residual > config.TOLERANCE * float(d.max()) ** 2:
         raise NonConvergenceError(
             "dimension residual %.3e exceeds tolerance (broken ring?)" % residual)
     if d.min() < 1 - 1e-6:
@@ -492,6 +494,11 @@ def universal_grading(ring):
     a (x) j for some adjoint a"; the group law is induced by fusion.  Raises
     InconsistentGradingError if components do not multiply single-valuedly
     (or multiply noncommutatively, which cannot happen for the rings here).
+
+    Degrees are in a normal form: for a cyclic group Z_n, the least-indexed
+    simple whose degree generates Z_n has degree (1,).  Other groups keep
+    the Smith coordinates of the component presentation, which are fixed
+    only up to an automorphism of the group.
     """
     t = ring.tensor
     r = ring.rank
@@ -501,7 +508,9 @@ def universal_grading(ring):
     n_comp = len(least)
 
     # hit[i, j, c]: i (x) j has a constituent in component c
-    hit = (t @ np.eye(n_comp, dtype=np.int64)[comp]) > 0
+    i, j, k = np.nonzero(t)
+    hit = np.zeros((r, r, n_comp), dtype=bool)
+    hit[i, j, comp[k]] = True
     count = hit.sum(axis=2)
     bad = np.argwhere(count != 1)
     if len(bad):
@@ -533,7 +542,14 @@ def universal_grading(ring):
             rels.append(row)
     group, f = quotient_with_map((0,) * n_comp, rels)
     degrees = [f(u) for u in identity_matrix(n_comp)]
-    return Grading(group.orders, [degrees[c] for c in comp])
+    deg = [degrees[c] for c in comp]
+    if len(group.orders) == 1:
+        # normal form: the least-indexed simple whose degree generates Z_n
+        # has degree 1 (every component is a degree, so one generates)
+        n = group.orders[0]
+        s = pow(next(d for d, in deg if math.gcd(d, n) == 1), -1, n)
+        deg = [(s * d % n,) for d, in deg]
+    return Grading(group.orders, deg)
 
 
 # ---------------------------------------------------------------------------

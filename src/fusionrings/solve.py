@@ -470,8 +470,9 @@ class _State:
             g, c = int(gap[n]), int(coef[n])
             if g % c or g // c < 0:
                 raise _Conflict(
-                    "associativity at (%d,%d,%d,%d) forces non-integer %s"
-                    % (i[n], j[n], k[n], l[n], Fraction(g, c)))
+                    "associativity at (%d,%d,%d,%d) forces %s %s"
+                    % (i[n], j[n], k[n], l[n], "non-integer" if g % c else "negative",
+                       Fraction(g, c)))
             self.assign(int(var[n]), g // c)
 
 
@@ -521,7 +522,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     the grading.  Raises NoSolutionError (with the first conflict) if there
     are none, SearchCapExceededError past the node budget.
     """
-    tol = config.tolerance()
+    tol = config.TOLERANCE
     raw = []
     counter = [0]
     conflict = None

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -37,6 +38,47 @@ def test_invariant_factors():
     assert FiniteAbelianGroup((1, 1)).invariant_factors == ()
     assert FiniteAbelianGroup((2, 3)) == FiniteAbelianGroup.cyclic(6)
     assert FiniteAbelianGroup((2, 2)) != FiniteAbelianGroup.cyclic(4)
+
+
+def _trial_division_factors(orders):
+    # reference invariant factors: split each order into prime powers by
+    # trial division, then multiply the largest powers of every prime
+    # together, the next largest together, and so on
+    primary = {}
+    for o in orders:
+        o = int(o)
+        if o <= 1:
+            continue
+        d = 2
+        while d * d <= o:
+            if o % d == 0:
+                e = 0
+                while o % d == 0:
+                    o //= d
+                    e += 1
+                primary.setdefault(d, []).append(d ** e)
+            d += 1
+        if o > 1:
+            primary.setdefault(o, []).append(o)
+    for p in primary:
+        primary[p].sort(reverse=True)
+    depth = max((len(v) for v in primary.values()), default=0)
+    factors = []
+    for k in range(depth):
+        f = 1
+        for p in primary:
+            if k < len(primary[p]):
+                f *= primary[p][k]
+        factors.append(f)
+    factors.reverse()
+    return tuple(factors)
+
+
+def test_invariant_factors_match_trial_division():
+    for n in range(4):
+        for orders in itertools.product(range(1, 25), repeat=n):
+            assert FiniteAbelianGroup(orders).invariant_factors == \
+                _trial_division_factors(orders), orders
 
 
 def test_str_forms():
@@ -133,6 +175,59 @@ def test_quotient_with_map():
     q, f = quotient_with_map((2, 4), [(0, 2)])
     assert q == FiniteAbelianGroup((2, 2))
     assert f((0, 2)) == f((0, 0))
+
+
+def _dense_quotient_with_map(orders, relations):
+    # reference quotient: one SNF of [diag(orders) | relations] with U; the
+    # torsion part of the quotient, and the map read off U
+    k = len(orders)
+    if k == 0:
+        return FiniteAbelianGroup.trivial(), lambda v: ()
+    cols = [[orders[i] if r == i else 0 for i in range(k)] for r in range(k) if orders[r]]
+    cols += [list(v) for v in relations]
+    a = [[col[i] for col in cols] for i in range(k)]
+    s = smith_normal_form(a, u=True)
+    diag = diagonal_entries(s.d)
+    keep = [i for i, d in enumerate(diag) if d > 1]
+    group = FiniteAbelianGroup(tuple(diag[i] for i in keep))
+    u = s.u
+
+    def f(vec):
+        return tuple(
+            sum(u[i][j] * vec[j] for j in range(k)) % diag[i] for i in keep
+        )
+
+    return group, f
+
+
+def test_quotient_with_map_matches_dense_oracle():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        k = rng.randint(0, 4)
+        orders = [rng.choice((0, 0, 1, 2, 3, 4, 6, 8)) for _ in range(k)]
+        relations = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, 6)) for _ in range(k)]
+                     for _ in range(rng.randint(0, k + 2))]
+        want, g = _dense_quotient_with_map(orders, relations)
+        # finite exactly when [diag(orders) | relations] has rank k
+        a = [[orders[i] * (i == j) for j in range(k)] + [v[i] for v in relations]
+             for i in range(k)]
+        if sum(1 for x in diagonal_entries(smith_normal_form(a).d) if x) < k:
+            with pytest.raises(ValueError, match="infinite quotient"):
+                quotient_with_map(orders, relations)
+            seen.add("infinite")
+            continue
+        seen.add("finite with Z" if 0 in orders else "finite")
+        got, f = quotient_with_map(orders, relations)
+        assert got == want, (orders, relations)
+        for v in relations + [[o if i == j else 0 for j in range(k)]
+                              for i, o in enumerate(orders)]:
+            assert f(v) == got.zero(), (orders, relations, v)
+        vecs = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(25)]
+        for v in vecs:
+            for w in vecs:
+                assert (f(v) == f(w)) == (g(v) == g(w)), (orders, relations, v, w)
+    assert seen == {"infinite", "finite", "finite with Z"}, seen
 
 
 def _mat_vec(a, v):

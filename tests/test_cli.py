@@ -210,7 +210,7 @@ def test_obstructed_quotient_exits_1(cli, tmp_path):
 
 
 def test_axiom_violation_exits_1(cli, tmp_path):
-    data = json.loads(open(E4_JSON).read())
+    data = json.loads(Path(E4_JSON).read_text())
     for entry in data["tensor"]:
         if entry[0] != "1" and entry[1] != "1" and entry[3] == 1:
             entry[3] = 2

@@ -212,6 +212,50 @@ def test_universal_grading_rejects_inconsistent_rings():
         universal_grading(FusionRing(["e", "x"], 0, [0, 1], t))
 
 
+def _grading_rings():
+    for row in sorted(ROWS):
+        for M in (1, 2, 3):
+            yield "%s M=%d" % (row, M), theorem_row(row, M=M).ring
+    yield "A5", ade_ring("A", 5)
+    yield "D10", ade_ring("D", 10)
+    yield "E6", ade_ring("E6")
+    yield "E8", ade_ring("E8")
+
+
+def _adjoint_classes(ring):
+    # oracle: j ~ k when k appears in a (x) j for an adjoint a, closed by search
+    adj = adjoint_subring(ring)
+    label = [None] * ring.rank
+    for start in range(ring.rank):
+        if label[start] is None:
+            label[start], stack = start, [start]
+            while stack:
+                j = stack.pop()
+                for a in adj:
+                    for k in np.flatnonzero(ring.tensor[a, j]).tolist():
+                        if label[k] is None:
+                            label[k] = start
+                            stack.append(k)
+    return label
+
+
+def test_universal_grading_normal_form(e4, e166):
+    rings = list(_grading_rings()) + [("e4", e4), ("e166", e166)]
+    for name, ring in rings:
+        g = universal_grading(ring)
+        assert grading_violations(ring.tensor, g) == [], name
+        # one degree per component, and every element of the group is one
+        deg_of = {}
+        for c, d in zip(_adjoint_classes(ring), g.deg):
+            assert deg_of.setdefault(c, d) == d, name
+        assert len(set(deg_of.values())) == len(deg_of) == g.group.order, name
+        if len(g.orders) == 1:
+            n = g.orders[0]
+            first = next(d for d, in g.deg if math.gcd(d, n) == 1)
+            assert first == 1, name
+    assert e166.grading == universal_grading(e166)
+
+
 def test_k_normality(e4, a5):
     # a commutative ring is 1-normal at every object
     report = is_k_normal(a5, 1, k_max=4)

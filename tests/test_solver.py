@@ -115,7 +115,7 @@ def _stack_orbits(r, sigma):
 
 def test_orbit_variables_match_stack_orbits():
     partial = _e4_partial()
-    tol = config.tolerance()
+    tol = config.TOLERANCE
     branches = list(_dual_branches(partial, tol))
     assert len(branches) > 1
     for sigma in branches:
@@ -324,8 +324,9 @@ def _loop_assoc_pass(self):
         value = gap / coef
         if abs(value - round(value)) > 1e-9 or round(value) < 0:
             raise _Conflict(
-                "associativity at (%d,%d,%d,%d) forces non-integer %s"
-                % (i, j, k, l, Fraction(int(gap), int(coef))))
+                "associativity at (%d,%d,%d,%d) forces %s %s"
+                % (i, j, k, l, "non-integer" if abs(value - round(value)) > 1e-9 else "negative",
+                   Fraction(int(gap), int(coef))))
         self.assign(var, int(round(value)))
 
 
@@ -364,8 +365,8 @@ def _a5_state(opened, raised):
     # every entry of A5 known, then the orbits of ``opened`` reopened to
     # [0, 9] and the orbit of ``raised`` raised by 2
     partial = PartialRing.from_ring(ade_ring("A", 5))
-    state = _State(partial, next(_dual_branches(partial, config.tolerance())),
-                   config.tolerance())
+    state = _State(partial, next(_dual_branches(partial, config.TOLERANCE)),
+                   config.TOLERANCE)
     for t in opened:
         v = state.var_of[t]
         state.lo[v], state.hi[v] = 0, 9
@@ -392,7 +393,7 @@ def _after_assoc_pass(state, assoc_pass):
     (((2, 3, 3), (0, 2, 2), (2, 2, 4), (0, 4, 4)), (1, 1, 2),
      "associativity at (1,1,2,4) forces non-integer "),
     (((0, 0, 0), (0, 2, 2), (0, 3, 3), (1, 1, 2), (1, 2, 3)), (2, 4, 4),
-     "associativity at (1,3,2,4) forces non-integer "),
+     "associativity at (1,3,2,4) forces negative -1"),
 ])
 def test_assoc_pass_unit_cases_match_loop_oracle(opened, raised, fragment):
     state = _a5_state(opened, raised)
@@ -460,7 +461,7 @@ def test_row_solve_reports_interval_fallback():
     # solutions, past the enumeration cap: the row gets one round of
     # interval tightening instead of its hull, so it must stay dirty
     partial = _e4_partial()
-    state = _State(partial, next(_dual_branches(partial, config.tolerance())), config.tolerance())
+    state = _State(partial, next(_dual_branches(partial, config.TOLERANCE)), config.TOLERANCE)
     free = state.unassigned()[:9]
     state.lo[free], state.hi[free] = 0, 9
     assert state._solve_row({int(v): 1.0 for v in free}, 9.0, 1e-9) is False
