@@ -144,7 +144,7 @@ def partial_from_dict(data):
         _check(isinstance(entry, list) and len(entry) == 2, "dims entries must be pairs")
         lab, val = entry
         _check(lab in index, "dims mentions unknown label %r" % lab)
-        _check(isinstance(val, (int, float)) and val > 0, "dims must be positive numbers")
+        _check(isinstance(val, (int, float)), "dims must be numbers")
         dimmap[lab] = float(val)
     _check(set(dimmap) == set(labels), "dims must cover every label")
     known = _entries_from(data, "known", index)

@@ -14,7 +14,10 @@ completion to a fusion ring.  The pipeline:
      and a variable is assigned once they meet;
   3. propagate: row dimension sums (sum_k N_{ij}^k d_k = d_i d_j) are
      enumerated exactly per row, a row being re-solved only after a bound
-     of one of its variables moved; associativity is then checked on all
+     of one of its variables moved; the hull of a row depends only on its
+     coefficients, bounds, target and tolerance, so each search keeps one
+     memo of hulls keyed by these, shared by its dual branches, and
+     enumerates each distinct row once; associativity is then checked on all
      rank^4 instances with float64 matmuls, and an instance with a single
      open term assigns its unknown the integer it forces (the matmuls are
      exact while r * max(N)^2 < 2**53; that, and the size of one rank^4
@@ -27,6 +30,7 @@ completion to a fusion ring.  The pipeline:
      and class each against one representative per class found so far.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,8 +78,8 @@ class PartialRing:
             raise MalformedRingError("grading does not match rank")
         if self.dims.shape != (r,):
             raise MalformedRingError("dims do not match rank")
-        if self.dims.min() <= 0:
-            raise MalformedRingError("dims must be positive")
+        if not (np.isfinite(self.dims).all() and self.dims.min() > 0):
+            raise MalformedRingError("dims must be finite and positive")
         if abs(self.dims[self.unit] - 1.0) > 1e-9:
             raise MalformedRingError("unit must have dimension 1")
         if dual is None:
@@ -112,12 +116,18 @@ class SolveResult:
 
     ``solutions`` are sorted by tensor bytes; each class lists indices into
     them in increasing order, and its first index is its representative.
+    ``stats`` counts what the search did: ``nodes`` (values tried at
+    branchings), ``dual_branches`` (dual involutions tried),
+    ``propagation_rounds`` (row pass plus associativity pass),
+    ``row_solves`` and ``row_enumerations`` (row solves whose hull was not
+    in the memo yet).
     """
 
-    def __init__(self, solutions, classes, nodes):
+    def __init__(self, solutions, classes, nodes, stats):
         self.solutions = list(solutions)
         self.classes = [list(c) for c in classes]
         self.nodes = nodes
+        self.stats = stats
 
     def __len__(self):
         return len(self.solutions)
@@ -207,21 +217,75 @@ class _OverCap(Exception):
     pass
 
 
+def _row_hull(cs, lo, hi, target, tol):
+    """The integer solutions of sum_t cs[t] x_t = target (within tol) with
+    lo[t] <= x_t <= hi[t], cs in decreasing order: (True, bounds) with
+    bounds[t] the min and max of x_t over them; (False, bounds) with one
+    round of interval tightening when their enumeration passes its cap; or
+    a conflict message when there are none."""
+    n = len(cs)
+    min_tail = [0.0] * (n + 1)
+    max_tail = [0.0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        min_tail[t] = min_tail[t + 1] + cs[t] * lo[t]
+        max_tail[t] = max_tail[t + 1] + cs[t] * hi[t]
+    if target < min_tail[0] - tol or target > max_tail[0] + tol:
+        return ("row sum %.6f unreachable in [%.6f, %.6f]"
+                % (target, min_tail[0], max_tail[0]))
+
+    solutions = []
+    cap = 20000
+    nodes = [0]
+
+    def rec(t, remaining, partial_vals):
+        if nodes[0] > cap:
+            raise _OverCap()
+        nodes[0] += 1
+        if t == n:
+            if abs(remaining) <= tol:
+                solutions.append(tuple(partial_vals))
+            return
+        if remaining < min_tail[t] - tol or remaining > max_tail[t] + tol:
+            return
+        for x in range(lo[t], hi[t] + 1):
+            rec(t + 1, remaining - cs[t] * x, partial_vals + [x])
+
+    try:
+        rec(0, target, [])
+    except _OverCap:
+        bounds = []
+        for t in range(n):
+            others_min = sum(cs[s] * lo[s] for s in range(n) if s != t)
+            others_max = sum(cs[s] * hi[s] for s in range(n) if s != t)
+            new_hi = math.floor((target - others_min) / cs[t] + tol)
+            new_lo = math.ceil((target - others_max) / cs[t] - tol)
+            bounds.append((max(new_lo, 0), new_hi))
+        return False, bounds
+    if not solutions:
+        return "no integer solution for a row dimension sum"
+    return True, [(min(vals), max(vals)) for vals in zip(*solutions)]
+
+
 class _State:
     """Search state for one dual branch: the bounds lo/hi of each orbit
     variable; a variable is assigned once its bounds meet.
 
     ``dirty[i*r + j]`` marks row (i, j) for a solve: it is set whenever a
     bound of one of the row's variables moves (``rows_of[v]`` lists v's
-    rows) and cleared once the row is solved to its exact hull.
+    rows) and cleared once the row is solved to its exact hull.  ``memo``
+    maps a row's inputs to their _row_hull result and may be shared by the
+    states of one search; ``rounds`` and ``row_solves`` count propagation
+    rounds and row solves.
     """
 
-    def __init__(self, partial, sigma, tol):
+    def __init__(self, partial, sigma, tol, memo=None):
         r = partial.rank
         self.r = r
         self.dims = partial.dims
         self.unit = partial.unit
         self.tol = tol
+        self.memo = {} if memo is None else memo
+        self.rounds = self.row_solves = 0
         d = partial.dims
         g = partial.grading
         # each associativity pass holds a few rank^4 float64 arrays
@@ -244,6 +308,10 @@ class _State:
         moves = [flat[sig].transpose(0, 2, 1), flat[:, sig].transpose(2, 1, 0)]
         least, var_of = np.unique(components(r ** 3, [flat, flat], moves), return_inverse=True)
         self.var_of = var_of.reshape(r, r, r)
+        # per row (i, j): its variables, and d_i d_j
+        self.row_vars = var_of.reshape(r * r, r).tolist()
+        self.row_dims = np.outer(d, d).ravel().tolist()
+        self.dim_list = d.tolist()
         self.first = list(zip(*(x.tolist() for x in np.unravel_index(least, (r, r, r)))))
 
         self.lo = np.zeros(len(least), dtype=np.int64)
@@ -318,6 +386,7 @@ class _State:
     def propagate(self):
         while True:
             moves = self.moves
+            self.rounds += 1
             self._rows_pass()
             self._assoc_pass()
             if self.moves == moves:
@@ -335,15 +404,16 @@ class _State:
             var = var_rows[row]
             lo = self.lo[var]
             unknown = lo != self.hi[var]
-            if not unknown.any():
+            flags = unknown.tolist()
+            if True not in flags:
                 continue  # filled by an earlier row in this pass
-            i, j = divmod(row, r)
-            target = float(d[i] * d[j]) - float(np.dot(np.where(unknown, 0, lo), d))
+            dd = self.row_dims[row]
+            target = dd - float(np.dot(np.where(unknown, 0, lo), d))
             coef = {}
-            for k in np.flatnonzero(unknown).tolist():
-                v = int(var[k])
-                coef[v] = coef.get(v, 0.0) + float(d[k])
-            tol = self.tol * max(1.0, float(d[i] * d[j]))
+            for v, open_, dk in zip(self.row_vars[row], flags, self.dim_list):
+                if open_:
+                    coef[v] = coef.get(v, 0.0) + dk
+            tol = self.tol * max(1.0, dd)
             # moves during the solve mark the row dirty again; solving
             # again from the exact hull returns the same hull
             self.dirty[row] = False
@@ -351,57 +421,25 @@ class _State:
                 self.dirty[row] = False
 
     def _solve_row(self, coef, target, tol):
-        """Tighten the row's variables to the hull of its integer solutions;
-        returns False when it fell back to one round of interval tightening,
-        after which a second solve may tighten further."""
-        vars_ = sorted(coef, key=lambda v: -coef[v])
-        cs = [coef[v] for v in vars_]
-        lo = [int(self.lo[v]) for v in vars_]
-        hi = [int(self.hi[v]) for v in vars_]
-        n = len(vars_)
-        min_tail = [0.0] * (n + 1)
-        max_tail = [0.0] * (n + 1)
-        for t in range(n - 1, -1, -1):
-            min_tail[t] = min_tail[t + 1] + cs[t] * lo[t]
-            max_tail[t] = max_tail[t + 1] + cs[t] * hi[t]
-        if target < min_tail[0] - tol or target > max_tail[0] + tol:
-            raise _Conflict("row sum %.6f unreachable in [%.6f, %.6f]"
-                            % (target, min_tail[0], max_tail[0]))
-
-        solutions = []
-        cap = 20000
-        nodes = [0]
-
-        def rec(t, remaining, partial_vals):
-            if nodes[0] > cap:
-                raise _OverCap()
-            nodes[0] += 1
-            if t == n:
-                if abs(remaining) <= tol:
-                    solutions.append(tuple(partial_vals))
-                return
-            if remaining < min_tail[t] - tol or remaining > max_tail[t] + tol:
-                return
-            for x in range(lo[t], hi[t] + 1):
-                rec(t + 1, remaining - cs[t] * x, partial_vals + [x])
-
-        try:
-            rec(0, target, [])
-        except _OverCap:
-            # fall back to interval tightening
-            for t, v in enumerate(vars_):
-                others_min = sum(cs[s] * lo[s] for s in range(n) if s != t)
-                others_max = sum(cs[s] * hi[s] for s in range(n) if s != t)
-                new_hi = int(np.floor((target - others_min) / cs[t] + tol))
-                new_lo = int(np.ceil((target - others_max) / cs[t] - tol))
-                self.tighten(v, max(new_lo, 0), new_hi)
-            return False
-        if not solutions:
-            raise _Conflict("no integer solution for a row dimension sum")
-        for t, v in enumerate(vars_):
-            vals = [s[t] for s in solutions]
-            self.tighten(v, min(vals), max(vals))
-        return True
+        """Tighten the row's variables to the hull of its integer solutions,
+        from the memo or else from _row_hull; returns False when it fell back
+        to one round of interval tightening, after which a second solve may
+        tighten further."""
+        self.row_solves += 1
+        vars_ = sorted(coef, key=coef.__getitem__, reverse=True)
+        lo = self.lo[vars_].tolist()
+        hi = self.hi[vars_].tolist()
+        key = (tuple([coef[v] for v in vars_]), tuple(lo), tuple(hi), target, tol)
+        hull = self.memo.get(key)
+        if hull is None:
+            hull = self.memo[key] = _row_hull(*key)
+        if isinstance(hull, str):
+            raise _Conflict(hull)
+        exact, bounds = hull
+        for v, a, b, (new_lo, new_hi) in zip(vars_, lo, hi, bounds):
+            if new_lo > a or new_hi < b:  # else tighten would move nothing
+                self.tighten(v, new_lo, new_hi)
+        return exact
 
     def _assoc_pass(self):
         # one instance (i, j, k, l) per rank^4 entry:
@@ -486,7 +524,7 @@ def _dim_key(state, v):
     return (float(d[i] * d[j]), float(d[k]), (i, j, k))
 
 
-def _search(state, out, cap, counter):
+def _search(state, out, cap, stats):
     # appends every leaf's tensor to out; returns the first conflict met, or None
     try:
         state.propagate()
@@ -501,12 +539,12 @@ def _search(state, out, cap, counter):
     snap = state.snapshot()
     first = None
     for value in range(int(state.lo[v]), int(state.hi[v]) + 1):
-        counter[0] += 1
-        if counter[0] > cap:
+        stats["nodes"] += 1
+        if stats["nodes"] > cap:
             raise SearchCapExceededError("search cap %d exceeded" % cap)
         try:
             state.assign(v, value)
-            conflict = _search(state, out, cap, counter)
+            conflict = _search(state, out, cap, stats)
         except _Conflict as exc:
             conflict = str(exc)
         first = first or conflict
@@ -524,19 +562,25 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     """
     tol = config.TOLERANCE
     raw = []
-    counter = [0]
+    stats = dict.fromkeys(("nodes", "dual_branches", "propagation_rounds",
+                           "row_solves", "row_enumerations"), 0)
+    memo = {}  # row hulls, shared by the dual branches
     conflict = None
     for sigma in _dual_branches(partial, tol):
+        stats["dual_branches"] += 1
         try:
-            state = _State(partial, sigma, tol)
+            state = _State(partial, sigma, tol, memo)
         except NoSolutionError as exc:
             conflict = conflict or str(exc)
             continue
         tensors = []
-        found = _search(state, tensors, search_cap, counter)
+        found = _search(state, tensors, search_cap, stats)
         conflict = conflict or found
+        stats["propagation_rounds"] += state.rounds
+        stats["row_solves"] += state.row_solves
         for t in tensors:
             raw.append((t, sigma))
+    stats["row_enumerations"] = len(memo)
 
     d = partial.dims
     solutions = []
@@ -566,7 +610,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
         else:
             classes.append([idx])
             reps.append(ring)
-    return SolveResult(solutions, classes, counter[0])
+    return SolveResult(solutions, classes, stats["nodes"], stats)
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,14 @@ def test_partial_checks_surface_as_format_errors(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(RingFormatError, match="unit must have dimension 1"):
         load_partial(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_partial_dims_must_be_finite_and_positive(tmp_path, value):
+    # json writes and reads NaN and Infinity, so a file can carry them
+    data = partial_to_dict(load_partial(data_path("e4_partial.json")))
+    data["dims"][1][1] = value
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(RingFormatError, match="dims must be finite and positive"):
+        load_partial(path)

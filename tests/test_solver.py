@@ -21,7 +21,7 @@ from fusionrings import (
     unique_ring_from_graph,
     verify_axioms,
 )
-from fusionrings import config
+from fusionrings import config, solve
 from fusionrings.errors import (
     BoundsExceededError,
     MalformedRingError,
@@ -361,6 +361,60 @@ def test_assoc_pass_matches_loop_oracle_on_seeded_partials(monkeypatch):
     assert any(isinstance(o, str) and o.startswith("associativity fails at") for o in outcomes)
 
 
+# ---------------------------------------------------------------------------
+# row-hull memo against a memo that always misses
+
+
+class _MissingMemo(dict):
+    # every lookup misses, so every row solve runs _row_hull
+    def get(self, key, default=None):
+        return default
+
+
+def _same_without_memo(monkeypatch, partial):
+    got = _outcome(partial)
+    init = _State.__init__
+
+    def without_memo(self, partial, sigma, tol, memo=None):
+        init(self, partial, sigma, tol, _MissingMemo())
+
+    with monkeypatch.context() as m:
+        m.setattr(_State, "__init__", without_memo)
+        assert _outcome(partial) == got
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(ASSOC_CASES))
+def test_row_memo_matches_no_memo(monkeypatch, name):
+    _same_without_memo(monkeypatch, ASSOC_CASES[name]())
+
+
+def test_row_memo_matches_no_memo_on_seeded_partials(monkeypatch):
+    outcomes = [_same_without_memo(monkeypatch, p) for p in _seeded_partials()]
+    assert "no integer solution for a row dimension sum" in outcomes
+
+
+def test_row_memo_enumerates_distinct_rows_once(monkeypatch, e4):
+    # e4 from Z_2 parity solves about 7,500 rows with under 200 distinct inputs
+    counts = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(_State, "_rows_pass", counted("propagation_rounds", _State._rows_pass))
+    monkeypatch.setattr(_State, "_solve_row", counted("row_solves", _State._solve_row))
+    monkeypatch.setattr(solve, "_row_hull", counted("row_enumerations", solve._row_hull))
+    partial = _e4_parity(e4)
+    result = complete_partial_ring(partial)
+    assert result.stats == dict(
+        counts, nodes=result.nodes,
+        dual_branches=len(list(_dual_branches(partial, config.TOLERANCE))))
+    assert counts["row_solves"] >= 7000 and counts["row_enumerations"] <= 300
+
+
 def _a5_state(opened, raised):
     # every entry of A5 known, then the orbits of ``opened`` reopened to
     # [0, 9] and the orbit of ``raised`` raised by 2
@@ -439,6 +493,10 @@ def _two_labels(**kw):
     (dict(dual={1: 5}), "dual index out of range"),
     (dict(dual=[0, -1]), "dual index out of range"),
     (dict(dual=[1, 1]), "not an involution"),
+    (dict(dims=[1.0, float("nan")]), "dims must be finite and positive"),
+    (dict(dims=[1.0, float("inf")]), "dims must be finite and positive"),
+    (dict(dims=[float("nan"), 1.0]), "dims must be finite and positive"),
+    (dict(dims=[1.0, 0.0]), "dims must be finite and positive"),
 ])
 def test_partial_ring_rejects_malformed_input(kw, fragment):
     with pytest.raises(MalformedRingError, match=fragment):
@@ -464,5 +522,19 @@ def test_row_solve_reports_interval_fallback():
     state = _State(partial, next(_dual_branches(partial, config.TOLERANCE)), config.TOLERANCE)
     free = state.unassigned()[:9]
     state.lo[free], state.hi[free] = 0, 9
-    assert state._solve_row({int(v): 1.0 for v in free}, 9.0, 1e-9) is False
+    over_cap = {int(v): 1.0 for v in free}
+    assert state._solve_row(over_cap, 9.0, 1e-9) is False
+    bounds = state.lo.tobytes(), state.hi.tobytes()
+    # the second solve reads the fallback from the memo, still not exact
+    assert state._solve_row(over_cap, 9.0, 1e-9) is False
+    assert (state.lo.tobytes(), state.hi.tobytes()) == bounds
+    assert len(state.memo) == 1 and state.row_solves == 2
     assert state._solve_row({int(v): 1.0 for v in free[:2]}, 3.0, 1e-9) is True
+
+    # a cached conflict is raised again with the same message
+    unreachable = {int(v): 1.0 for v in free[2:4]}
+    for _ in range(2):
+        with pytest.raises(_Conflict) as info:
+            state._solve_row(unreachable, 100.0, 1e-9)
+        assert str(info.value) == "row sum 100.000000 unreachable in [0.000000, 18.000000]"
+    assert len(state.memo) == 3
