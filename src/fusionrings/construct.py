@@ -16,8 +16,10 @@ parameter: every category in one family shares a single fusion ring, and
 IVec(Z_2M) has the same ring as Vec(Z_2M).
 
 Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
-through the dense product; each dense tensor built here is first checked
-against config.MAX_DENSE_BYTES.
+through the dense product: each nonzero N_xy^z of the base is scattered to
+((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y.  The tests
+check the result against the dense product at M <= 3.  Each dense tensor built
+here is first checked against config.MAX_DENSE_BYTES.
 """
 
 import math
@@ -230,15 +232,30 @@ def _one_one_product(base, n):
     pairs = [(x, g) for x in range(base.rank) for g in range(n)
              if base.grading.deg[x] + (g,) in diag]
     _check_dense(len(pairs))
-    pos = {p: a for a, p in enumerate(pairs)}
     xs, gs = (np.array(c) for c in zip(*pairs))
-    t = base.tensor[np.ix_(xs, xs, xs)]
-    t *= (gs[:, None, None] + gs[None, :, None]) % n == gs
+    pos = np.full((base.rank, n), -1)
+    pos[xs, gs] = np.arange(len(pairs))
+    # a simple with a diagonal pair has the same number q of them (one coset
+    # of a subgroup of Z_n); row[x] numbers those simples, cols their pairs
+    q = len(pairs) // len(np.unique(xs))
+    cols = np.arange(len(pairs)).reshape(-1, q)
+    row = np.full(base.rank, -1)
+    row[xs[::q]] = np.arange(len(cols))
+    # scatter each nonzero N_xy^z to ((x,g), (y,h), (z,g+h)) over the pairs of
+    # x and y; multiplicativity and the diagonal being a subgroup make every
+    # (z, g+h) a pair.  This writes exactly the result's nonzero entries.
+    i, j, k = np.nonzero(base.tensor)
+    keep = (row[i] >= 0) & (row[j] >= 0)
+    i, j, k = i[keep], j[keep], k[keep]
+    a = cols[row[i]][:, :, None]
+    b = cols[row[j]][:, None, :]
+    t = np.zeros((len(pairs),) * 3, dtype=np.int64)
+    t[a, b, pos[k[:, None, None], (gs[a] + gs[b]) % n]] = base.tensor[i, j, k][:, None, None]
     t.setflags(write=False)
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in pairs]
-    dual = [pos[(int(base.dual[x]), -g % n)] for x, g in pairs]
+    dual = pos[base.dual[xs], -gs % n]
     grading = Grading(orders, [base.grading.deg[x] + (g,) for x, g in pairs])
-    ring = FusionRing(labels, pos[(base.unit, 0)], dual, t, grading)
+    ring = FusionRing(labels, pos[base.unit, 0], dual, t, grading)
     return _diagonal_subring(ring, grading)
 
 

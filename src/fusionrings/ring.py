@@ -466,24 +466,23 @@ class InvertiblesReport:
 def invertibles(ring):
     """The group of invertible simples (those with i (x) i* = unit exactly)."""
     t = ring.tensor
-    inv = [
-        i for i in range(ring.rank)
-        if int(t[i, ring.dual[i]].sum()) == 1 and t[i, ring.dual[i], ring.unit] == 1
-    ]
-    pos = {g: a for a, g in enumerate(inv)}
-    table = {}
-    for gi in inv:
-        for gj in inv:
-            row = t[gi, gj]
-            ks = np.nonzero(row)[0]
-            # product of invertibles is a single invertible with coefficient 1
-            if len(ks) != 1 or row[ks[0]] != 1 or int(ks[0]) not in pos:
-                raise MalformedRingError("invertibles are not closed under fusion")
-            table[(gi, gj)] = int(ks[0])
-    abelian = all(table[(a, b)] == table[(b, a)] for a in inv for b in inv)
+    own = t[np.arange(ring.rank), ring.dual]
+    inv = np.flatnonzero((own.sum(axis=1) == 1) & (own[:, ring.unit] == 1))
+    pos = np.full(ring.rank, -1)
+    pos[inv] = np.arange(len(inv))
+    # a product of invertibles is a single invertible with coefficient 1;
+    # entries are nonnegative, so that is a row summing to 1
+    block = t[np.ix_(inv, inv)]
+    prod = block.argmax(axis=2)
+    if not ((block.sum(axis=2) == 1) & (pos[prod] >= 0)).all():
+        raise MalformedRingError("invertibles are not closed under fusion")
+    inv = inv.tolist()
+    table = {(gi, gj): k for gi, ks in zip(inv, prod.tolist()) for gj, k in zip(inv, ks)}
+    abelian = bool((prod == prod.T).all())
     group = None
     if abelian:
-        group = group_from_table(len(inv), lambda a, b: pos[table[(inv[a], inv[b])]])
+        mul = pos[prod].tolist()
+        group = group_from_table(len(inv), lambda a, b: mul[a][b])
     return InvertiblesReport(inv, group, abelian, table)
 
 
@@ -602,9 +601,15 @@ def restrict(ring, indices, grading=None, relabel=None):
     ``indices`` must be closed (as produced by subring_generated); entries of
     the big tensor leaving the set would be dropped silently otherwise, so
     closure is checked.  Labels are kept unless ``relabel`` maps old labels to
-    new ones.
+    new ones.  The whole index set in order gives a ring on ring's own
+    read-only arrays, with no copy.
     """
     idx = list(indices)
+    labels = [ring.labels[i] for i in idx]
+    if relabel:
+        labels = [relabel.get(l, l) for l in labels]
+    if idx == list(range(ring.rank)):
+        return FusionRing(labels, ring.unit, ring.dual, ring.tensor, grading)
     pos = {g: a for a, g in enumerate(idx)}
     t = ring.tensor
     outside = np.delete(np.arange(ring.rank), idx)
@@ -612,9 +617,6 @@ def restrict(ring, indices, grading=None, relabel=None):
         raise MalformedRingError("index set is not fusion-closed")
     if any(int(ring.dual[i]) not in pos for i in idx):
         raise MalformedRingError("index set is not dual-closed")
-    labels = [ring.labels[i] for i in idx]
-    if relabel:
-        labels = [relabel.get(l, l) for l in labels]
     sub = t[np.ix_(idx, idx, idx)]
     sub.setflags(write=False)  # FusionRing keeps a read-only array without a copy
     dual = [pos[int(ring.dual[i])] for i in idx]

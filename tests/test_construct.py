@@ -149,14 +149,28 @@ def spy(monkeypatch):
 
 def test_one_one_product_matches_dense_oracle(spy):
     calls = spy("_one_one_product")
+    checked = []
     for row in ROWS:
-        for M in (1, 2):
+        for M in (1, 2, 3):
+            start = len(calls)
             theorem_row(row, M=M)
+            # every row at M <= 2, among them exc166 and d-even, whose bases
+            # have multiplicities up to 5 and 2; at M = 3 every row whose
+            # dense product has at most 150 simples
+            for (base, n), ring in calls[start:]:
+                if M <= 2 or base.rank * n <= 150:
+                    prod = deligne_product(base, pointed_ring((n,)))
+                    assert ring == one_one_subring(prod, prod.grading)
+                    checked.append((row, M))
     # every row but pointed and a-even takes a (1,1) step
-    assert len(calls) == 2 * (len(ROWS) - 2)
-    for (base, n), ring in calls:
+    assert len(calls) == 3 * (len(ROWS) - 2)
+    assert {("exc166", 2), ("d-even", 2), ("exc4", 3)} <= set(checked)
+    assert sum(M == 3 for _, M in checked) == 9
+    # a Z_2 x Z_2 graded base has simples, of degree (1, 0), with no pair
+    base = deligne_product(ade_ring("A", 3), ade_ring("A", 5))
+    for n in (2, 4):
         prod = deligne_product(base, pointed_ring((n,)))
-        assert ring == one_one_subring(prod, prod.grading)
+        assert construct._one_one_product(base, n) == one_one_subring(prod, prod.grading)
 
 
 def test_moved_degree_fails_both_one_one_paths(a5):

@@ -29,10 +29,11 @@ from fusionrings import (
     universal_grading,
     verify_axioms,
 )
+from fusionrings.abelian import group_from_table
 from fusionrings.construct import ROWS
 from fusionrings.errors import BoundsExceededError, InconsistentGradingError, MalformedRingError
 from fusionrings.graphs import components, perron_vector
-from fusionrings.ring import grading_violations
+from fusionrings.ring import grading_violations, restrict
 
 
 def test_a_series_dims_are_quantum_integers(a5):
@@ -156,6 +157,75 @@ def test_invertibles_of_a_series(a5):
     report = invertibles(a5)
     assert [a5.labels[i] for i in report.indices] == ["f0", "f4"]
     assert report.group == FiniteAbelianGroup.cyclic(2)
+
+
+def _invertibles_loop(ring):
+    # oracle: the invertible group pair by pair, one np.nonzero per product
+    t = ring.tensor
+    inv = [i for i in range(ring.rank)
+           if int(t[i, ring.dual[i]].sum()) == 1 and t[i, ring.dual[i], ring.unit] == 1]
+    pos = {g: a for a, g in enumerate(inv)}
+    table = {}
+    for gi in inv:
+        for gj in inv:
+            row = t[gi, gj]
+            ks = np.nonzero(row)[0]
+            if len(ks) != 1 or row[ks[0]] != 1 or int(ks[0]) not in pos:
+                raise MalformedRingError("invertibles are not closed under fusion")
+            table[(gi, gj)] = int(ks[0])
+    abelian = all(table[(a, b)] == table[(b, a)] for a in inv for b in inv)
+    group = None
+    if abelian:
+        group = group_from_table(len(inv), lambda a, b: pos[table[(inv[a], inv[b])]])
+    return inv, group, abelian, table
+
+
+def test_invertibles_match_loop_oracle(e4, e166):
+    rings = [theorem_row(row, M=M).ring for row in sorted(ROWS) for M in (1, 2, 3)]
+    for ring in rings + [e4, e166, _s3_group_ring()]:
+        report = invertibles(ring)
+        inv, group, abelian, table = _invertibles_loop(ring)
+        assert report.indices == tuple(inv)
+        assert all(type(i) is int for i in report.indices)
+        assert report.group == group and report.abelian == abelian
+        assert list(report.table.items()) == list(table.items())
+
+
+def test_invertibles_not_closed_raise():
+    # a and b are self-dual with a a* = b b* = 1, but a b is a + b in the
+    # first ring and the non-invertible c in the second
+    for ab, size in (([1, 2], 3), ([3], 4)):
+        t = np.zeros((size,) * 3, dtype=np.int64)
+        t[0] = t[:, 0] = np.eye(size, dtype=np.int64)
+        for x in range(1, size):
+            t[x, x, 0] = 1
+        t[1, 2, ab] = t[2, 1, ab] = 1
+        if size == 4:
+            t[3, 3, 3] = 1
+        ring = FusionRing([str(x) for x in range(size)], 0, range(size), t)
+        with pytest.raises(MalformedRingError, match="not closed under fusion"):
+            _invertibles_loop(ring)
+        with pytest.raises(MalformedRingError, match="not closed under fusion"):
+            invertibles(ring)
+
+
+def test_restrict_whole_ring_shares_arrays_and_checks_subsets(a5):
+    build = theorem_row("exc4", M=1)
+    for ring in (a5, build.ring):
+        whole = restrict(ring, range(ring.rank), grading=ring.grading)
+        assert whole == ring
+        assert np.shares_memory(whole.tensor, ring.tensor)
+        assert np.shares_memory(whole.dual, ring.dual)
+    # {f0, f1} is dual-closed but not fusion-closed (f1 f1 = f0 + f2)
+    with pytest.raises(MalformedRingError, match="not fusion-closed"):
+        restrict(a5, [0, 1])
+    # in a ring it is an axiom failure for a fusion-closed set to miss a dual,
+    # so take a tensor where 1 (x) 1 is empty: {0, 1} is closed but 1* = 2
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(3, dtype=np.int64)
+    t[1, 2, 0] = t[2, 1, 0] = 1
+    with pytest.raises(MalformedRingError, match="not dual-closed"):
+        restrict(FusionRing(["0", "1", "2"], 0, [0, 2, 1], t), [0, 1])
 
 
 def test_adjoint_and_generation():
