@@ -70,9 +70,11 @@ class AuditReport:
 
 
 def audit_row(spec, M=None, N=None, k_max=K_HORIZON):
-    """Build a table row and verify its five defining properties."""
-    if not isinstance(spec, TheoremRowSpec):
-        spec = TheoremRowSpec(spec, M=1 if M is None else M, N=N)
+    """Build a table row and verify its five defining properties.
+
+    Accepts what TheoremRowSpec.coerce accepts.
+    """
+    spec = TheoremRowSpec.coerce(spec, M, N)
     build = theorem_row(spec)
     ring, gen = build.ring, build.generator
     checks = {}
@@ -139,10 +141,7 @@ def separation_check(spec_a, spec_b):
     dimension class, then falls back to an exhaustive isomorphism search.
     Both specs must have the same grading group.
     """
-    if not isinstance(spec_a, TheoremRowSpec):
-        spec_a = TheoremRowSpec(*spec_a) if isinstance(spec_a, tuple) else TheoremRowSpec(spec_a)
-    if not isinstance(spec_b, TheoremRowSpec):
-        spec_b = TheoremRowSpec(*spec_b) if isinstance(spec_b, tuple) else TheoremRowSpec(spec_b)
+    spec_a, spec_b = TheoremRowSpec.coerce(spec_a), TheoremRowSpec.coerce(spec_b)
     if spec_a.grading_order != spec_b.grading_order:
         raise ValueError("rows have different grading groups (Z_%d vs Z_%d)"
                          % (spec_a.grading_order, spec_b.grading_order))

@@ -16,13 +16,14 @@ extension_count                  (hom, M-constraint, count) triples
 import json
 import math
 import os
+from functools import lru_cache
+
+import numpy as np
 
 from .abelian import FiniteAbelianGroup
 from .cohomology import GroupAction, h_cyclic
-from .construct import ade_ring
 from .errors import UnknownFamilyError
 from .graphs import bipartition, dynkin, perron_vector
-from .ring import fp_dims
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -67,68 +68,37 @@ def _case_key(family, size):
     raise UnknownFamilyError("unknown family %r" % (family,))
 
 
-def _a_profiles(n):
-    k = n + 1
-    prof = {
-        "A_even": [quantum_integer(2 * m - 1, k) for m in range(1, (n + 1) // 2 + 1)],
-        "A_odd": [quantum_integer(2 * m, k) for m in range(1, n // 2 + 1)],
-    }
-    if n % 4 == 3 and n > 3:
-        s2 = math.sqrt(2.0)
-        top = (n + 1) // 4
-        d_even = [s2 * quantum_integer(2 * m - 1, k) for m in range(1, top + 1)]
-        d_odd = [s2 * quantum_integer(2 * m, k) for m in range(1, top)]
-        # the fork splits the top object: two simples of half the dimension
-        d_odd += [s2 * quantum_integer((n + 1) // 2, k) / 2.0] * 2
-        name = "D5" if n == 7 else "D"
-        prof["%s_even" % name] = d_even
-        prof["%s_odd" % name] = d_odd
-    return prof
-
-
-def _e7_module_profiles(fp_total):
-    adj = dynkin("E7")
+@lru_cache(maxsize=None)
+def _halves(graph):
+    # a Dynkin graph's Perron vector with node 0 at 1, split by bipartition
+    # into node 0's side ("even") and the other ("odd"); cached, as the power
+    # iteration costs milliseconds and every bp_catalog call asks again
+    adj = dynkin(*graph)
     v = perron_vector(adj)
-    color = bipartition(adj)
-    prof = {}
-    for parity, name in ((0, "E7_even"), (1, "E7_odd")):
-        piece = [float(v[i]) for i in range(len(color)) if color[i] == parity]
-        scale = math.sqrt(fp_total / sum(x * x for x in piece))
-        prof[name] = [scale * x for x in piece]
-    prof["E7bar_even"] = list(prof["E7_even"])
-    prof["E7bar_odd"] = list(prof["E7_odd"])
-    return prof
-
-
-def _d_profiles(size):
-    n = size // 2
-    k = 4 * n - 2
-    even = [quantum_integer(2 * m - 1, k) for m in range(1, n)]
-    even += [quantum_integer(2 * n - 1, k) / 2.0] * 2
-    odd = [quantum_integer(2 * m, k) for m in range(1, n)]
-    prof = {"D_even": even, "D_odd": odd}
-    if size == 10:
-        prof.update(_e7_module_profiles(sum(d * d for d in even)))
-    return prof
-
-
-def _ring_parity_profiles(ring):
-    dims = fp_dims(ring)
-    deg = [d[0] for d in ring.grading.deg]
-    return {
-        "E_even": [float(dims[i]) for i in range(ring.rank) if deg[i] == 0],
-        "E_odd": [float(dims[i]) for i in range(ring.rank) if deg[i] == 1],
-    }
+    color = np.array(bipartition(adj))
+    halves = v[color == 0] / v[0], v[color == 1] / v[0]
+    for half in halves:
+        half.setflags(write=False)
+    return halves
 
 
 def _profiles(family, size):
-    if family == "adA":
-        return _a_profiles(size)
-    if family == "adD":
-        return _d_profiles(size)
-    if family == "adE6":
-        return _ring_parity_profiles(ade_ring("E6"))
-    return _ring_parity_profiles(ade_ring("E8"))
+    # each bimodule type's dimensions are one half of a Dynkin graph's Perron
+    # vector, scaled to the identity bimodule's total squared dimension: that
+    # of the even half of the family's own graph
+    own = {"adA": ("A", size), "adD": ("D", size), "adE6": ("E6",), "adE8": ("E8",)}[family]
+    graphs = {"E" if own[0] in ("E6", "E8") else own[0]: own}
+    if family == "adA" and size % 4 == 3 and size > 3:
+        graphs["D5" if size == 7 else "D"] = ("D", (size + 3) // 2)
+    if family == "adD" and size == 10:
+        graphs["E7"] = graphs["E7bar"] = ("E7",)
+    even = _halves(own)[0]
+    total = float(even @ even)
+    prof = {}
+    for name, graph in graphs.items():
+        for side, half in zip(("even", "odd"), _halves(graph)):
+            prof["%s_%s" % (name, side)] = list(half * math.sqrt(total / (half @ half)))
+    return prof
 
 
 def _base_type(bimodule_id):

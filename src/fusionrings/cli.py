@@ -302,21 +302,9 @@ def _cmd_audit(args):
     return 0
 
 
-def _row_spec_at_order(row, order, N):
-    """The TheoremRowSpec for ``row`` whose grading group is Z_order."""
-    if row not in ROWS:
-        raise UnknownFamilyError("unknown row identifier %r" % row)
-    factor = ROWS[row]["factor"]
-    if order % factor:
-        raise ValueError(
-            "row %s only realizes grading orders divisible by %d" % (row, factor))
-    kwargs = {"N": N} if (N is not None and ROWS[row]["has_N"]) else {}
-    return TheoremRowSpec(row, M=order // factor, **kwargs)
-
-
 def _cmd_separate(args):
-    spec_a = _row_spec_at_order(args.rowA, args.M, args.N)
-    spec_b = _row_spec_at_order(args.rowB, args.M, args.N)
+    spec_a = TheoremRowSpec.at_order(args.rowA, args.M, args.N)
+    spec_b = TheoremRowSpec.at_order(args.rowB, args.M, args.N)
     print(separation_check(spec_a, spec_b))
     return 0
 

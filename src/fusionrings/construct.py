@@ -23,6 +23,7 @@ here is first checked against config.MAX_DENSE_BYTES.
 """
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -218,14 +219,14 @@ def _diagonal_subring(ring, grading):
     degs = [diag.get(grading.deg[i]) for i in support]
     if None in degs:
         raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
-    induced = Grading((lcm,), [(a,) for a in degs]) if lcm > 1 else Grading((), [()] * len(degs))
-    return restrict(ring, support, grading=induced)
+    return restrict(ring, support, grading=Grading((lcm,), [(a,) for a in degs]))
 
 
 def _one_one_product(base, n):
     # one_one_subring(deligne_product(base, pointed_ring(Z_n))) filled on the
     # pairs (x, g) of diagonal degree: N_{(x,g),(y,h)}^{(z,k)} = N_{xy}^z [g+h = k].
-    # The product grading is multiplicative exactly when base.grading is.
+    # The product grading is multiplicative exactly when base.grading is.  A
+    # trivially graded base pairs with every g, so its ring is the whole product.
     _check_multiplicative(base, base.grading)
     orders = base.grading.orders + (n,)
     diag = _diagonal_index(orders)
@@ -371,6 +372,61 @@ def e166_ring():
 # classification-table rows
 
 
+# One recipe per row.  Every row but pointed is [C x Vec(Z_nM)]_(1,1); a row
+# with quotient = (s, k) is then divided by the free subgroup generated by
+# (s, kM).  base(N) gives C and its display name, gen(N) the simple x of C
+# whose (x, 1) is the generator, and s(N) a simple of C; pointed is Vec(Z_nM)
+# itself.  factor is the table's grading order per unit of M, N is None or
+# (least N, default N), and adjoint(N) is the ring the row's adjoint subring
+# must be isomorphic to.
+RowRecipe = namedtuple("RowRecipe", "display factor base n adjoint gen quotient N",
+                       defaults=(lambda N: "f1", None, None))
+
+ROWS = {
+    "pointed": RowRecipe("Vec(Z_M)", factor=1, base=None, n=1, gen=None,
+                         adjoint=lambda N: pointed_ring(())),
+    "a-even": RowRecipe("ad(A_2N) x Vec(Z_M)", factor=1, N=(1, 2), n=1,
+                        base=lambda N: (ade_ring("adA", 2 * N), "ad(A_%d)" % (2 * N)),
+                        gen=lambda N: "f%d" % (2 * N - 2),
+                        adjoint=lambda N: ade_ring("adA", 2 * N)),
+    "a-odd": RowRecipe("[A_{2N+1} x Vec(Z_2M)]_(1,1)", factor=2, N=(1, 2), n=2,
+                       base=lambda N: (ade_ring("A", 2 * N + 1), "A_%d" % (2 * N + 1)),
+                       adjoint=lambda N: ade_ring("adA", 2 * N + 1)),
+    "a-odd-deq-1": RowRecipe("[A_{4N+1} x Vec(Z_4M)]_(1,1) / <f^(4N) x 2M>", factor=2,
+                             N=(1, 1), n=4, quotient=(lambda N: "f%d" % (4 * N), 2),
+                             base=lambda N: (ade_ring("A", 4 * N + 1), "A_%d" % (4 * N + 1)),
+                             adjoint=lambda N: ade_ring("adA", 4 * N + 1)),
+    "a-odd-deq-3": RowRecipe("[A_{4N+3} x IVec(Z_4M)]_(1,1) / <f^(4N+2) x 2M>", factor=2,
+                             N=(1, 1), n=4, quotient=(lambda N: "f%d" % (4 * N + 2), 2),
+                             base=lambda N: (ade_ring("A", 4 * N + 3), "A_%d" % (4 * N + 3)),
+                             adjoint=lambda N: ade_ring("adA", 4 * N + 3)),
+    "a3-deq": RowRecipe("[A_3 x IVec(Z_8M)]_(1,1) / <f^(2) x 4M>", factor=4, n=8,
+                        base=lambda N: (ade_ring("A", 3), "A_3"), quotient=(lambda N: "f2", 4),
+                        adjoint=lambda N: ade_ring("adA", 3)),
+    "d-even": RowRecipe("[D_2N x Vec(Z_2M)]_(1,1)", factor=2, N=(2, 3), n=2,
+                        base=lambda N: (ade_ring("D", 2 * N), "D_%d" % (2 * N)),
+                        adjoint=lambda N: ade_ring("adD", 2 * N)),
+    "d4-deq": RowRecipe("[D_4 x Vec(Z_18M)]_(1,1) / <P x 6M>", factor=6, n=18,
+                        base=lambda N: (ade_ring("D", 4), "D_4"), quotient=(lambda N: "P", 6),
+                        adjoint=lambda N: ade_ring("adD", 4)),
+    "e6": RowRecipe("[E_6 x Vec(Z_2M)]_(1,1)", factor=2, n=2,
+                    base=lambda N: (ade_ring("E6"), "E_6"), adjoint=lambda N: ade_ring("adE6")),
+    "e6-deq": RowRecipe("[E_6 x IVec(Z_4M)]_(1,1) / <Z x 2M>", factor=2, n=4,
+                        base=lambda N: (ade_ring("E6"), "E_6"), quotient=(lambda N: "Z", 2),
+                        adjoint=lambda N: ade_ring("adE6")),
+    "e8": RowRecipe("[E_8 x Vec(Z_2M)]_(1,1)", factor=2, n=2,
+                    base=lambda N: (ade_ring("E8"), "E_8"), adjoint=lambda N: ade_ring("adE8")),
+    "exc4": RowRecipe("[E4 x Vec(Z_4M)]_(1,1)", factor=4, n=4, gen=lambda N: "5",
+                      base=lambda N: (e4_ring(), "E4"), adjoint=lambda N: ade_ring("adA", 7)),
+    "exc4-deq": RowRecipe("[E4 x IVec(Z_16M)]_(1,1) / <4 x 8M>", factor=8, n=16,
+                          gen=lambda N: "5", quotient=(lambda N: "4", 8),
+                          base=lambda N: (e4_ring(), "E4"), adjoint=lambda N: ade_ring("adA", 7)),
+    "exc166": RowRecipe("[E16,6 x Vec(Z_6M)]_(1,1)", factor=6, n=6, gen=lambda N: "a0",
+                        base=lambda N: (e166_ring(), "E16,6"),
+                        adjoint=lambda N: ade_ring("adD", 10)),
+}
+
+
 class TheoremRowSpec:
     """One row of the classification table, with its parameters.
 
@@ -383,24 +439,52 @@ class TheoremRowSpec:
             raise UnknownFamilyError("unknown classification row %r" % (row,))
         self.row = row
         self.M = int(M)
-        info = ROWS[row]
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if info["has_N"]:
-            self.N = info["default_N"] if N is None else int(N)
-            if self.N < info["min_N"]:
-                raise ValueError("row %s needs N >= %d" % (row, info["min_N"]))
-        else:
+        if ROWS[row].N is None:
             if N is not None:
                 raise ValueError("row %s takes no N parameter" % row)
             self.N = None
+        else:
+            min_N, default_N = ROWS[row].N
+            self.N = default_N if N is None else int(N)
+            if self.N < min_N:
+                raise ValueError("row %s needs N >= %d" % (row, min_N))
+
+    @classmethod
+    def coerce(cls, spec, M=None, N=None):
+        """The spec named by a TheoremRowSpec, a (row, M[, N]) tuple, or a
+        row identifier with M (default 1) and N.
+
+        M and N may only come with a row identifier; given alongside a spec
+        or a tuple they raise ValueError instead of being ignored.
+        """
+        if isinstance(spec, (cls, tuple)):
+            if M is not None or N is not None:
+                raise ValueError("%r already fixes M and N" % (spec,))
+            return spec if isinstance(spec, cls) else cls(*spec)
+        return cls(spec, M=1 if M is None else M, N=N)
+
+    @classmethod
+    def at_order(cls, row, order, N=None):
+        """The spec for ``row`` whose grading group is Z_order.
+
+        N is applied only when the row takes one.
+        """
+        if row not in ROWS:
+            raise UnknownFamilyError("unknown classification row %r" % (row,))
+        factor = ROWS[row].factor
+        if order % factor:
+            raise ValueError(
+                "row %s only realizes grading orders divisible by %d" % (row, factor))
+        return cls(row, M=order // factor, N=N if ROWS[row].N else None)
 
     @property
     def grading_order(self):
-        return ROWS[self.row]["factor"] * self.M
+        return ROWS[self.row].factor * self.M
 
     def describe(self):
-        return ROWS[self.row]["display"]
+        return ROWS[self.row].display
 
     def __repr__(self):
         if self.N is None:
@@ -421,167 +505,42 @@ class RowBuild:
             self.provenance["row"], self.ring.rank, self.ring.labels[self.generator])
 
 
-def _assemble(base, base_name, pointed_order, deq_label=None, gen_label=None,
-              oneone=True):
-    steps = ["deligne_product(%s, Vec(Z_%d))" % (base_name, pointed_order)]
-    if oneone:
-        ring = _one_one_product(base, pointed_order)
-        steps.append("one_one_subring over Z_%s x Z_%d"
-                     % ("x".join(str(o) for o in base.grading.orders), pointed_order))
-    else:
-        ring = deligne_product(base, pointed_ring(FiniteAbelianGroup.cyclic(pointed_order)))
-    gen = ring.index("(%s,%s)" % (gen_label, 1 % pointed_order))
-    if deq_label is not None:
-        ring, orbit_of = _dequiv(ring, [deq_label])
-        gen = orbit_of[gen]
-        steps.append("dequiv_free by <%s>" % deq_label)
-    return ring, gen, steps
-
-
-def _build_pointed(N, M):
-    ring = pointed_ring(FiniteAbelianGroup.cyclic(M))
-    gen = ring.index("1") if M > 1 else ring.unit
-    return ring, gen, ["pointed_ring(Z_%d)" % M]
-
-
-def _build_a_even(N, M):
-    base = ade_ring("adA", 2 * N)
-    ring, gen, steps = _assemble(base, "ad(A_%d)" % (2 * N), M,
-                                 gen_label="f%d" % (2 * N - 2), oneone=False)
-    return ring, gen, ["ade_ring(adA, %d)" % (2 * N)] + steps
-
-
-def _build_a_odd(N, M):
-    base = ade_ring("A", 2 * N + 1)
-    ring, gen, steps = _assemble(base, "A_%d" % (2 * N + 1), 2 * M, gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_a_odd_deq(N_A, M):
-    # [A_n x Vec(Z_4M)]_(1,1), de-equivariantized by <f^(n-1) x 2M>
-    base = ade_ring("A", N_A)
-    deq = "(f%d,%d)" % (N_A - 1, 2 * M)
-    ring, gen, steps = _assemble(base, "A_%d" % N_A, 4 * M,
-                                 deq_label=deq, gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_a3_deq(N, M):
-    base = ade_ring("A", 3)
-    ring, gen, steps = _assemble(base, "A_3", 8 * M,
-                                 deq_label="(f2,%d)" % (4 * M), gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_d_even(N, M):
-    base = ade_ring("D", 2 * N)
-    ring, gen, steps = _assemble(base, "D_%d" % (2 * N), 2 * M, gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_d4_deq(N, M):
-    base = ade_ring("D", 4)
-    ring, gen, steps = _assemble(base, "D_4", 18 * M,
-                                 deq_label="(P,%d)" % (6 * M), gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_e6(N, M):
-    ring, gen, steps = _assemble(ade_ring("E6"), "E_6", 2 * M, gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_e6_deq(N, M):
-    ring, gen, steps = _assemble(ade_ring("E6"), "E_6", 4 * M,
-                                 deq_label="(Z,%d)" % (2 * M), gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_e8(N, M):
-    ring, gen, steps = _assemble(ade_ring("E8"), "E_8", 2 * M, gen_label="f1")
-    return ring, gen, steps
-
-
-def _build_exc4(N, M):
-    ring, gen, steps = _assemble(e4_ring(), "E4", 4 * M, gen_label="5")
-    return ring, gen, steps
-
-
-def _build_exc4_deq(N, M):
-    ring, gen, steps = _assemble(e4_ring(), "E4", 16 * M,
-                                 deq_label="(4,%d)" % (8 * M), gen_label="5")
-    return ring, gen, steps
-
-
-def _build_exc166(N, M):
-    ring, gen, steps = _assemble(e166_ring(), "E16,6", 6 * M, gen_label="a0")
-    return ring, gen, steps
-
-
-ROWS = {
-    "pointed": dict(display="Vec(Z_M)", factor=1, has_N=False,
-                    build=_build_pointed, adjoint=lambda N: pointed_ring(())),
-    "a-even": dict(display="ad(A_2N) x Vec(Z_M)", factor=1, has_N=True,
-                   min_N=1, default_N=2, build=_build_a_even,
-                   adjoint=lambda N: ade_ring("adA", 2 * N)),
-    "a-odd": dict(display="[A_{2N+1} x Vec(Z_2M)]_(1,1)", factor=2, has_N=True,
-                  min_N=1, default_N=2, build=_build_a_odd,
-                  adjoint=lambda N: ade_ring("adA", 2 * N + 1)),
-    "a-odd-deq-1": dict(display="[A_{4N+1} x Vec(Z_4M)]_(1,1) / <f^(4N) x 2M>",
-                        factor=2, has_N=True, min_N=1, default_N=1,
-                        build=lambda N, M: _build_a_odd_deq(4 * N + 1, M),
-                        adjoint=lambda N: ade_ring("adA", 4 * N + 1)),
-    "a-odd-deq-3": dict(display="[A_{4N+3} x IVec(Z_4M)]_(1,1) / <f^(4N+2) x 2M>",
-                        factor=2, has_N=True, min_N=1, default_N=1,
-                        build=lambda N, M: _build_a_odd_deq(4 * N + 3, M),
-                        adjoint=lambda N: ade_ring("adA", 4 * N + 3)),
-    "a3-deq": dict(display="[A_3 x IVec(Z_8M)]_(1,1) / <f^(2) x 4M>", factor=4,
-                   has_N=False, build=_build_a3_deq,
-                   adjoint=lambda N: ade_ring("adA", 3)),
-    "d-even": dict(display="[D_2N x Vec(Z_2M)]_(1,1)", factor=2, has_N=True,
-                   min_N=2, default_N=3, build=_build_d_even,
-                   adjoint=lambda N: ade_ring("adD", 2 * N)),
-    "d4-deq": dict(display="[D_4 x Vec(Z_18M)]_(1,1) / <P x 6M>", factor=6,
-                   has_N=False, build=_build_d4_deq,
-                   adjoint=lambda N: ade_ring("adD", 4)),
-    "e6": dict(display="[E_6 x Vec(Z_2M)]_(1,1)", factor=2, has_N=False,
-               build=_build_e6, adjoint=lambda N: ade_ring("adE6")),
-    "e6-deq": dict(display="[E_6 x IVec(Z_4M)]_(1,1) / <Z x 2M>", factor=2,
-                   has_N=False, build=_build_e6_deq,
-                   adjoint=lambda N: ade_ring("adE6")),
-    "e8": dict(display="[E_8 x Vec(Z_2M)]_(1,1)", factor=2, has_N=False,
-               build=_build_e8, adjoint=lambda N: ade_ring("adE8")),
-    "exc4": dict(display="[E4 x Vec(Z_4M)]_(1,1)", factor=4, has_N=False,
-                 build=_build_exc4, adjoint=lambda N: ade_ring("adA", 7)),
-    "exc4-deq": dict(display="[E4 x IVec(Z_16M)]_(1,1) / <4 x 8M>", factor=8,
-                     has_N=False, build=_build_exc4_deq,
-                     adjoint=lambda N: ade_ring("adA", 7)),
-    "exc166": dict(display="[E16,6 x Vec(Z_6M)]_(1,1)", factor=6, has_N=False,
-                   build=_build_exc166, adjoint=lambda N: ade_ring("adD", 10)),
-}
-
-
 def expected_adjoint(spec):
     """The adjoint ADE ring a row's construction must restrict to."""
-    if not isinstance(spec, TheoremRowSpec):
-        spec = TheoremRowSpec(spec)
-    return ROWS[spec.row]["adjoint"](spec.N)
+    spec = TheoremRowSpec.coerce(spec)
+    return ROWS[spec.row].adjoint(spec.N)
 
 
 def theorem_row(spec, M=None, N=None):
     """Build one classification-table row as a fusion ring.
 
-    Accepts a TheoremRowSpec or a row identifier plus M (and N where the
-    row has one).  Returns a RowBuild with the ring, the index of the
-    designated generator of dimension < 2, and a provenance record.
+    Accepts what TheoremRowSpec.coerce accepts.  Returns a RowBuild with the
+    ring, the index of the designated generator of dimension < 2, and a
+    provenance record.
     """
-    if not isinstance(spec, TheoremRowSpec):
-        spec = TheoremRowSpec(spec, M=1 if M is None else M, N=N)
-    info = ROWS[spec.row]
-    ring, gen, steps = info["build"](spec.N, spec.M)
+    spec = TheoremRowSpec.coerce(spec, M, N)
+    recipe = ROWS[spec.row]
+    n = recipe.n * spec.M
+    if recipe.base is None:
+        ring = pointed_ring(FiniteAbelianGroup.cyclic(n))
+        gen = ring.index("1") if n > 1 else ring.unit
+        steps = ["pointed_ring(Z_%d)" % n]
+    else:
+        base, name = recipe.base(spec.N)
+        ring = _one_one_product(base, n)
+        gen = ring.index("(%s,%d)" % (recipe.gen(spec.N), 1 % n))
+        steps = ["deligne_product(%s, Vec(Z_%d))" % (name, n),
+                 "one_one_subring over %s"
+                 % " x ".join("Z_%d" % o for o in base.grading.orders + (n,))]
+    if recipe.quotient is not None:
+        label, k = recipe.quotient
+        simple = "(%s,%d)" % (label(spec.N), k * spec.M)
+        ring, orbit_of = _dequiv(ring, [simple])
+        gen = orbit_of[gen]
+        steps.append("dequiv_free by <%s>" % simple)
     provenance = {
         "row": spec.row,
-        "category": info["display"],
+        "category": recipe.display,
         "params": {"M": spec.M} if spec.N is None else {"N": spec.N, "M": spec.M},
         "grading_order": spec.grading_order,
         "generator": ring.labels[gen],

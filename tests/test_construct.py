@@ -10,6 +10,7 @@ from fusionrings import (
     Grading,
     TheoremRowSpec,
     ade_ring,
+    audit_row,
     deligne_product,
     dequiv_free,
     find_isomorphisms,
@@ -162,10 +163,10 @@ def test_one_one_product_matches_dense_oracle(spy):
                     prod = deligne_product(base, pointed_ring((n,)))
                     assert ring == one_one_subring(prod, prod.grading)
                     checked.append((row, M))
-    # every row but pointed and a-even takes a (1,1) step
-    assert len(calls) == 3 * (len(ROWS) - 2)
-    assert {("exc166", 2), ("d-even", 2), ("exc4", 3)} <= set(checked)
-    assert sum(M == 3 for _, M in checked) == 9
+    # every row but pointed takes a (1,1) step, a-even on a trivially graded base
+    assert len(calls) == 3 * (len(ROWS) - 1)
+    assert {("exc166", 2), ("d-even", 2), ("exc4", 3), ("a-even", 3)} <= set(checked)
+    assert sum(M == 3 for _, M in checked) == 10
     # a Z_2 x Z_2 graded base has simples, of degree (1, 0), with no pair
     base = deligne_product(ade_ring("A", 3), ade_ring("A", 5))
     for n in (2, 4):
@@ -250,10 +251,74 @@ def test_row_spec_validation():
 
 def test_rows_table_shape():
     assert len(ROWS) == 14
-    for row, info in ROWS.items():
-        assert set(info) >= {"display", "factor", "has_N", "build", "adjoint"}
+    for row, recipe in ROWS.items():
+        assert recipe._fields == ("display", "factor", "base", "n", "adjoint", "gen",
+                                  "quotient", "N")
         spec = TheoremRowSpec(row)
-        assert spec.grading_order == info["factor"]
+        assert spec.grading_order == recipe.factor
+        assert (recipe.base is None) == (row == "pointed")
+
+
+# the generator and construction steps of every row at M=2, default N
+ROW_STEPS_M2 = {
+    "pointed": ("1", ["pointed_ring(Z_2)"]),
+    "a-even": ("(f2,1)", ["deligne_product(ad(A_4), Vec(Z_2))", "one_one_subring over Z_2"]),
+    "a-odd": ("(f1,1)", ["deligne_product(A_5, Vec(Z_4))", "one_one_subring over Z_2 x Z_4"]),
+    "a-odd-deq-1": ("[(f1,1)]", ["deligne_product(A_5, Vec(Z_8))",
+                                 "one_one_subring over Z_2 x Z_8", "dequiv_free by <(f4,4)>"]),
+    "a-odd-deq-3": ("[(f1,1)]", ["deligne_product(A_7, Vec(Z_8))",
+                                 "one_one_subring over Z_2 x Z_8", "dequiv_free by <(f6,4)>"]),
+    "a3-deq": ("[(f1,1)]", ["deligne_product(A_3, Vec(Z_16))",
+                            "one_one_subring over Z_2 x Z_16", "dequiv_free by <(f2,8)>"]),
+    "d-even": ("(f1,1)", ["deligne_product(D_6, Vec(Z_4))", "one_one_subring over Z_2 x Z_4"]),
+    "d4-deq": ("[(f1,1)]", ["deligne_product(D_4, Vec(Z_36))",
+                            "one_one_subring over Z_2 x Z_36", "dequiv_free by <(P,12)>"]),
+    "e6": ("(f1,1)", ["deligne_product(E_6, Vec(Z_4))", "one_one_subring over Z_2 x Z_4"]),
+    "e6-deq": ("[(f1,1)]", ["deligne_product(E_6, Vec(Z_8))",
+                            "one_one_subring over Z_2 x Z_8", "dequiv_free by <(Z,4)>"]),
+    "e8": ("(f1,1)", ["deligne_product(E_8, Vec(Z_4))", "one_one_subring over Z_2 x Z_4"]),
+    "exc4": ("(5,1)", ["deligne_product(E4, Vec(Z_8))", "one_one_subring over Z_4 x Z_8"]),
+    "exc4-deq": ("[(5,1)]", ["deligne_product(E4, Vec(Z_32))",
+                             "one_one_subring over Z_4 x Z_32", "dequiv_free by <(4,16)>"]),
+    "exc166": ("(a0,1)", ["deligne_product(E16,6, Vec(Z_12))",
+                          "one_one_subring over Z_6 x Z_12"]),
+}
+
+
+def test_row_recipes_at_m2():
+    assert set(ROW_STEPS_M2) == set(ROWS)
+    for row, (generator, steps) in ROW_STEPS_M2.items():
+        build = theorem_row(row, M=2)
+        assert build.ring.labels[build.generator] == generator
+        assert build.provenance["generator"] == generator
+        assert build.provenance["steps"] == steps
+
+
+def test_spec_coercion():
+    spec = TheoremRowSpec("e6", M=1)
+    assert TheoremRowSpec.coerce(spec) is spec
+    assert repr(TheoremRowSpec.coerce(("d-even", 2, 4))) == "TheoremRowSpec('d-even', M=2, N=4)"
+    assert repr(TheoremRowSpec.coerce("a-odd", N=3)) == "TheoremRowSpec('a-odd', M=1, N=3)"
+    # M or N next to a spec or a tuple would be ignored, so they raise
+    for given in (spec, ("e6", 1)):
+        for extra in ({"M": 3}, {"N": 2}):
+            with pytest.raises(ValueError):
+                TheoremRowSpec.coerce(given, **extra)
+    with pytest.raises(ValueError):
+        theorem_row(TheoremRowSpec("d-even"), M=2, N=5)
+    with pytest.raises(ValueError):
+        audit_row(spec, M=3)
+
+
+def test_spec_at_grading_order():
+    assert repr(TheoremRowSpec.at_order("exc4-deq", 24)) == "TheoremRowSpec('exc4-deq', M=3)"
+    # N reaches only the rows that take one
+    assert TheoremRowSpec.at_order("e6", 4, N=5).N is None
+    assert TheoremRowSpec.at_order("d-even", 4, N=5).N == 5
+    with pytest.raises(ValueError):
+        TheoremRowSpec.at_order("d4-deq", 4)
+    with pytest.raises(UnknownFamilyError):
+        TheoremRowSpec.at_order("nonsense", 4)
 
 
 def test_theorem_row_builds():
