@@ -17,12 +17,16 @@ IVec(Z_2M) has the same ring as Vec(Z_2M).
 
 Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
 through the dense product: each nonzero N_xy^z of the base is scattered to
-((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y.  The tests
-check the result against the dense product at M <= 3.  Each dense tensor built
-here is first checked against config.MAX_DENSE_BYTES.
+the triple ((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y,
+and the (1,1) support is generated on those triples.  A row with a free
+quotient sums its orbit ring from the same triples and never allocates the
+(1,1) tensor.  The tests check both against the dense product at M <= 3.
+config.MAX_DENSE_BYTES bounds each dense tensor built here, which for a table
+row is the ring the row returns.
 """
 
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -46,9 +50,7 @@ from .ring import (
     adjoint_subring,
     fp_dims,
     grading_violations,
-    invertibles,
     restrict,
-    subring_generated,
     universal_grading,
 )
 from .solve import PartialRing, complete_partial_ring, unique_ring_from_graph
@@ -192,7 +194,7 @@ def one_one_subring(ring, grading):
     if not grading.orders:
         raise MalformedRingError("grading must have at least one cyclic factor")
     _check_multiplicative(ring, grading)
-    return _diagonal_subring(ring, grading)
+    return _dense(_diagonal_subring(_triples(ring)._replace(grading=grading)))
 
 
 def _check_multiplicative(ring, grading):
@@ -202,37 +204,76 @@ def _check_multiplicative(ring, grading):
                                        % tuple(ring.labels[x] for x in bad[0]))
 
 
+# A ring held as its nonzero coefficients N_{i[e] j[e]}^{k[e]} = v[e]; every
+# other coefficient is 0.  dual is an index array, grading a Grading or None.
+_Triples = namedtuple("_Triples", "labels unit dual i j k v grading")
+
+
+def _triples(ring):
+    i, j, k = np.nonzero(ring.tensor)
+    return _Triples(ring.labels, ring.unit, ring.dual, i, j, k, ring.tensor[i, j, k],
+                    ring.grading)
+
+
+def _dense(tr):
+    # the FusionRing of a _Triples, past the dense bound check
+    rank = len(tr.labels)
+    _check_dense(rank)
+    t = np.zeros((rank,) * 3, dtype=np.int64)
+    t[tr.i, tr.j, tr.k] = tr.v
+    t.setflags(write=False)
+    return FusionRing(tr.labels, tr.unit, tr.dual, t, tr.grading)
+
+
 def _diagonal_index(orders):
     # the degree (a mod o)_o of the diagonal cyclic subgroup -> a, for a < lcm
     return {tuple(a % o for o in orders): a for a in range(math.lcm(*orders))}
 
 
-def _diagonal_subring(ring, grading):
-    # one_one_subring past its checks: generate from degree (1,1,...),
-    # restrict, and grade by the diagonal Z_lcm
-    lcm = math.lcm(*grading.orders)
-    diag = _diagonal_index(grading.orders)
-    seeds = [i for i in range(ring.rank) if diag.get(grading.deg[i]) == 1 % lcm]
-    if not seeds:
+def _diagonal_subring(tr):
+    # one_one_subring past its checks, on a _Triples graded by the product
+    # grading: generate from degree (1,1,...), restrict, grade by Z_lcm
+    rank = len(tr.labels)
+    lcm = math.lcm(*tr.grading.orders)
+    diag = _diagonal_index(tr.grading.orders)
+    deg = np.array([diag.get(d, -1) for d in tr.grading.deg])
+    seeds = np.flatnonzero(deg == 1 % lcm)
+    if not len(seeds):
         raise DegenerateGradeError("no simples of degree (1,1)")
-    support = subring_generated(ring, seeds)
-    degs = [diag.get(grading.deg[i]) for i in support]
-    if None in degs:
+    # as in subring_generated: the unit's component of the graph joining x to
+    # every constituent of x (x) g, for g a seed or a seed's dual
+    by = np.zeros(rank, dtype=bool)
+    by[seeds] = by[tr.dual[seeds]] = True
+    label = components(rank, tr.i[by[tr.j]], tr.k[by[tr.j]])
+    inside = label == label[tr.unit]
+    if (deg[inside] < 0).any():
         raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
-    return restrict(ring, support, grading=Grading((lcm,), [(a,) for a in degs]))
+    grading = Grading((lcm,), [(a,) for a in deg[inside].tolist()])
+    if inside.all():
+        return tr._replace(grading=grading)
+    # restrict, with restrict's closure checks
+    keep = inside[tr.i] & inside[tr.j]
+    if not inside[tr.k[keep]].all():
+        raise MalformedRingError("index set is not fusion-closed")
+    idx = np.flatnonzero(inside)
+    if not inside[tr.dual[idx]].all():
+        raise MalformedRingError("index set is not dual-closed")
+    pos = np.cumsum(inside) - 1
+    return _Triples([tr.labels[x] for x in idx], pos[tr.unit], pos[tr.dual[idx]],
+                    pos[tr.i[keep]], pos[tr.j[keep]], pos[tr.k[keep]], tr.v[keep], grading)
 
 
 def _one_one_product(base, n):
-    # one_one_subring(deligne_product(base, pointed_ring(Z_n))) filled on the
-    # pairs (x, g) of diagonal degree: N_{(x,g),(y,h)}^{(z,k)} = N_{xy}^z [g+h = k].
-    # The product grading is multiplicative exactly when base.grading is.  A
-    # trivially graded base pairs with every g, so its ring is the whole product.
+    # the nonzero triples of one_one_subring(deligne_product(base,
+    # pointed_ring(Z_n))), filled on the pairs (x, g) of diagonal degree:
+    # N_{(x,g),(y,h)}^{(z,k)} = N_{xy}^z [g+h = k].  The product grading is
+    # multiplicative exactly when base.grading is.  A trivially graded base
+    # pairs with every g, so its ring is the whole product.
     _check_multiplicative(base, base.grading)
     orders = base.grading.orders + (n,)
     diag = _diagonal_index(orders)
     pairs = [(x, g) for x in range(base.rank) for g in range(n)
              if base.grading.deg[x] + (g,) in diag]
-    _check_dense(len(pairs))
     xs, gs = (np.array(c) for c in zip(*pairs))
     pos = np.full((base.rank, n), -1)
     pos[xs, gs] = np.arange(len(pairs))
@@ -242,22 +283,21 @@ def _one_one_product(base, n):
     cols = np.arange(len(pairs)).reshape(-1, q)
     row = np.full(base.rank, -1)
     row[xs[::q]] = np.arange(len(cols))
-    # scatter each nonzero N_xy^z to ((x,g), (y,h), (z,g+h)) over the pairs of
-    # x and y; multiplicativity and the diagonal being a subgroup make every
-    # (z, g+h) a pair.  This writes exactly the result's nonzero entries.
+    # each nonzero N_xy^z goes to ((x,g), (y,h), (z,g+h)) over the pairs of x
+    # and y; multiplicativity and the diagonal being a subgroup make every
+    # (z, g+h) a pair, and distinct (x, y, z, g, h) give distinct triples
     i, j, k = np.nonzero(base.tensor)
     keep = (row[i] >= 0) & (row[j] >= 0)
     i, j, k = i[keep], j[keep], k[keep]
-    a = cols[row[i]][:, :, None]
-    b = cols[row[j]][:, None, :]
-    t = np.zeros((len(pairs),) * 3, dtype=np.int64)
-    t[a, b, pos[k[:, None, None], (gs[a] + gs[b]) % n]] = base.tensor[i, j, k][:, None, None]
-    t.setflags(write=False)
+    shape = (len(i), q, q)
+    a = np.broadcast_to(cols[row[i]][:, :, None], shape)
+    b = np.broadcast_to(cols[row[j]][:, None, :], shape)
+    c = pos[k[:, None, None], (gs[a] + gs[b]) % n]
+    v = np.broadcast_to(base.tensor[i, j, k][:, None, None], shape)
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in pairs]
-    dual = pos[base.dual[xs], -gs % n]
     grading = Grading(orders, [base.grading.deg[x] + (g,) for x, g in pairs])
-    ring = FusionRing(labels, pos[base.unit, 0], dual, t, grading)
-    return _diagonal_subring(ring, grading)
+    return _diagonal_subring(_Triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
+                                      a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading))
 
 
 def dequiv_free(ring, h):
@@ -268,43 +308,63 @@ def dequiv_free(ring, h):
     Raises FixedPointError naming the fixed simple if the action is not
     free, and NotASubgroupError if a generator is not invertible.
     """
-    return _dequiv(ring, h)[0]
+    return _dequiv(_triples(ring), h)[0]
 
 
-def _dequiv(ring, h):
-    # dequiv_free's quotient, and the index of each simple's orbit in it
-    gens = [x if isinstance(x, (int, np.integer)) else ring.index(x) for x in h]
-    invset = set(invertibles(ring).indices)
+def _dequiv(tr, h):
+    # dequiv_free on a _Triples, and the index of each simple's orbit in it
+    rank = len(tr.labels)
+    index = {lab: x for x, lab in enumerate(tr.labels)}
+    gens = [x if isinstance(x, (int, np.integer)) else index[x] for x in h]
     for g in gens:
-        if g not in invset:
+        # g is invertible when g (x) g* is exactly the unit
+        own = (tr.i == g) & (tr.j == tr.dual[g])
+        if own.sum() != 1 or tr.k[own][0] != tr.unit or tr.v[own][0] != 1:
             raise NotASubgroupError(
                 "%s is not invertible, so it generates no subgroup of the "
-                "invertibles" % ring.labels[g])
-    # an invertible g permutes the simples by x -> (the unique) support of g (x) x;
+                "invertibles" % tr.labels[g])
+
+    def moves(simples):
+        # row e: x -> the (one) constituent of simples[e] (x) x, for invertibles
+        row = np.full(rank, -1)
+        row[simples] = np.arange(len(simples))
+        on = row[tr.i] >= 0
+        out = np.zeros((len(simples), rank), dtype=np.intp)
+        out[row[tr.i[on]], tr.j[on]] = tr.k[on]
+        return out
+
     # the subgroup the generators span is the unit's orbit under their moves
-    moves = ring.tensor[gens].argmax(axis=2)
-    label = components(ring.rank, np.broadcast_to(np.arange(ring.rank), moves.shape), moves)
-    H = np.flatnonzero(label == label[ring.unit]).tolist()
-    perms = ring.tensor[H].argmax(axis=2)
-    fixed = np.argwhere((perms == np.arange(ring.rank)) & (np.array(H) != ring.unit)[:, None])
+    step = moves(np.unique(np.array(gens, dtype=np.intp)))
+    label = components(rank, np.broadcast_to(np.arange(rank), step.shape), step)
+    H = np.flatnonzero(label == label[tr.unit])
+    perms = moves(H)
+    fixed = np.argwhere((perms == np.arange(rank)) & (H != tr.unit)[:, None])
     if len(fixed):
         g, x = H[fixed[0][0]], fixed[0][1]
         raise FixedPointError(
-            "invertible %s fixes %s" % (ring.labels[g], ring.labels[x]),
-            invertible=ring.labels[g], fixed=ring.labels[x])
-    # each orbit is represented by its least simple
+            "invertible %s fixes %s" % (tr.labels[g], tr.labels[x]),
+            invertible=tr.labels[g], fixed=tr.labels[x])
+    # each orbit is represented by its least simple.  The action is free, so
+    # the orbit of k meets h.k once for each h in H, and N_[i][j]^[k] sums
+    # N_ij^l over the triples with i, j representatives into l's orbit
     reps, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
     _check_dense(len(reps))
-    t = ring.tensor[np.ix_(reps, reps)][:, :, perms[:, reps]].sum(axis=2)
+    is_rep = np.zeros(rank, dtype=bool)
+    is_rep[reps] = True
+    on = is_rep[tr.i] & is_rep[tr.j]
+    r = len(reps)
+    t = np.zeros((r,) * 3, dtype=np.int64)
+    np.add.at(t.reshape(-1), (orbit_of[tr.i[on]] * r + orbit_of[tr.j[on]]) * r
+              + orbit_of[tr.k[on]], tr.v[on])
     t.setflags(write=False)
-    dual = orbit_of[ring.dual[reps]]
-    labels = ["[%s]" % ring.labels[i] for i in reps]
+    dual = orbit_of[tr.dual[reps]]
+    labels = ["[%s]" % tr.labels[i] for i in reps]
     grading = None
-    if ring.grading is not None:
-        go = ring.grading.orders
-        group, f = quotient_with_map(go, [list(ring.grading.deg[g]) for g in H])
-        grading = Grading(group.orders, [f(list(ring.grading.deg[i])) for i in reps])
-    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of.tolist()
+    if tr.grading is not None:
+        go = tr.grading.orders
+        group, f = quotient_with_map(go, [list(tr.grading.deg[g]) for g in H])
+        grading = Grading(group.orders, [f(list(tr.grading.deg[i])) for i in reps])
+    return FusionRing(labels, orbit_of[tr.unit], dual, t, grading), orbit_of.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +487,28 @@ ROWS = {
 }
 
 
+def _integer(name, value):
+    # a Python or numpy integer as an int; anything else raises, so that a
+    # non-integral M or N is never truncated
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+
+
 class TheoremRowSpec:
     """One row of the classification table, with its parameters.
 
     row is one of the identifiers in ROWS; M >= 1 scales the grading group;
-    N is required exactly for the rows with a free family parameter.
+    N is required exactly for the rows with a free family parameter.  M and
+    N must be integers (Python or numpy); any other value raises ValueError.
     """
 
     def __init__(self, row, M=1, N=None):
         if row not in ROWS:
             raise UnknownFamilyError("unknown classification row %r" % (row,))
         self.row = row
-        self.M = int(M)
+        self.M = _integer("M", M)
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if ROWS[row].N is None:
@@ -447,7 +517,7 @@ class TheoremRowSpec:
             self.N = None
         else:
             min_N, default_N = ROWS[row].N
-            self.N = default_N if N is None else int(N)
+            self.N = default_N if N is None else _integer("N", N)
             if self.N < min_N:
                 raise ValueError("row %s needs N >= %d" % (row, min_N))
 
@@ -527,17 +597,19 @@ def theorem_row(spec, M=None, N=None):
         steps = ["pointed_ring(Z_%d)" % n]
     else:
         base, name = recipe.base(spec.N)
-        ring = _one_one_product(base, n)
-        gen = ring.index("(%s,%d)" % (recipe.gen(spec.N), 1 % n))
+        one_one = _one_one_product(base, n)
+        gen = one_one.labels.index("(%s,%d)" % (recipe.gen(spec.N), 1 % n))
         steps = ["deligne_product(%s, Vec(Z_%d))" % (name, n),
                  "one_one_subring over %s"
                  % " x ".join("Z_%d" % o for o in base.grading.orders + (n,))]
-    if recipe.quotient is not None:
-        label, k = recipe.quotient
-        simple = "(%s,%d)" % (label(spec.N), k * spec.M)
-        ring, orbit_of = _dequiv(ring, [simple])
-        gen = orbit_of[gen]
-        steps.append("dequiv_free by <%s>" % simple)
+        if recipe.quotient is None:
+            ring = _dense(one_one)
+        else:
+            label, k = recipe.quotient
+            simple = "(%s,%d)" % (label(spec.N), k * spec.M)
+            ring, orbit_of = _dequiv(one_one, [simple])
+            gen = orbit_of[gen]
+            steps.append("dequiv_free by <%s>" % simple)
     provenance = {
         "row": spec.row,
         "category": recipe.display,

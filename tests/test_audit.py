@@ -94,13 +94,14 @@ def test_audit_rows_left_out_of_the_benchmark(row, M, rank, least_k):
 
 
 def test_exc4_deq_m4_builds_in_bounded_memory(e4):
-    # the dense Deligne product alone would be 768**3 int64 entries, 3.6 GB;
-    # the (1,1) ring is 192**3 of them, 57 MB, and the whole build peaks at
-    # 86 MB, so the bound is about 1.4 times that
+    # the dense Deligne product alone would be 768**3 int64 entries, 3.6 GB,
+    # and the (1,1) ring 192**3 of them, 57 MB; the quotient is summed from
+    # the (1,1) ring's nonzero triples into the 96**3 result, 7.1 MB, and the
+    # whole build peaks at about 10 MB, so the bound is about 1.4 times that
     tracemalloc.start()
     try:
         theorem_row("exc4-deq", M=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120 * 10 ** 6
+    assert peak < 14 * 10 ** 6

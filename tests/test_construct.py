@@ -120,6 +120,11 @@ def test_dequiv_free_quotients():
     assert err.value.invertible == "f6"
     assert err.value.fixed == "f3"
 
+    # generators may be indices, and may repeat
+    assert dequiv_free(z4, [2, "2"]) == q
+    with pytest.raises(NotASubgroupError):
+        dequiv_free(ade_ring("A", 5), [0, "f1"])
+
 
 def test_dequiv_free_pipeline():
     prod = deligne_product(ade_ring("A", 5), pointed_ring((8,)))
@@ -158,10 +163,10 @@ def test_one_one_product_matches_dense_oracle(spy):
             # every row at M <= 2, among them exc166 and d-even, whose bases
             # have multiplicities up to 5 and 2; at M = 3 every row whose
             # dense product has at most 150 simples
-            for (base, n), ring in calls[start:]:
+            for (base, n), one_one in calls[start:]:
                 if M <= 2 or base.rank * n <= 150:
                     prod = deligne_product(base, pointed_ring((n,)))
-                    assert ring == one_one_subring(prod, prod.grading)
+                    assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
                     checked.append((row, M))
     # every row but pointed takes a (1,1) step, a-even on a trivially graded base
     assert len(calls) == 3 * (len(ROWS) - 1)
@@ -171,7 +176,8 @@ def test_one_one_product_matches_dense_oracle(spy):
     base = deligne_product(ade_ring("A", 3), ade_ring("A", 5))
     for n in (2, 4):
         prod = deligne_product(base, pointed_ring((n,)))
-        assert construct._one_one_product(base, n) == one_one_subring(prod, prod.grading)
+        one_one = construct._one_one_product(base, n)
+        assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
 
 
 def test_moved_degree_fails_both_one_one_paths(a5):
@@ -206,23 +212,70 @@ def _orbit_ring_loop(ring, gen):
     return tuple("[%s]" % ring.labels[i] for i in reps), t
 
 
+QUOTIENT_ROWS = [row for row, recipe in ROWS.items() if recipe.quotient is not None]
+
+
 def test_dequiv_matches_loop_oracle(spy):
+    # a quotient row hands _dequiv the (1,1) ring's nonzero triples; on the
+    # dense ring they list, dequiv_free and the loop give the row's ring
     calls = spy("_dequiv")
-    for row in ("a3-deq", "e6-deq", "exc4-deq", "d4-deq"):
-        theorem_row(row, M=2)
-    assert len(calls) == 4
-    for (ring, (gen,)), (quot, _) in calls:
-        labels, t = _orbit_ring_loop(ring, ring.index(gen))
+    for row in QUOTIENT_ROWS:
+        build = theorem_row(row, M=2)
+        assert len(calls) == 1
+        (one_one, (simple,)), (quot, _) = calls.pop()
+        assert quot is build.ring
+        ring = construct._dense(one_one)
+        labels, t = _orbit_ring_loop(ring, ring.index(simple))
         assert quot.labels == labels
         assert np.array_equal(quot.tensor, t)
+        assert dequiv_free(ring, [simple]) == quot
+        calls.clear()
+    assert len(QUOTIENT_ROWS) == 6
+
+
+def test_quotient_rows_match_dense_oracle():
+    # theorem_row against dequiv_free on the dense (1,1) ring of the dense
+    # product: every quotient row at M <= 2, and at M = 3 every one whose
+    # dense product has at most 150 simples
+    checked = []
+    for row in QUOTIENT_ROWS:
+        recipe = ROWS[row]
+        N = recipe.N and recipe.N[1]
+        base, _ = recipe.base(N)
+        label, k = recipe.quotient
+        for M in (1, 2, 3):
+            n = recipe.n * M
+            if M == 3 and base.rank * n > 150:
+                continue
+            prod = deligne_product(base, pointed_ring((n,)))
+            dense = dequiv_free(one_one_subring(prod, prod.grading),
+                                ["(%s,%d)" % (label(N), k * M)])
+            assert theorem_row(row, M=M).ring == dense
+            checked.append((row, M))
+    assert len(checked) == 16
+    assert ("d4-deq", 3) not in checked and ("exc4-deq", 3) not in checked
 
 
 def test_dense_tensors_past_the_bound_raise_before_allocating():
     # 1600**3 int64 entries would take about 32.8 GB
     with pytest.raises(BoundsExceededError):
         deligne_product(ade_ring("A", 40), ade_ring("A", 40))
+    # the least M whose returned ring, of rank 24M, passes 2**31 bytes; its
+    # (1,1) ring would be 1296**3 entries, 17.4 GB
+    assert 624 ** 3 * 8 <= config.MAX_DENSE_BYTES < 648 ** 3 * 8
     with pytest.raises(BoundsExceededError):
-        theorem_row("exc4-deq", M=20)
+        theorem_row("exc4-deq", M=27)
+
+
+def test_dense_bound_applies_to_the_returned_ring(monkeypatch):
+    # exc4-deq at M=4 returns 96**3 int64 entries, 7.1 MB, while its (1,1)
+    # ring would be 192**3 of them, 56.6 MB
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", 8 * 10 ** 6)
+    assert theorem_row("exc4-deq", M=4).ring.rank == 96
+    with pytest.raises(BoundsExceededError):
+        theorem_row("exc4-deq", M=5)  # rank 120, 13.8 MB
+    with pytest.raises(BoundsExceededError):
+        theorem_row("exc4", M=9)  # no quotient: its (1,1) ring, rank 108, is the result
 
 
 def test_table_rows_stay_far_below_the_dense_bound(monkeypatch):
@@ -247,6 +300,23 @@ def test_row_spec_validation():
     assert TheoremRowSpec("a-odd", M=2).grading_order == 4
     assert TheoremRowSpec("pointed", M=7).grading_order == 7
     assert "M" in spec.describe() or spec.row in spec.describe()
+
+
+def test_row_parameters_must_be_integers():
+    # a non-integral M or N raises instead of being truncated
+    for bad in ({"M": 2.5}, {"M": 2.0}, {"M": "2"}, {"N": 3.9}):
+        row = "d-even" if "N" in bad else "e6"
+        with pytest.raises(ValueError, match="integer"):
+            TheoremRowSpec(row, **bad)
+    with pytest.raises(ValueError):
+        theorem_row("pointed", M=2.7)
+    with pytest.raises(ValueError):
+        audit_row("d-even", M=1, N=3.5)
+    # Python and numpy integers both work
+    spec = TheoremRowSpec("d-even", M=np.int64(2), N=np.int32(3))
+    assert (spec.M, spec.N) == (2, 3) and type(spec.M) is int and type(spec.N) is int
+    assert theorem_row("pointed", M=np.int64(3)).ring.rank == 3
+    assert repr(TheoremRowSpec.at_order("e6", np.int64(4))) == "TheoremRowSpec('e6', M=2)"
 
 
 def test_rows_table_shape():
