@@ -131,18 +131,6 @@ def diagonal_entries(d):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def integer_kernel(a):
-    """Basis (list of columns) of {x in Z^n : A x = 0}: ``congruence_kernel``
-    with every modulus 0.
-
-    >>> integer_kernel([[2, -1, 0]])
-    [[1, 2, 0], [0, 0, 1]]
-    """
-    n = len(a[0]) if a else 0
-    return [[t.get(j, 0) for j in range(n)]
-            for t in congruence_kernel(sparse_columns(a), [0] * len(a))]
-
-
 def congruence_kernel(cols, moduli):
     """Z-basis, as sparse vectors, of {x : sum_j x_j cols[j] = 0 mod moduli}.
 

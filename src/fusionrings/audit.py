@@ -100,21 +100,17 @@ def audit_row(spec, M=None, N=None, k_max=K_HORIZON):
     return AuditReport(spec, ring.rank, ring.labels[gen], checks)
 
 
-def audit_all(max_M=2, rows=None, k_max=K_HORIZON):
+def audit_all(max_M=2):
     """Audit every classification row at M = 1..max_M, in table order."""
-    reports = []
-    for row in (rows if rows is not None else list(ROWS)):
-        for M in range(1, max_M + 1):
-            reports.append(audit_row(TheoremRowSpec(row, M=M), k_max=k_max))
-    return reports
+    return [audit_row(TheoremRowSpec(row, M=M)) for row in ROWS for M in range(1, max_M + 1)]
 
 
-def _self_dual_profile(ring, ndigits=5):
+def _self_dual_profile(ring):
     dims = fp_dims(ring)
     prof = Counter()
     for i in range(ring.rank):
         if ring.dual[i] == i:
-            prof[round(float(dims[i]), ndigits)] += 1
+            prof[round(float(dims[i]), 5)] += 1
     return dict(prof)
 
 

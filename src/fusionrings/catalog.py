@@ -138,7 +138,6 @@ class BPCatalogEntry:
         self.brauer_picard = data["brauer_picard"]
         self.exponent = int(data["exponent"])
         self.inv_centre = FiniteAbelianGroup(tuple(data["inv_centre"]))
-        self.inv_elements = list(data["inv_elements"])
         actions = data.get("actions", {})
         self.bimodules = [
             BimoduleRecord(bid, order, profiles[_base_type(bid)],

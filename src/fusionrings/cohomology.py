@@ -43,11 +43,6 @@ class GroupAction:
     def trivial(cls, m, n_factors):
         return cls(m, [[1 if i == j else 0 for j in range(n_factors)] for i in range(n_factors)])
 
-    def validate(self, coeffs):
-        """The powers T^0, ..., T^{M-1}: ``period(coeffs)`` repeated."""
-        powers = self.period(coeffs)
-        return [powers[i % len(powers)] for i in range(self.m)]
-
     def period(self, coeffs):
         """Check the action on ``coeffs``; return the powers T^0, ..., T^{o-1}.
 

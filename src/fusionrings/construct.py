@@ -18,7 +18,8 @@ IVec(Z_2M) has the same ring as Vec(Z_2M).
 Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
 through the dense product: each nonzero N_xy^z of the base is scattered to
 the triple ((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y,
-and the (1,1) support is generated on those triples.  A row with a free
+and the (1,1) support is generated on those triples; one short of all the
+pairs (no row has one) is cut out by ring.restrict.  A row with a free
 quotient sums its orbit ring from the same triples and never allocates the
 (1,1) tensor.  The tests check both against the dense product at M <= 3.
 config.MAX_DENSE_BYTES bounds each dense tensor built here, which for a table
@@ -136,8 +137,6 @@ def ade_ring(family, size=None):
     subscript (rank of the A/D graph), required for A and D.
     """
     fam = str(family)
-    if fam in ("D-even", "adD-even"):
-        fam = fam.replace("-even", "")
     if fam in ("A", "adA"):
         if size is None or size < 2:
             raise UnknownFamilyError("A_N needs a size N >= 2")
@@ -186,15 +185,16 @@ def one_one_subring(ring, grading):
     """Subring generated by the simples of diagonal degree (1,1,...).
 
     The grading is supplied explicitly (it may be coarser than universal);
-    it is checked for multiplicativity.  The result carries the induced
-    cyclic grading by Z_lcm of the factor orders.
+    it is checked for multiplicativity.  The support is cut out by
+    ring.restrict, which checks its closure.  The result carries the
+    induced cyclic grading by Z_lcm of the factor orders.
     """
     if len(grading.deg) != ring.rank:
         raise MalformedRingError("grading does not match the ring's rank")
     if not grading.orders:
         raise MalformedRingError("grading must have at least one cyclic factor")
     _check_multiplicative(ring, grading)
-    return _dense(_diagonal_subring(_triples(ring)._replace(grading=grading)))
+    return restrict(ring, *_diagonal_subring(_triples(ring)._replace(grading=grading)))
 
 
 def _check_multiplicative(ring, grading):
@@ -232,7 +232,8 @@ def _diagonal_index(orders):
 
 def _diagonal_subring(tr):
     # one_one_subring past its checks, on a _Triples graded by the product
-    # grading: generate from degree (1,1,...), restrict, grade by Z_lcm
+    # grading: the indices of the support generated from degree (1,1,...),
+    # and its grading by Z_lcm
     rank = len(tr.labels)
     lcm = math.lcm(*tr.grading.orders)
     diag = _diagonal_index(tr.grading.orders)
@@ -248,19 +249,7 @@ def _diagonal_subring(tr):
     inside = label == label[tr.unit]
     if (deg[inside] < 0).any():
         raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
-    grading = Grading((lcm,), [(a,) for a in deg[inside].tolist()])
-    if inside.all():
-        return tr._replace(grading=grading)
-    # restrict, with restrict's closure checks
-    keep = inside[tr.i] & inside[tr.j]
-    if not inside[tr.k[keep]].all():
-        raise MalformedRingError("index set is not fusion-closed")
-    idx = np.flatnonzero(inside)
-    if not inside[tr.dual[idx]].all():
-        raise MalformedRingError("index set is not dual-closed")
-    pos = np.cumsum(inside) - 1
-    return _Triples([tr.labels[x] for x in idx], pos[tr.unit], pos[tr.dual[idx]],
-                    pos[tr.i[keep]], pos[tr.j[keep]], pos[tr.k[keep]], tr.v[keep], grading)
+    return np.flatnonzero(inside).tolist(), Grading((lcm,), [(a,) for a in deg[inside].tolist()])
 
 
 def _one_one_product(base, n):
@@ -296,8 +285,12 @@ def _one_one_product(base, n):
     v = np.broadcast_to(base.tensor[i, j, k][:, None, None], shape)
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in pairs]
     grading = Grading(orders, [base.grading.deg[x] + (g,) for x, g in pairs])
-    return _diagonal_subring(_Triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
-                                      a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading))
+    tr = _Triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
+                  a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading)
+    idx, grading = _diagonal_subring(tr)
+    if len(idx) == len(labels):
+        return tr._replace(grading=grading)
+    return _triples(restrict(_dense(tr), idx, grading))
 
 
 def dequiv_free(ring, h):
@@ -552,9 +545,6 @@ class TheoremRowSpec:
     @property
     def grading_order(self):
         return ROWS[self.row].factor * self.M
-
-    def describe(self):
-        return ROWS[self.row].display
 
     def __repr__(self):
         if self.N is None:

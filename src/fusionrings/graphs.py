@@ -58,11 +58,11 @@ class Digraph:
         """Total multiplicity."""
         return sum(self.edges.values())
 
-    def to_dot(self, labels=None, name="fusion"):
+    def to_dot(self, labels=None):
         """DOT serialization, one edge line per unit of multiplicity."""
         if labels is None:
             labels = [str(i) for i in range(self.n)]
-        lines = ["digraph %s {" % name]
+        lines = ["digraph fusion {"]
         for i in range(self.n):
             lines.append('  "%s";' % labels[i])
         for (u, v) in sorted(self.edges):

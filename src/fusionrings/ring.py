@@ -37,10 +37,12 @@ class Grading:
 
     def __init__(self, orders, deg):
         self.orders = tuple(int(o) for o in orders)
+        if any(o < 1 for o in self.orders):
+            raise MalformedRingError("grading orders must be >= 1")
+        deg = [tuple(d) for d in deg]
+        if any(len(d) != len(self.orders) for d in deg):
+            raise MalformedRingError("degree arity does not match orders")
         self.deg = tuple(tuple(int(c) % o for c, o in zip(d, self.orders)) for d in deg)
-        for d in self.deg:
-            if len(d) != len(self.orders):
-                raise MalformedRingError("degree arity does not match orders")
 
     @property
     def group(self):
@@ -126,13 +128,6 @@ class FusionRing:
 
     def index(self, label):
         return self._index[label]
-
-    def N(self, i, j, k):
-        return int(self.tensor[i, j, k])
-
-    def row(self, i, j):
-        """Decomposition vector of the product of simples i and j."""
-        return self.tensor[i, j]
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
@@ -303,7 +298,7 @@ def fp_dims(ring):
     certified by the residual max |d_i d_j - sum_k N_{ij}^k d_k|, which must
     stay below config.TOLERANCE * max(d)^2.
     """
-    t = ring.tensor.astype(np.float64)
+    t = ring.tensor
     v = perron_vector(t.sum(axis=0))
     d = v / v[ring.unit]
     residual = float(np.max(np.abs(np.outer(d, d) - np.einsum("ijk,k->ij", t, d))))
@@ -444,11 +439,10 @@ def adjoint_subring(ring):
 class InvertiblesReport:
     """Invertible simples with their group structure."""
 
-    def __init__(self, indices, group, abelian, table):
+    def __init__(self, indices, group, abelian):
         self.indices = tuple(indices)
         self.group = group          # FiniteAbelianGroup, or None if nonabelian
         self.abelian = abelian
-        self.table = table          # dict (i, j) -> k on invertible indices
 
     @property
     def order(self):
@@ -476,14 +470,12 @@ def invertibles(ring):
     prod = block.argmax(axis=2)
     if not ((block.sum(axis=2) == 1) & (pos[prod] >= 0)).all():
         raise MalformedRingError("invertibles are not closed under fusion")
-    inv = inv.tolist()
-    table = {(gi, gj): k for gi, ks in zip(inv, prod.tolist()) for gj, k in zip(inv, ks)}
     abelian = bool((prod == prod.T).all())
     group = None
     if abelian:
         mul = pos[prod].tolist()
         group = group_from_table(len(inv), lambda a, b: mul[a][b])
-    return InvertiblesReport(inv, group, abelian, table)
+    return InvertiblesReport(inv.tolist(), group, abelian)
 
 
 def universal_grading(ring):
@@ -506,27 +498,19 @@ def universal_grading(ring):
     least, comp = np.unique(components(r, *np.nonzero(reach)), return_inverse=True)
     n_comp = len(least)
 
-    # hit[i, j, c]: i (x) j has a constituent in component c
     i, j, k = np.nonzero(t)
-    hit = np.zeros((r, r, n_comp), dtype=bool)
-    hit[i, j, comp[k]] = True
-    count = hit.sum(axis=2)
-    bad = np.argwhere(count != 1)
-    if len(bad):
-        i, j = bad[0]
-        if count[i, j] == 0:
-            raise InconsistentGradingError("empty fusion product (broken ring)")
-        raise InconsistentGradingError(
-            "product of components %d,%d is not single-valued" % (comp[i], comp[j]))
-    # induced product on components, checked to be one table for all pairs
-    c = hit.argmax(axis=2)
+    if not np.bincount(i * r + j, minlength=r * r).all():
+        raise InconsistentGradingError("empty fusion product (broken ring)")
+    # the component product, read off one constituent of each product: a product
+    # spanning two components and pairs that disagree both fail the one test
+    ci, cj, ck = comp[i], comp[j], comp[k]
     prod = np.zeros((n_comp, n_comp), dtype=np.int64)
-    prod[comp[:, None], comp[None, :]] = c
-    bad = np.argwhere(prod[comp[:, None], comp[None, :]] != c)
+    prod[ci, cj] = ck
+    bad = np.flatnonzero(prod[ci, cj] != ck)
     if len(bad):
-        i, j = bad[0]
+        e = bad[0]
         raise InconsistentGradingError(
-            "inconsistent component product at %r" % ((int(comp[i]), int(comp[j])),))
+            "product of components %d,%d is not single-valued" % (ci[e], cj[e]))
     if (prod != prod.T).any():
         raise InconsistentGradingError("nonabelian universal grading")
 
@@ -595,19 +579,18 @@ def fusion_graph(ring, x):
 # restriction (plumbing shared by the constructions)
 
 
-def restrict(ring, indices, grading=None, relabel=None):
+def restrict(ring, indices, grading=None):
     """Subring on a dual- and fusion-closed index set, reindexed from 0.
 
     ``indices`` must be closed (as produced by subring_generated); entries of
     the big tensor leaving the set would be dropped silently otherwise, so
-    closure is checked.  Labels are kept unless ``relabel`` maps old labels to
-    new ones.  The whole index set in order gives a ring on ring's own
-    read-only arrays, with no copy.
+    closure under fusion and duals is checked (MalformedRingError); adjoint
+    and (1,1) subrings both come through here.  Labels are kept and
+    ``grading`` is attached.  The whole index set in order gives a ring on
+    ring's own read-only arrays, with no copy.
     """
     idx = list(indices)
     labels = [ring.labels[i] for i in idx]
-    if relabel:
-        labels = [relabel.get(l, l) for l in labels]
     if idx == list(range(ring.rank)):
         return FusionRing(labels, ring.unit, ring.dual, ring.tensor, grading)
     pos = {g: a for a, g in enumerate(idx)}

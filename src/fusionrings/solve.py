@@ -31,6 +31,7 @@ completion to a fusion ring.  The pipeline:
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -54,12 +55,20 @@ from .ring import (
 )
 
 
+def _index(x):
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise MalformedRingError("expected an integer, got %r" % (x,)) from None
+
+
 class PartialRing:
     """A partially specified fusion ring: dims + grading + known entries.
 
     ``known`` maps (i, j, k) to a coefficient; absent triples are unknown
     (an explicit 0 is a known zero).  ``dual`` may be None, a full
-    involution, or a partial dict {i: j}; it is kept as a dict.
+    involution, or a partial dict {i: j}; it is kept as a dict.  Indices
+    and entries must be Python or numpy integers, else MalformedRingError.
     """
 
     def __init__(self, labels, unit, dims, grading, dual=None, known=None):
@@ -86,12 +95,12 @@ class PartialRing:
             self.dual = None
         else:
             pairs = dual.items() if isinstance(dual, dict) else enumerate(dual)
-            self.dual = {int(i): int(j) for i, j in pairs}
+            self.dual = {_index(i): _index(j) for i, j in pairs}
             if not all(0 <= x < r for pair in self.dual.items() for x in pair):
                 raise MalformedRingError("dual index out of range")
             if any(self.dual.get(j, i) != i for i, j in self.dual.items()):
                 raise MalformedRingError("dual is not an involution")
-        self.known = {tuple(int(x) for x in k): int(v) for k, v in (known or {}).items()}
+        self.known = {tuple(map(_index, k)): _index(v) for k, v in (known or {}).items()}
         for (i, j, k), v in self.known.items():
             if not (0 <= i < r and 0 <= j < r and 0 <= k < r) or v < 0:
                 raise MalformedRingError("bad known entry %r" % (((i, j, k), v),))
@@ -590,7 +599,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
         if not rep.ok:
             continue
         residual = float(np.max(np.abs(
-            np.outer(d, d) - np.einsum("ijk,k->ij", tensor.astype(np.float64), d))))
+            np.outer(d, d) - np.einsum("ijk,k->ij", tensor, d))))
         if residual > tol * float(d.max()) ** 2:
             continue
         solutions.append(ring)
@@ -643,7 +652,7 @@ def _graph_partial(graph, unit, labels):
     return PartialRing(labels, unit, dims, grading, known=known)
 
 
-def ring_from_generator_graph(graph, unit=0, labels=None, search_cap=10_000_000):
+def ring_from_generator_graph(graph, unit=0, labels=None):
     """All fusion rings whose designated generator has the given fusion graph.
 
     The graph fixes the generator's full fusion row N_{g x}^y = A[x][y]; the
@@ -652,16 +661,16 @@ def ring_from_generator_graph(graph, unit=0, labels=None, search_cap=10_000_000)
     grading.  Everything else is delegated to complete_partial_ring.
     """
     partial = _graph_partial(graph, unit, labels)
-    return list(complete_partial_ring(partial, search_cap=search_cap).solutions)
+    return list(complete_partial_ring(partial).solutions)
 
 
-def unique_ring_from_graph(graph, unit=0, labels=None, search_cap=10_000_000):
+def unique_ring_from_graph(graph, unit=0, labels=None):
     """The one fusion ring with this generator graph, up to isomorphism.
 
     Raises NonUniqueCompletionError when the completions fall into more
     than one isomorphism class; returns the first class representative.
     """
-    result = complete_partial_ring(_graph_partial(graph, unit, labels), search_cap=search_cap)
+    result = complete_partial_ring(_graph_partial(graph, unit, labels))
     if len(result.classes) != 1:
         raise NonUniqueCompletionError(
             "generator graph admits %d non-isomorphic completions" % len(result.classes))

@@ -9,10 +9,10 @@ from fusionrings.abelian import (
     diagonal_entries,
     group_from_table,
     congruence_kernel,
-    integer_kernel,
     quotient_invariants,
     quotient_with_map,
     smith_normal_form,
+    sparse_columns,
 )
 
 
@@ -261,6 +261,13 @@ def _integer_solver(a):
 
 def solve_integer(a, b):
     return _integer_solver(a)(b)
+
+
+def integer_kernel(a):
+    # {x : A x = 0}: congruence_kernel with every modulus 0, as dense columns
+    n = len(a[0]) if a else 0
+    return [[t.get(j, 0) for j in range(n)]
+            for t in congruence_kernel(sparse_columns(a), [0] * len(a))]
 
 
 def test_integer_linear_algebra():

@@ -73,7 +73,7 @@ def test_bar_coboundaries_compose_to_zero():
     for spec, orders in (("swap", (4, 4)), ("inv", (5,)), ("inv2", (4, 3))):
         coeffs, k = FiniteAbelianGroup(orders), len(orders)
         for m in (2, 4):
-            powers = parse_action(spec, m, orders).validate(coeffs)
+            powers = parse_action(spec, m, orders).period(coeffs)
             for n in (0, 1, 2):
                 d = _coboundary(n, m, powers, orders)
                 dd = mat_mul(_coboundary(n + 1, m, powers, orders), d)
@@ -112,11 +112,11 @@ def test_brute_force_bounds():
 
 def test_action_validation():
     # negation is a Z_2-module structure on Z_3, but not a Z_3 one
-    GroupAction(2, [[-1]]).validate(FiniteAbelianGroup((3,)))
+    GroupAction(2, [[-1]]).period(FiniteAbelianGroup((3,)))
     with pytest.raises(InvalidActionError):
-        GroupAction(3, [[-1]]).validate(FiniteAbelianGroup((3,)))
+        GroupAction(3, [[-1]]).period(FiniteAbelianGroup((3,)))
     with pytest.raises(InvalidActionError):
-        GroupAction(2, [[2]]).validate(FiniteAbelianGroup((4,)))  # not invertible
+        GroupAction(2, [[2]]).period(FiniteAbelianGroup((4,)))  # not invertible
 
 
 def _full_period_powers(action, coeffs):
@@ -153,10 +153,11 @@ def test_action_powers_stop_at_the_period():
         if want is None:
             invalid += 1
             with pytest.raises(InvalidActionError):
-                action.validate(coeffs)
+                action.period(coeffs)
         else:
             valid += 1
-            assert action.validate(coeffs) == want, (m, orders, t)
+            powers = action.period(coeffs)
+            assert [powers[i % len(powers)] for i in range(m)] == want, (m, orders, t)
     assert valid > 300 and invalid > 300, (valid, invalid)
 
 

@@ -178,6 +178,16 @@ def test_one_one_product_matches_dense_oracle(spy):
         prod = deligne_product(base, pointed_ring((n,)))
         one_one = construct._one_one_product(base, n)
         assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
+    # every pair is reached unless a product is empty; with y (x) x = 0 (not
+    # a fusion ring) y is not, and the support goes through restrict
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(3, dtype=np.int64)
+    t[1, 1, 0] = t[2, 2, 0] = 1
+    base = FusionRing(["1", "x", "y"], 0, [0, 1, 2], t, Grading((2,), [(0,), (1,), (0,)]))
+    prod = deligne_product(base, pointed_ring((4,)))
+    one_one = construct._one_one_product(base, 4)
+    assert len(one_one.labels) == 4
+    assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
 
 
 def test_moved_degree_fails_both_one_one_paths(a5):
@@ -299,7 +309,7 @@ def test_row_spec_validation():
     assert spec.grading_order == 24
     assert TheoremRowSpec("a-odd", M=2).grading_order == 4
     assert TheoremRowSpec("pointed", M=7).grading_order == 7
-    assert "M" in spec.describe() or spec.row in spec.describe()
+    assert "M" in ROWS[spec.row].display
 
 
 def test_row_parameters_must_be_integers():

@@ -1,7 +1,10 @@
 """Rules on how the package's modules depend on each other."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
+import sys
 
 import fusionrings
 
@@ -24,3 +27,18 @@ def test_no_module_imports_another_modules_private_helper():
     hits = ["%s: %s" % (path.name, name)
             for path in sources for name in private_imports(path.read_text())]
     assert hits == []
+
+
+def test_traced_names_are_package_attributes(monkeypatch):
+    # bench/run.py --trace 1 wraps these (module, function) pairs by name, so
+    # a renamed or removed function would break the traced run; the file is
+    # loaded from its path without writing a bytecode cache next to it
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.FUNCTIONS and spans.SITE_ONLY
+    for modname, fname in spans.FUNCTIONS + spans.SITE_ONLY:
+        module = importlib.import_module("fusionrings." + modname)
+        assert hasattr(module, fname), (modname, fname)

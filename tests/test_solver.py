@@ -497,10 +497,19 @@ def _two_labels(**kw):
     (dict(dims=[1.0, float("inf")]), "dims must be finite and positive"),
     (dict(dims=[float("nan"), 1.0]), "dims must be finite and positive"),
     (dict(dims=[1.0, 0.0]), "dims must be finite and positive"),
+    (dict(known={(0, 0, 0): 1.7}), "integer"),
+    (dict(known={(0, 1.0, 1): 1}), "integer"),
+    (dict(dual={1: 1.9}), "integer"),
 ])
 def test_partial_ring_rejects_malformed_input(kw, fragment):
     with pytest.raises(MalformedRingError, match=fragment):
         _two_labels(**kw)
+
+
+def test_partial_ring_takes_numpy_integers():
+    partial = _two_labels(dual={np.int64(1): np.int64(1)}, known={(np.int64(0),) * 3: np.int64(1)})
+    assert partial.dual == {1: 1} and partial.known == {(0, 0, 0): 1}
+    assert all(type(x) is int for ijk, v in partial.known.items() for x in ijk + (v,))
 
 
 def test_partial_dual_round_trips_through_json():
