@@ -19,6 +19,8 @@ import math
 from collections import namedtuple
 from itertools import product as _cartesian
 
+from .errors import as_integer
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -212,14 +214,6 @@ def quotient_invariants(basis, subgens):
     >>> quotient_invariants([{0: 2}, {1: 1}], [{0: 4}, {0: 2, 1: 6}, {1: 9}])
     (3,)
     """
-    d, _ = _quotient(basis, subgens)
-    return tuple(x for x in d if x > 1)
-
-
-def _quotient(basis, subgens, u=False):
-    # the core shared by quotient_invariants and quotient_with_map: the Smith
-    # diagonal of the r x r square, and, when u is set, the U that takes
-    # echelon coordinates to Smith coordinates
     r = len(basis)
     echelon, _ = _column_reduce([(dict(b), {}) for b in basis])
     if len(echelon) < r:
@@ -235,8 +229,16 @@ def _quotient(basis, subgens, u=False):
                 _sub_multiple(g, p, y[k])
         if g:
             raise ValueError("generator outside the lattice")
-        coords.append((y, {}))
-    square, _ = _column_reduce(coords)
+        coords.append(y)
+    d, _ = _square_quotient(r, coords)
+    return tuple(x for x in d if x > 1)
+
+
+def _square_quotient(r, coords, u=False):
+    # shared by quotient_invariants and quotient_with_map: the sparse
+    # coordinates (consumed) reduce to an r x r square; its Smith diagonal and,
+    # when u is set, the U that takes coordinates to Smith coordinates
+    square, _ = _column_reduce([(y, {}) for y in coords])
     if len(square) < r:
         raise ValueError("infinite quotient")
     s = smith_normal_form([[p.get(k, 0) for _, p in square] for k in range(r)], u=u)
@@ -273,7 +275,7 @@ class FiniteAbelianGroup:
     __slots__ = ("orders",)
 
     def __init__(self, orders=()):
-        orders = tuple(int(o) for o in orders)
+        orders = tuple(as_integer(o, ValueError) for o in orders)
         if any(o < 1 for o in orders):
             raise ValueError("cyclic factor orders must be >= 1")
         self.orders = orders
@@ -406,7 +408,7 @@ def quotient_with_map(orders, relations):
     k = len(orders)
     gens = [{i: o} for i, o in enumerate(orders) if o]
     gens += [{i: x for i, x in enumerate(v) if x} for v in relations]
-    diag, u = _quotient([{i: 1} for i in range(k)], gens, u=True)
+    diag, u = _square_quotient(k, gens, u=True)
     keep = [i for i, d in enumerate(diag) if d > 1]
 
     def f(vec):

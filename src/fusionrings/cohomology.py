@@ -19,7 +19,7 @@ results are exact.
 from itertools import product
 
 from .abelian import FiniteAbelianGroup, congruence_kernel, quotient_invariants, sparse_columns
-from .errors import BoundsExceededError, InvalidActionError
+from .errors import BoundsExceededError, InvalidActionError, as_integer
 
 class GroupAction:
     """Action of Z_M on a finite abelian coefficient group.
@@ -31,8 +31,8 @@ class GroupAction:
     """
 
     def __init__(self, m, matrix):
-        self.m = int(m)
-        self.matrix = [[int(x) for x in row] for row in matrix]
+        self.m = as_integer(m, InvalidActionError)
+        self.matrix = [[as_integer(x, InvalidActionError) for x in row] for row in matrix]
         if self.m < 1:
             raise InvalidActionError("acting group order must be >= 1")
         n = len(self.matrix)

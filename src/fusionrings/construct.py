@@ -22,45 +22,38 @@ and the (1,1) support is generated on those triples; one short of all the
 pairs (no row has one) is cut out by ring.restrict.  A row with a free
 quotient sums its orbit ring from the same triples and never allocates the
 (1,1) tensor.  The tests check both against the dense product at M <= 3.
-config.MAX_DENSE_BYTES bounds each dense tensor built here, which for a table
-row is the ring the row returns.
+ring.check_dense bounds each dense tensor built here, which for a table row
+is the ring the row returns.
 """
 
 import math
-import operator
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from . import config
 from .abelian import FiniteAbelianGroup, quotient_with_map
 from .errors import (
-    BoundsExceededError,
     DegenerateGradeError,
     FixedPointError,
     InconsistentGradingError,
     MalformedRingError,
     NotASubgroupError,
     UnknownFamilyError,
+    as_integer,
 )
 from .graphs import components, dynkin, perron_vector
 from .ring import (
     FusionRing,
     Grading,
     adjoint_subring,
+    check_dense,
     fp_dims,
     grading_violations,
     restrict,
     universal_grading,
 )
 from .solve import PartialRing, complete_partial_ring, unique_ring_from_graph
-
-
-def _check_dense(rank):
-    if rank ** 3 * 8 > config.MAX_DENSE_BYTES:
-        raise BoundsExceededError("a rank-%d int64 fusion tensor is past "
-                                  "config.MAX_DENSE_BYTES" % rank)
 
 
 def pointed_ring(group):
@@ -73,7 +66,7 @@ def pointed_ring(group):
     els = list(group.elements())
     pos = {e: i for i, e in enumerate(els)}
     n = len(els)
-    _check_dense(n)
+    check_dense(n ** 3)
     t = np.zeros((n, n, n), dtype=np.int64)
     for i, a in enumerate(els):
         for j, b in enumerate(els):
@@ -134,17 +127,17 @@ def ade_ring(family, size=None):
     """The fusion ring of an ADE family, or of its adjoint subring.
 
     family in {A, D, E6, E8, adA, adD, adE6, adE8}; size is the Dynkin
-    subscript (rank of the A/D graph), required for A and D.
+    subscript (rank of the A/D graph), an integer, required for A and D.
     """
     fam = str(family)
     if fam in ("A", "adA"):
         if size is None or size < 2:
             raise UnknownFamilyError("A_N needs a size N >= 2")
-        ring = _a_ring(int(size))
+        ring = _a_ring(as_integer(size, UnknownFamilyError))
     elif fam in ("D", "adD"):
         if size is None or size < 4 or size % 2:
             raise UnknownFamilyError("D_2N needs an even size 2N >= 4")
-        ring = _d_ring(int(size))
+        ring = _d_ring(as_integer(size, UnknownFamilyError))
     elif fam in ("E6", "adE6"):
         if size not in (None, 6):
             raise UnknownFamilyError("E6 has no free size")
@@ -166,7 +159,7 @@ def deligne_product(a, b):
     The grading is the product grading when both factors carry one.
     """
     ra, rb = a.rank, b.rank
-    _check_dense(ra * rb)
+    check_dense((ra * rb) ** 3)
     ta, tb = a.tensor, b.tensor
     t = (ta[:, None, :, None, :, None] * tb[None, :, None, :, None, :])
     t = t.reshape(ra * rb, ra * rb, ra * rb)
@@ -218,7 +211,7 @@ def _triples(ring):
 def _dense(tr):
     # the FusionRing of a _Triples, past the dense bound check
     rank = len(tr.labels)
-    _check_dense(rank)
+    check_dense(rank ** 3)
     t = np.zeros((rank,) * 3, dtype=np.int64)
     t[tr.i, tr.j, tr.k] = tr.v
     t.setflags(write=False)
@@ -341,7 +334,7 @@ def _dequiv(tr, h):
     # the orbit of k meets h.k once for each h in H, and N_[i][j]^[k] sums
     # N_ij^l over the triples with i, j representatives into l's orbit
     reps, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
-    _check_dense(len(reps))
+    check_dense(len(reps) ** 3)
     is_rep = np.zeros(rank, dtype=bool)
     is_rep[reps] = True
     on = is_rep[tr.i] & is_rep[tr.j]
@@ -480,15 +473,6 @@ ROWS = {
 }
 
 
-def _integer(name, value):
-    # a Python or numpy integer as an int; anything else raises, so that a
-    # non-integral M or N is never truncated
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
-
-
 class TheoremRowSpec:
     """One row of the classification table, with its parameters.
 
@@ -501,7 +485,7 @@ class TheoremRowSpec:
         if row not in ROWS:
             raise UnknownFamilyError("unknown classification row %r" % (row,))
         self.row = row
-        self.M = _integer("M", M)
+        self.M = as_integer(M, ValueError)
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if ROWS[row].N is None:
@@ -510,7 +494,7 @@ class TheoremRowSpec:
             self.N = None
         else:
             min_N, default_N = ROWS[row].N
-            self.N = default_N if N is None else _integer("N", N)
+            self.N = default_N if N is None else as_integer(N, ValueError)
             if self.N < min_N:
                 raise ValueError("row %s needs N >= %d" % (row, min_N))
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import operator
 
 
 class RingError(Exception):
@@ -63,10 +65,18 @@ class InvalidActionError(RingError):
 class BoundsExceededError(RingError):
     """A computation asked to run outside the bounds it is exact or
     affordable in: the bar-complex H^2 oracle past m <= 12, |A| <= 16,
-    verify_axioms or the solver on a ring whose associativity sums could
-    reach 2**53, or a construction or solver whose dense arrays would pass
-    config.MAX_DENSE_BYTES."""
+    associativity sums that could reach 2**53 (ring.check_exact_sums), or a
+    dense array past config.MAX_DENSE_BYTES (ring.check_dense)."""
 
 
 class UnknownFamilyError(RingError):
     """Catalog lookup for a family that is not in the tables."""
+
+
+def as_integer(value, error):
+    """``value`` as an int if it is a Python or numpy integer; anything else
+    raises the exception class ``error`` instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error("expected an integer, got %r" % (value,)) from None

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import MalformedRingError, RingFormatError
-from .ring import FusionRing, Grading
+from .ring import FusionRing, Grading, check_dense
 
 
 def _check(cond, msg):
@@ -99,9 +99,11 @@ def ring_from_dict(data):
     _check(len(dual) == rank, "dual must cover every label")
     dual = [dual[i] for i in range(rank)]
     grading = grading_from_dict(data, labels, index)
+    check_dense(rank ** 3)
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     for (i, j, k), n in _entries_from(data, "tensor", index).items():
         tensor[i, j, k] = n
+    tensor.setflags(write=False)  # FusionRing keeps a read-only array without a copy
     try:
         return FusionRing(labels, unit, dual, tensor, grading)
     except Exception as exc:

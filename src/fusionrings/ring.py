@@ -7,7 +7,8 @@ reciprocity N_{ij}^k = N_{i* k}^j = N_{k j*}^i.  This module holds the ring
 type and every intrinsic computation: axiom verification, Frobenius-Perron
 dimensions, word decompositions and K-normality, generated subrings, the
 adjoint subring, invertible objects, the universal grading, isomorphism
-search, and fusion graphs.
+search, and fusion graphs.  It also holds the package's one dense-size guard
+(check_dense) and one 2**53 guard (check_exact_sums).
 
 All operations are pure; rings are immutable after construction.
 """
@@ -23,6 +24,7 @@ from .errors import (
     InconsistentGradingError,
     MalformedRingError,
     NonConvergenceError,
+    as_integer,
 )
 from .graphs import Digraph, components, isomorphisms, perron_vector
 
@@ -36,13 +38,14 @@ class Grading:
     __slots__ = ("orders", "deg")
 
     def __init__(self, orders, deg):
-        self.orders = tuple(int(o) for o in orders)
+        self.orders = tuple(as_integer(o, MalformedRingError) for o in orders)
         if any(o < 1 for o in self.orders):
             raise MalformedRingError("grading orders must be >= 1")
         deg = [tuple(d) for d in deg]
         if any(len(d) != len(self.orders) for d in deg):
             raise MalformedRingError("degree arity does not match orders")
-        self.deg = tuple(tuple(int(c) % o for c, o in zip(d, self.orders)) for d in deg)
+        self.deg = tuple(tuple(as_integer(c, MalformedRingError) % o
+                               for c, o in zip(d, self.orders)) for d in deg)
 
     @property
     def group(self):
@@ -64,6 +67,23 @@ class Grading:
 
     def __repr__(self):
         return "Grading(orders=%r, rank=%d)" % (self.orders, len(self.deg))
+
+
+def check_dense(entries):
+    """Raise BoundsExceededError, before anything is allocated, if a dense
+    array of ``entries`` 8-byte cells would pass config.MAX_DENSE_BYTES."""
+    if 8 * entries > config.MAX_DENSE_BYTES:
+        raise BoundsExceededError("a dense array of %d 8-byte entries is past "
+                                  "config.MAX_DENSE_BYTES" % entries)
+
+
+def check_exact_sums(rank, bound):
+    """Raise BoundsExceededError unless float64 sums of ``rank`` products of
+    two integers in [0, bound] are exact, i.e. rank * bound**2 < 2**53."""
+    if rank * bound ** 2 >= 2 ** 53:
+        raise BoundsExceededError(
+            "associativity sums can reach %d * %d**2, past the exact float range 2**53"
+            % (rank, bound))
 
 
 def _read_only(a):
@@ -108,7 +128,7 @@ class FusionRing:
             raise MalformedRingError("dual must be a permutation of the indices")
         if not all(dual[dual[i]] == i for i in range(rank)):
             raise MalformedRingError("dual is not an involution")
-        unit = int(unit)
+        unit = as_integer(unit, MalformedRingError)
         if not 0 <= unit < rank:
             raise MalformedRingError("unit index out of range")
         if dual[unit] != unit:
@@ -190,13 +210,14 @@ def grading_violations(tensor, grading):
 def verify_axioms(ring):
     """Check every fusion-ring axiom; returns an AxiomReport.
 
-    Unit laws, duality (N_{ij}^1 = delta_{j,i*}), associativity, Frobenius
-    reciprocity, and (when a grading is attached) multiplicativity of degrees.
-    Associativity is checked exhaustively, one left factor i at a time, by
-    float64 matrix products.  Every entry of both products is a sum of
-    nonnegative integers bounded by rank * max(N)**2, so the products are
-    exact while that bound is below 2**53; a ring at or past it raises
-    BoundsExceededError instead of being checked inexactly.
+    Unit laws, duality (N_{ij}^1 = delta_{j,i*}), Frobenius reciprocity
+    (each failing cell once, in (i, j, k) order), associativity, and (when a
+    grading is attached) multiplicativity of degrees, in that order.  One
+    pass over the left factor i checks both Frobenius identities on r x r
+    slices and associativity by float64 products into two r^3 buffers, beside
+    one float64 copy of the tensor.  The products sum nonnegative integers up
+    to rank * max(N)**2, so they are exact below 2**53; past it
+    check_exact_sums raises BoundsExceededError instead of checking inexactly.
     """
     t = ring.tensor
     r = ring.rank
@@ -214,29 +235,24 @@ def verify_axioms(ring):
     bad = np.argwhere(t[:, :, ring.unit] != dual_mat)
     violations += [("duality", (int(i), int(j), ring.unit)) for i, j in bad]
 
-    # Frobenius reciprocity: N_{ij}^k = N_{i* k}^j and N_{ij}^k = N_{k j*}^i
-    frob1 = t[dual].transpose(0, 2, 1)
-    bad = np.argwhere(t != frob1)
-    violations += [("frobenius", tuple(int(x) for x in idx)) for idx in bad]
-    frob2 = t.transpose(2, 1, 0)[:, dual, :]
-    bad = np.argwhere(t != frob2)
-    violations += [("frobenius", tuple(int(x) for x in idx)) for idx in bad]
-
-    if r * int(t.max()) ** 2 >= 2 ** 53:
-        raise BoundsExceededError(
-            "associativity sums can reach %d * %d**2, past the exact float range 2**53"
-            % (r, int(t.max())))
+    check_exact_sums(r, int(t.max()))
+    check_dense(r ** 3)
     tf = t.astype(np.float64)
     flat = tf.reshape(r, r * r)
     colflat = tf.reshape(r * r, r)
+    lhs, rhs = np.empty((2, r, r, r))  # (j, k, l) for one i, rewritten each pass
+    frobenius, associativity = [], []
     for i in range(r):
-        lhs = tf[i] @ flat          # (j, k*l):  sum_m N_ij^m N_mk^l
-        rhs = (colflat @ tf[i]).reshape(r, r * r)
+        # over (j, k): N_ij^k = N_{i* k}^j and N_ij^k = N_{k j*}^i
+        bad = (t[i] != t[dual[i]].T) | (t[i] != t[:, dual, i].T)
+        if bad.any():
+            frobenius += [("frobenius", (i, int(j), int(k))) for j, k in np.argwhere(bad)]
+        np.matmul(tf[i], flat, out=lhs.reshape(r, r * r))        # sum_m N_ij^m N_mk^l
+        np.matmul(colflat, tf[i], out=rhs.reshape(r * r, r))     # sum_m N_jk^m N_im^l
         if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs.reshape(r, r, r) != rhs.reshape(r, r, r))
-            violations += [
-                ("associativity", (i, int(j), int(k), int(l))) for j, k, l in bad
-            ]
+            bad = np.argwhere(lhs != rhs)
+            associativity += [("associativity", (i, int(j), int(k), int(l))) for j, k, l in bad]
+    violations += frobenius + associativity
 
     if ring.grading is not None:
         g = ring.grading
@@ -246,15 +262,7 @@ def verify_axioms(ring):
                 violations.append(("grading-dual", (i,)))
         if g.degree(ring.unit) != (0,) * len(g.orders):
             violations.append(("grading-unit", (ring.unit,)))
-
-    # dedupe (the two Frobenius forms can flag the same cell)
-    seen = set()
-    uniq = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            uniq.append(v)
-    return AxiomReport(uniq)
+    return AxiomReport(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +392,16 @@ def is_k_normal(ring, x, k_max=8):
     """
     t = ring.tensor
     xd = int(ring.dual[x])
-    unit_vec = np.zeros(ring.rank, dtype=np.int64)
-    unit_vec[ring.unit] = 1
+    a = np.zeros(ring.rank, dtype=np.int64)
+    a[ring.unit] = 1
+    b = a
 
+    # v @ t[y] is y (x) v and v @ t[:, y] is v (x) y, so one multiplication
+    # per side takes x^(k-1) x*^(k-1) to x^k x*^k = x (x^(k-1) x*^(k-1)) x*
     equal_at = {}
-    pow_x = unit_vec.copy()   # x^{(x)k}
-    pow_xd = unit_vec.copy()  # x*^{(x)k}
     for k in range(1, k_max + 1):
-        pow_x = pow_x @ t[:, x, :]
-        pow_xd = pow_xd @ t[:, xd, :]
-        a = pow_x
-        for _ in range(k):
-            a = a @ t[:, xd, :]
-        b = pow_xd
-        for _ in range(k):
-            b = b @ t[:, x, :]
+        a = a @ t[x] @ t[:, xd]
+        b = b @ t[xd] @ t[:, x]
         equal_at[k] = bool(np.array_equal(a, b))
     return KNormalityReport(x, k_max, equal_at)
 

@@ -19,9 +19,9 @@ completion to a fusion ring.  The pipeline:
      memo of hulls keyed by these, shared by its dual branches, and
      enumerates each distinct row once; associativity is then checked on all
      rank^4 instances with float64 matmuls, and an instance with a single
-     open term assigns its unknown the integer it forces (the matmuls are
-     exact while r * max(N)^2 < 2**53; that, and the size of one rank^4
-     array against config.MAX_DENSE_BYTES, are checked up front);
+     open term assigns its unknown the integer it forces (before the search,
+     ring.check_exact_sums checks that the matmuls are exact, and
+     ring.check_dense that one rank^4 array fits config.MAX_DENSE_BYTES);
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
   5. verify the full axioms on every leaf;
@@ -31,35 +31,29 @@ completion to a fusion ring.  The pipeline:
 """
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
 from . import config
 from .errors import (
-    BoundsExceededError,
     MalformedRingError,
     NoSolutionError,
     NonUniqueCompletionError,
     SearchCapExceededError,
+    as_integer,
 )
 from .graphs import Digraph, bipartition, components, perron_vector
 from .ring import (
     FusionRing,
     Grading,
+    check_dense,
+    check_exact_sums,
     find_isomorphisms,
     fp_dims,
     universal_grading,
     verify_axioms,
 )
-
-
-def _index(x):
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise MalformedRingError("expected an integer, got %r" % (x,)) from None
 
 
 class PartialRing:
@@ -73,7 +67,7 @@ class PartialRing:
 
     def __init__(self, labels, unit, dims, grading, dual=None, known=None):
         self.labels = tuple(str(x) for x in labels)
-        self.unit = int(unit)
+        self.unit = as_integer(unit, MalformedRingError)
         self.dims = np.asarray(dims, dtype=np.float64)
         self.grading = grading
         r = len(self.labels)
@@ -95,12 +89,14 @@ class PartialRing:
             self.dual = None
         else:
             pairs = dual.items() if isinstance(dual, dict) else enumerate(dual)
-            self.dual = {_index(i): _index(j) for i, j in pairs}
+            self.dual = {as_integer(i, MalformedRingError): as_integer(j, MalformedRingError)
+                         for i, j in pairs}
             if not all(0 <= x < r for pair in self.dual.items() for x in pair):
                 raise MalformedRingError("dual index out of range")
             if any(self.dual.get(j, i) != i for i, j in self.dual.items()):
                 raise MalformedRingError("dual is not an involution")
-        self.known = {tuple(map(_index, k)): _index(v) for k, v in (known or {}).items()}
+        self.known = {tuple(as_integer(x, MalformedRingError) for x in ijk):
+                      as_integer(n, MalformedRingError) for ijk, n in (known or {}).items()}
         for (i, j, k), v in self.known.items():
             if not (0 <= i < r and 0 <= j < r and 0 <= k < r) or v < 0:
                 raise MalformedRingError("bad known entry %r" % (((i, j, k), v),))
@@ -297,10 +293,7 @@ class _State:
         self.rounds = self.row_solves = 0
         d = partial.dims
         g = partial.grading
-        # each associativity pass holds a few rank^4 float64 arrays
-        if 8 * r ** 4 > config.MAX_DENSE_BYTES:
-            raise BoundsExceededError("rank-%d associativity contractions are past "
-                                      "config.MAX_DENSE_BYTES" % r)
+        check_dense(r ** 4)  # each associativity pass holds a few rank^4 float64 arrays
 
         ub = np.floor(np.einsum("i,j,k->ijk", d, d, 1.0 / d) + tol).astype(np.int64)
         degs = np.array([g.degree(i) for i in range(r)], dtype=np.int64)
@@ -326,11 +319,7 @@ class _State:
         self.lo = np.zeros(len(least), dtype=np.int64)
         self.hi = np.full(len(least), np.iinfo(np.int64).max)
         np.minimum.at(self.hi, var_of, ub.ravel())
-        # the contractions sum r products of two values: exact below 2**53
-        if r * int(self.hi.max()) ** 2 >= 2 ** 53:
-            raise BoundsExceededError(
-                "associativity sums can reach %d * %d**2, past the exact float range 2**53"
-                % (r, int(self.hi.max())))
+        check_exact_sums(r, int(self.hi.max()))  # the contractions sum r products of two values
         self.rows_of = np.zeros((len(least), r * r), dtype=bool)
         self.rows_of[var_of.reshape(r * r, r), np.arange(r * r)[:, None]] = True
         self.dirty = np.ones(r * r, dtype=bool)

@@ -87,6 +87,12 @@ def test_str_forms():
     assert str(FiniteAbelianGroup.trivial()) == "trivial"
 
 
+def test_orders_must_be_integers():
+    with pytest.raises(ValueError, match="integer"):
+        FiniteAbelianGroup((2.5,))
+    assert FiniteAbelianGroup((np.int64(2), 3)).orders == (2, 3)
+
+
 def test_elements_and_orders():
     g = FiniteAbelianGroup((2, 4))
     els = list(g.elements())

@@ -254,3 +254,12 @@ def test_console_script():
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stdout.strip() == "pass"
         assert proc.stderr == ""
+
+
+def test_verify_past_the_dense_bound_exits_2(cli, monkeypatch):
+    from fusionrings import config
+
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", 1000)
+    code, out, err = cli("verify", E4_JSON)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BoundsExceededError"

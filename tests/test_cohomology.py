@@ -117,6 +117,9 @@ def test_action_validation():
         GroupAction(3, [[-1]]).period(FiniteAbelianGroup((3,)))
     with pytest.raises(InvalidActionError):
         GroupAction(2, [[2]]).period(FiniteAbelianGroup((4,)))  # not invertible
+    for m, matrix in ((2.5, [[1]]), (2, [[1.5]])):  # not truncated
+        with pytest.raises(InvalidActionError, match="integer"):
+            GroupAction(m, matrix)
 
 
 def _full_period_powers(action, coeffs):

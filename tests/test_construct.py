@@ -58,6 +58,9 @@ def test_ade_families():
         ade_ring("D", 5)
     with pytest.raises(UnknownFamilyError):
         ade_ring("E6", 7)
+    with pytest.raises(UnknownFamilyError, match="integer"):
+        ade_ring("A", 5.5)  # not truncated to A_5
+    assert ade_ring("A", np.int64(5)).rank == 5
 
 
 def test_d_series_spinor_dims():

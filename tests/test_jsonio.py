@@ -1,10 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fusionrings import ade_ring, find_isomorphisms, load_ring, ring_from_dict, ring_to_dict
-from fusionrings.errors import RingFormatError
+from fusionrings import (
+    ade_ring,
+    config,
+    find_isomorphisms,
+    load_ring,
+    ring_from_dict,
+    ring_to_dict,
+    theorem_row,
+)
+from fusionrings.errors import BoundsExceededError, RingFormatError
 from fusionrings.jsonio import dump_ring, load_partial, partial_from_dict, partial_to_dict
 from conftest import data_path
 
@@ -107,3 +116,30 @@ def test_partial_dims_must_be_finite_and_positive(tmp_path, value):
     path.write_text(json.dumps(data))
     with pytest.raises(RingFormatError, match="dims must be finite and positive"):
         load_partial(path)
+
+
+def test_ring_from_dict_keeps_its_one_tensor():
+    # the tensor is built once and handed to FusionRing read-only, so the
+    # ring keeps it without a copy (a second copy would make the peak 2x)
+    ring = theorem_row("exc4-deq", M=4).ring
+    assert ring.rank == 96
+    data = ring_to_dict(ring)
+    tracemalloc.start()
+    try:
+        back = ring_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == ring
+    assert not back.tensor.flags.writeable
+    assert peak <= 1.5 * ring.tensor.nbytes
+
+
+def test_load_ring_checks_the_dense_bound(e4, tmp_path, monkeypatch):
+    path = tmp_path / "ring.json"
+    dump_ring(e4, path)
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", e4.tensor.nbytes - 1)
+    with pytest.raises(BoundsExceededError):
+        load_ring(path)
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", e4.tensor.nbytes)
+    assert load_ring(path) == e4

@@ -42,3 +42,36 @@ def test_traced_names_are_package_attributes(monkeypatch):
     for modname, fname in spans.FUNCTIONS + spans.SITE_ONLY:
         module = importlib.import_module("fusionrings." + modname)
         assert hasattr(module, fname), (modname, fname)
+
+
+def bound_reads(source):
+    """Reads of MAX_DENSE_BYTES and spellings of 2 ** 53 in ``source``'s
+    code; docstrings and comments are not code."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "MAX_DENSE_BYTES"
+                or isinstance(node, ast.Name) and node.id == "MAX_DENSE_BYTES"
+                and isinstance(node.ctx, ast.Load)):
+            hits.append("MAX_DENSE_BYTES")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.left, ast.Constant) and node.left.value == 2
+              and isinstance(node.right, ast.Constant) and node.right.value == 53):
+            hits.append("2 ** 53")
+    return hits
+
+
+def test_bound_check_reads_code_only():
+    source = ('"""2 ** 53 and config.MAX_DENSE_BYTES."""\n'
+              "MAX_DENSE_BYTES = 2 ** 31\n"
+              "if 8 * n > config.MAX_DENSE_BYTES or r * b ** 2 >= 2**53:  # 2 ** 53\n"
+              "    pass\n")
+    assert bound_reads(source) == ["MAX_DENSE_BYTES", "2 ** 53"]
+
+
+def test_only_ring_holds_the_dense_and_exact_sum_bounds():
+    # ring.check_dense and ring.check_exact_sums are the one place each bound
+    # is compared against; every other module calls them
+    sources = sorted(pathlib.Path(fusionrings.__file__).parent.glob("*.py"))
+    hits = ["%s: %s" % (path.name, hit) for path in sources if path.name != "ring.py"
+            for hit in bound_reads(path.read_text())]
+    assert hits == []

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,67 @@ def test_associativity_bound_is_checked(a5):
         verify_axioms(FusionRing(a5.labels, a5.unit, a5.dual, t, a5.grading))
 
 
+def _axiom_oracle(ring):
+    # every identity, one cell at a time, in verify_axioms' order of kinds
+    t, r, u, dual = ring.tensor.tolist(), ring.rank, ring.unit, ring.dual.tolist()
+    cells = list(itertools.product(range(r), repeat=3))
+    out = [("unit-left", (u, j, k)) for j in range(r) for k in range(r) if t[u][j][k] != (j == k)]
+    out += [("unit-right", (i, u, k)) for i in range(r) for k in range(r) if t[i][u][k] != (i == k)]
+    out += [("duality", (i, j, u)) for i in range(r) for j in range(r)
+            if t[i][j][u] != (j == dual[i])]
+    out += [("frobenius", (i, j, k)) for i, j, k in cells
+            if not t[i][j][k] == t[dual[i]][k][j] == t[k][dual[j]][i]]
+    out += [("associativity", (i, j, k, l)) for i, j, k in cells for l in range(r)
+            if sum(t[i][j][m] * t[m][k][l] for m in range(r))
+            != sum(t[j][k][m] * t[i][m][l] for m in range(r))]
+    g = ring.grading
+    if g is not None:
+        out += [("grading", (i, j, k)) for i, j, k in cells
+                if t[i][j][k] and g.add(g.degree(i), g.degree(j)) != g.degree(k)]
+        out += [("grading-dual", (i,)) for i in range(r)
+                if g.degree(dual[i]) != g.neg(g.degree(i))]
+        if any(g.degree(u)):
+            out.append(("grading-unit", (u,)))
+    return out
+
+
+def test_axiom_violations_match_loop_oracle(e4):
+    # one raised coefficient N_{1,j}^k, k of another degree than j: the unit
+    # law, Frobenius, associativity and the grading all fail
+    t = e4.tensor.copy()
+    j = e4.index("5")
+    k = next(k for k in range(e4.rank)
+             if k != e4.unit and e4.grading.deg[k] != e4.grading.deg[j])
+    t[e4.unit, j, k] += 1
+    raised = FusionRing(e4.labels, e4.unit, e4.dual, t, e4.grading)
+    found = verify_axioms(raised).violations
+    assert {kind for kind, _ in found} == {"unit-left", "frobenius", "associativity", "grading"}
+    assert found == _axiom_oracle(raised)
+    # one swapped dual pair of Z_5 (1 <-> 3 and 2 <-> 4 instead of 1 <-> 4 and
+    # 2 <-> 3): only duality and Frobenius fail, each Frobenius cell once
+    z5 = pointed_ring((5,))
+    swapped = FusionRing(z5.labels, z5.unit, [0, 3, 4, 1, 2], z5.tensor)
+    found = verify_axioms(swapped).violations
+    assert {kind for kind, _ in found} == {"duality", "frobenius"}
+    assert found == _axiom_oracle(swapped)
+    assert verify_axioms(e4).violations == _axiom_oracle(e4) == []
+
+
+def test_verify_axioms_peak_memory():
+    # the float64 copy and the two per-i product buffers, each r^3 entries,
+    # sized against the int64 tensor (an r^3 permuted copy per Frobenius
+    # identity on top of those would reach 6x)
+    ring = theorem_row("exc166", M=2).ring
+    assert ring.rank == 48
+    tracemalloc.start()
+    try:
+        assert verify_axioms(ring).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * ring.tensor.nbytes
+
+
 def _grading_violations_loop(tensor, g):
     # the per-nonzero check, one triple at a time
     out = []
@@ -129,6 +191,12 @@ def test_perron_vector_matches_eigenvector():
 def test_malformed_dual_rejected(a5):
     with pytest.raises(MalformedRingError):
         FusionRing(a5.labels, a5.unit, [0, 1, 2, 3, 3], a5.tensor)
+
+
+def test_ring_unit_must_be_an_integer(a5):
+    with pytest.raises(MalformedRingError, match="integer"):
+        FusionRing(a5.labels, 0.9, a5.dual, a5.tensor)  # not truncated to 0
+    assert FusionRing(a5.labels, np.int64(0), a5.dual, a5.tensor).unit == 0
 
 
 def test_ring_neither_freezes_nor_shares_callers_arrays(a5):
@@ -294,9 +362,12 @@ def test_grading_rejects_bad_orders_and_arity():
     for orders, deg, fragment in (((2,), [(0, 1), (1, 5)], "arity"),
                                   ((2, 3), [(0, 0), (1,)], "arity"),
                                   ((0,), [(0,)], "orders"),
-                                  ((-3,), [(1,)], "orders")):
+                                  ((-3,), [(1,)], "orders"),
+                                  ((2.5,), [(1,)], "integer"),
+                                  ((2,), [(1.7,)], "integer")):
         with pytest.raises(MalformedRingError, match=fragment):
             Grading(orders, deg)
+    assert Grading((np.int64(4),), [(np.int32(5),)]).deg == ((1,),)
 
 
 def _grading_rings():
@@ -341,6 +412,19 @@ def test_universal_grading_normal_form(e4, e166):
             first = next(d for d, in g.deg if math.gcd(d, n) == 1)
             assert first == 1, name
     assert e166.grading == universal_grading(e166)
+
+
+def _k_normal_oracle(ring, x, k_max):
+    # x^k x*^k against x*^k x^k, each word decomposed letter by letter
+    return {k: bool(np.array_equal(decompose_word(ring, [x] * k + [(x, True)] * k),
+                                   decompose_word(ring, [(x, True)] * k + [x] * k)))
+            for k in range(1, k_max + 1)}
+
+
+def test_k_normality_matches_word_oracle(e4, e166):
+    for ring in (e4, e166, ade_ring("D", 10), pointed_ring((2, 4))):
+        for x in range(ring.rank):
+            assert is_k_normal(ring, x, k_max=5).equal_at == _k_normal_oracle(ring, x, 5)
 
 
 def test_k_normality(e4, a5):

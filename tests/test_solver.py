@@ -500,6 +500,7 @@ def _two_labels(**kw):
     (dict(known={(0, 0, 0): 1.7}), "integer"),
     (dict(known={(0, 1.0, 1): 1}), "integer"),
     (dict(dual={1: 1.9}), "integer"),
+    (dict(unit=0.9), "integer"),
 ])
 def test_partial_ring_rejects_malformed_input(kw, fragment):
     with pytest.raises(MalformedRingError, match=fragment):
