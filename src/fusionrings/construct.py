@@ -16,14 +16,14 @@ parameter: every category in one family shares a single fusion ring, and
 IVec(Z_2M) has the same ring as Vec(Z_2M).
 
 Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
-through the dense product: each nonzero N_xy^z of the base is scattered to
-the triple ((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y,
-and the (1,1) support is generated on those triples; one short of all the
-pairs (no row has one) is cut out by ring.restrict.  A row with a free
-quotient sums its orbit ring from the same triples and never allocates the
-(1,1) tensor.  The tests check both against the dense product at M <= 3.
-ring.check_dense bounds each dense tensor built here, which for a table row
-is the ring the row returns.
+through the dense product: each of the base's triples N_xy^z is scattered to
+((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y, the ring
+is made with FusionRing.from_triples, and its (1,1) support, generated by
+subring_generated, is cut out by ring.restrict; both read ring.triples.  A
+row with a free quotient sums its orbit ring from the same triples and never
+allocates the (1,1) tensor.  The tests check both against the dense product
+at M <= 3.  ring.check_dense bounds each dense tensor built here, which for
+a table row is the ring the row returns.
 """
 
 import math
@@ -51,6 +51,7 @@ from .ring import (
     fp_dims,
     grading_violations,
     restrict,
+    subring_generated,
     universal_grading,
 )
 from .solve import PartialRing, complete_partial_ring, unique_ring_from_graph
@@ -115,13 +116,6 @@ def _e8_ring():
         dynkin("E8"), unit=0, labels=["f0", "f1", "f2", "f3", "f4", "V", "W", "U"])
 
 
-def _adjoint_of(ring):
-    sub = restrict(ring, adjoint_subring(ring))
-    # the adjoint is trivially graded inside its extension
-    return FusionRing(sub.labels, sub.unit, sub.dual, sub.tensor,
-                      Grading((), [() for _ in range(sub.rank)]))
-
-
 @lru_cache(maxsize=None)
 def ade_ring(family, size=None):
     """The fusion ring of an ADE family, or of its adjoint subring.
@@ -130,14 +124,15 @@ def ade_ring(family, size=None):
     subscript (rank of the A/D graph), an integer, required for A and D.
     """
     fam = str(family)
+    size = None if size is None else as_integer(size, UnknownFamilyError)
     if fam in ("A", "adA"):
         if size is None or size < 2:
             raise UnknownFamilyError("A_N needs a size N >= 2")
-        ring = _a_ring(as_integer(size, UnknownFamilyError))
+        ring = _a_ring(size)
     elif fam in ("D", "adD"):
         if size is None or size < 4 or size % 2:
             raise UnknownFamilyError("D_2N needs an even size 2N >= 4")
-        ring = _d_ring(as_integer(size, UnknownFamilyError))
+        ring = _d_ring(size)
     elif fam in ("E6", "adE6"):
         if size not in (None, 6):
             raise UnknownFamilyError("E6 has no free size")
@@ -149,7 +144,9 @@ def ade_ring(family, size=None):
     else:
         raise UnknownFamilyError("unknown family %r" % (family,))
     if fam.startswith("ad"):
-        return _adjoint_of(ring)
+        # the adjoint subring, trivially graded inside its extension
+        idx = adjoint_subring(ring)
+        return restrict(ring, idx, Grading((), [()] * len(idx)))
     return ring
 
 
@@ -187,35 +184,14 @@ def one_one_subring(ring, grading):
     if not grading.orders:
         raise MalformedRingError("grading must have at least one cyclic factor")
     _check_multiplicative(ring, grading)
-    return restrict(ring, *_diagonal_subring(_triples(ring)._replace(grading=grading)))
+    return restrict(ring, *_diagonal_subring(ring, grading))
 
 
 def _check_multiplicative(ring, grading):
-    bad = grading_violations(ring.tensor, grading)
+    bad = grading_violations(ring, grading)
     if bad:
         raise InconsistentGradingError("grading is not multiplicative at (%s, %s, %s)"
                                        % tuple(ring.labels[x] for x in bad[0]))
-
-
-# A ring held as its nonzero coefficients N_{i[e] j[e]}^{k[e]} = v[e]; every
-# other coefficient is 0.  dual is an index array, grading a Grading or None.
-_Triples = namedtuple("_Triples", "labels unit dual i j k v grading")
-
-
-def _triples(ring):
-    i, j, k = np.nonzero(ring.tensor)
-    return _Triples(ring.labels, ring.unit, ring.dual, i, j, k, ring.tensor[i, j, k],
-                    ring.grading)
-
-
-def _dense(tr):
-    # the FusionRing of a _Triples, past the dense bound check
-    rank = len(tr.labels)
-    check_dense(rank ** 3)
-    t = np.zeros((rank,) * 3, dtype=np.int64)
-    t[tr.i, tr.j, tr.k] = tr.v
-    t.setflags(write=False)
-    return FusionRing(tr.labels, tr.unit, tr.dual, t, tr.grading)
 
 
 def _diagonal_index(orders):
@@ -223,31 +199,24 @@ def _diagonal_index(orders):
     return {tuple(a % o for o in orders): a for a in range(math.lcm(*orders))}
 
 
-def _diagonal_subring(tr):
-    # one_one_subring past its checks, on a _Triples graded by the product
-    # grading: the indices of the support generated from degree (1,1,...),
-    # and its grading by Z_lcm
-    rank = len(tr.labels)
-    lcm = math.lcm(*tr.grading.orders)
-    diag = _diagonal_index(tr.grading.orders)
-    deg = np.array([diag.get(d, -1) for d in tr.grading.deg])
+def _diagonal_subring(ring, grading):
+    # one_one_subring past its checks, for the product grading: the indices
+    # of the support generated from degree (1,1,...), and its grading by Z_lcm
+    lcm = math.lcm(*grading.orders)
+    diag = _diagonal_index(grading.orders)
+    deg = np.array([diag.get(d, -1) for d in grading.deg])
     seeds = np.flatnonzero(deg == 1 % lcm)
     if not len(seeds):
         raise DegenerateGradeError("no simples of degree (1,1)")
-    # as in subring_generated: the unit's component of the graph joining x to
-    # every constituent of x (x) g, for g a seed or a seed's dual
-    by = np.zeros(rank, dtype=bool)
-    by[seeds] = by[tr.dual[seeds]] = True
-    label = components(rank, tr.i[by[tr.j]], tr.k[by[tr.j]])
-    inside = label == label[tr.unit]
+    inside = list(subring_generated(ring, seeds))
     if (deg[inside] < 0).any():
         raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
-    return np.flatnonzero(inside).tolist(), Grading((lcm,), [(a,) for a in deg[inside].tolist()])
+    return inside, Grading((lcm,), [(a,) for a in deg[inside].tolist()])
 
 
 def _one_one_product(base, n):
-    # the nonzero triples of one_one_subring(deligne_product(base,
-    # pointed_ring(Z_n))), filled on the pairs (x, g) of diagonal degree:
+    # one_one_subring(deligne_product(base, pointed_ring(Z_n))), built from
+    # its nonzero triples, filled on the pairs (x, g) of diagonal degree:
     # N_{(x,g),(y,h)}^{(z,k)} = N_{xy}^z [g+h = k].  The product grading is
     # multiplicative exactly when base.grading is.  A trivially graded base
     # pairs with every g, so its ring is the whole product.
@@ -268,22 +237,18 @@ def _one_one_product(base, n):
     # each nonzero N_xy^z goes to ((x,g), (y,h), (z,g+h)) over the pairs of x
     # and y; multiplicativity and the diagonal being a subgroup make every
     # (z, g+h) a pair, and distinct (x, y, z, g, h) give distinct triples
-    i, j, k = np.nonzero(base.tensor)
-    keep = (row[i] >= 0) & (row[j] >= 0)
-    i, j, k = i[keep], j[keep], k[keep]
+    t = base.triples
+    i, j, k, v = t[:, (row[t[0]] >= 0) & (row[t[1]] >= 0)]
     shape = (len(i), q, q)
     a = np.broadcast_to(cols[row[i]][:, :, None], shape)
     b = np.broadcast_to(cols[row[j]][:, None, :], shape)
     c = pos[k[:, None, None], (gs[a] + gs[b]) % n]
-    v = np.broadcast_to(base.tensor[i, j, k][:, None, None], shape)
+    v = np.broadcast_to(v[:, None, None], shape)
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in pairs]
     grading = Grading(orders, [base.grading.deg[x] + (g,) for x, g in pairs])
-    tr = _Triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
-                  a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading)
-    idx, grading = _diagonal_subring(tr)
-    if len(idx) == len(labels):
-        return tr._replace(grading=grading)
-    return _triples(restrict(_dense(tr), idx, grading))
+    ring = FusionRing.from_triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
+                                   a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading)
+    return restrict(ring, *_diagonal_subring(ring, grading))
 
 
 def dequiv_free(ring, h):
@@ -294,63 +259,62 @@ def dequiv_free(ring, h):
     Raises FixedPointError naming the fixed simple if the action is not
     free, and NotASubgroupError if a generator is not invertible.
     """
-    return _dequiv(_triples(ring), h)[0]
+    return _dequiv(ring, h)[0]
 
 
-def _dequiv(tr, h):
-    # dequiv_free on a _Triples, and the index of each simple's orbit in it
-    rank = len(tr.labels)
-    index = {lab: x for x, lab in enumerate(tr.labels)}
-    gens = [x if isinstance(x, (int, np.integer)) else index[x] for x in h]
+def _dequiv(ring, h):
+    # dequiv_free read off ring.triples, and the index of each simple's orbit
+    i, j, k, v = ring.triples
+    gens = [x if isinstance(x, (int, np.integer)) else ring.index(x) for x in h]
     for g in gens:
         # g is invertible when g (x) g* is exactly the unit
-        own = (tr.i == g) & (tr.j == tr.dual[g])
-        if own.sum() != 1 or tr.k[own][0] != tr.unit or tr.v[own][0] != 1:
+        own = (i == g) & (j == ring.dual[g])
+        if own.sum() != 1 or k[own][0] != ring.unit or v[own][0] != 1:
             raise NotASubgroupError(
                 "%s is not invertible, so it generates no subgroup of the "
-                "invertibles" % tr.labels[g])
+                "invertibles" % ring.labels[g])
 
     def moves(simples):
         # row e: x -> the (one) constituent of simples[e] (x) x, for invertibles
-        row = np.full(rank, -1)
+        row = np.full(ring.rank, -1)
         row[simples] = np.arange(len(simples))
-        on = row[tr.i] >= 0
-        out = np.zeros((len(simples), rank), dtype=np.intp)
-        out[row[tr.i[on]], tr.j[on]] = tr.k[on]
+        on = row[i] >= 0
+        out = np.zeros((len(simples), ring.rank), dtype=np.intp)
+        out[row[i[on]], j[on]] = k[on]
         return out
 
     # the subgroup the generators span is the unit's orbit under their moves
     step = moves(np.unique(np.array(gens, dtype=np.intp)))
-    label = components(rank, np.broadcast_to(np.arange(rank), step.shape), step)
-    H = np.flatnonzero(label == label[tr.unit])
+    label = components(ring.rank, np.broadcast_to(np.arange(ring.rank), step.shape), step)
+    H = np.flatnonzero(label == label[ring.unit])
     perms = moves(H)
-    fixed = np.argwhere((perms == np.arange(rank)) & (H != tr.unit)[:, None])
+    fixed = np.argwhere((perms == np.arange(ring.rank)) & (H != ring.unit)[:, None])
     if len(fixed):
         g, x = H[fixed[0][0]], fixed[0][1]
         raise FixedPointError(
-            "invertible %s fixes %s" % (tr.labels[g], tr.labels[x]),
-            invertible=tr.labels[g], fixed=tr.labels[x])
+            "invertible %s fixes %s" % (ring.labels[g], ring.labels[x]),
+            invertible=ring.labels[g], fixed=ring.labels[x])
     # each orbit is represented by its least simple.  The action is free, so
     # the orbit of k meets h.k once for each h in H, and N_[i][j]^[k] sums
     # N_ij^l over the triples with i, j representatives into l's orbit
     reps, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
     check_dense(len(reps) ** 3)
-    is_rep = np.zeros(rank, dtype=bool)
+    is_rep = np.zeros(ring.rank, dtype=bool)
     is_rep[reps] = True
-    on = is_rep[tr.i] & is_rep[tr.j]
+    on = is_rep[i] & is_rep[j]
     r = len(reps)
     t = np.zeros((r,) * 3, dtype=np.int64)
-    np.add.at(t.reshape(-1), (orbit_of[tr.i[on]] * r + orbit_of[tr.j[on]]) * r
-              + orbit_of[tr.k[on]], tr.v[on])
+    np.add.at(t.reshape(-1), (orbit_of[i[on]] * r + orbit_of[j[on]]) * r
+              + orbit_of[k[on]], v[on])
     t.setflags(write=False)
-    dual = orbit_of[tr.dual[reps]]
-    labels = ["[%s]" % tr.labels[i] for i in reps]
+    dual = orbit_of[ring.dual[reps]]
+    labels = ["[%s]" % ring.labels[i] for i in reps]
     grading = None
-    if tr.grading is not None:
-        go = tr.grading.orders
-        group, f = quotient_with_map(go, [list(tr.grading.deg[g]) for g in H])
-        grading = Grading(group.orders, [f(list(tr.grading.deg[i])) for i in reps])
-    return FusionRing(labels, orbit_of[tr.unit], dual, t, grading), orbit_of.tolist()
+    if ring.grading is not None:
+        go = ring.grading.orders
+        group, f = quotient_with_map(go, [list(ring.grading.deg[g]) for g in H])
+        grading = Grading(group.orders, [f(list(ring.grading.deg[i])) for i in reps])
+    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +362,7 @@ def e166_ring():
     labels = list(d10.labels) + ["a%d" % i for i in range(7)] + ["b%d" % i for i in range(7)]
     dims = d0 + adims + adims
     deg = [(0,)] * 10 + [(1,)] * 7 + [(2,)] * 7
-    known = {}
-    for i in range(10):
-        for j in range(10):
-            for k in range(10):
-                known[(i, j, k)] = int(d10.tensor[i, j, k])
+    known = {ijk: int(n) for ijk, n in np.ndenumerate(d10.tensor)}
     partial = PartialRing(labels, 0, dims, Grading((3,), deg), known=known)
     ring = complete_partial_ring(partial).class_representatives()[0]
     # regrade by the universal grading, whose normal form gives a0 degree 1
@@ -411,7 +371,7 @@ def e166_ring():
     if g.orders != (6,) or a0 != (1,):
         raise InconsistentGradingError("expected a universal Z_6 grading with a0 of "
                                        "degree (1,), got %s with %r" % (g.group, a0))
-    return FusionRing(labels, ring.unit, ring.dual, ring.tensor, g)
+    return restrict(ring, range(ring.rank), g)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +537,8 @@ def theorem_row(spec, M=None, N=None):
                  "one_one_subring over %s"
                  % " x ".join("Z_%d" % o for o in base.grading.orders + (n,))]
         if recipe.quotient is None:
-            ring = _dense(one_one)
+            ring = one_one
+            ring.tensor  # the row's ring is dense: build it here, past check_dense
         else:
             label, k = recipe.quotient
             simple = "(%s,%d)" % (label(spec.N), k * spec.M)

@@ -9,7 +9,7 @@ quotient subgroups and the solver's Frobenius orbits are read from.
 import numpy as np
 
 from . import config
-from .errors import MalformedRingError, NonConvergenceError
+from .errors import MalformedRingError, NonConvergenceError, as_integer
 
 
 class Digraph:
@@ -17,16 +17,16 @@ class Digraph:
     multiplicities, stored as a dict (u, v) -> multiplicity."""
 
     def __init__(self, n, edges=None):
-        self.n = int(n)
+        self.n = as_integer(n, ValueError)
         self.edges = {}
         if edges:
             for (u, v), m in dict(edges).items():
-                m = int(m)
+                u, v, m = (as_integer(x, ValueError) for x in (u, v, m))
                 if m < 1:
                     raise ValueError("edge multiplicities must be >= 1")
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise ValueError("edge endpoint out of range")
-                self.edges[(int(u), int(v))] = m
+                self.edges[(u, v)] = m
 
     @classmethod
     def from_adjacency(cls, a):

@@ -26,6 +26,11 @@ def _check(cond, msg):
         raise RingFormatError(msg)
 
 
+def _is_int(x):
+    # JSON true and false load as bool, a subclass of int; they are not integers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _labels_and_unit(data):
     _check(isinstance(data, dict), "top-level JSON value must be an object")
     labels = data.get("labels")
@@ -33,7 +38,8 @@ def _labels_and_unit(data):
     _check(all(isinstance(l, str) for l in labels), "labels must be strings")
     _check(len(set(labels)) == len(labels), "labels must be distinct")
     if "rank" in data:
-        _check(data["rank"] == len(labels), "'rank' does not match labels")
+        _check(_is_int(data["rank"]) and data["rank"] == len(labels),
+               "'rank' does not match labels")
     _check(data.get("unit") in labels, "missing 'unit' or unit not a label")
     index = {l: i for i, l in enumerate(labels)}
     return labels, index, index[data["unit"]]
@@ -62,7 +68,7 @@ def grading_from_dict(data, labels, index):
         return None
     _check(isinstance(g, dict), "'grading' must be an object")
     orders = g.get("orders")
-    _check(isinstance(orders, list) and all(isinstance(o, int) and o >= 1 for o in orders),
+    _check(isinstance(orders, list) and all(_is_int(o) and o >= 1 for o in orders),
            "grading 'orders' must be positive ints")
     degmap = {}
     for entry in g.get("deg", []):
@@ -70,7 +76,7 @@ def grading_from_dict(data, labels, index):
         lab, coords = entry
         _check(lab in index, "deg mentions unknown label %r" % lab)
         _check(isinstance(coords, list) and len(coords) == len(orders)
-               and all(isinstance(c, int) for c in coords),
+               and all(_is_int(c) for c in coords),
                "deg coordinates must match 'orders'")
         degmap[lab] = coords
     _check(set(degmap) == set(labels), "grading must assign a degree to every label")
@@ -86,7 +92,7 @@ def _entries_from(data, key, index):
         a, b, c, n = e
         _check(a in index and b in index and c in index,
                "%s entry mentions unknown label %r" % (key, e))
-        _check(isinstance(n, int) and n >= 0, "coefficients must be nonnegative ints")
+        _check(_is_int(n) and n >= 0, "coefficients must be nonnegative ints")
         ijk = (index[a], index[b], index[c])
         _check(out.setdefault(ijk, n) == n, "conflicting entries for %r" % (e[:3],))
     return out
@@ -100,27 +106,22 @@ def ring_from_dict(data):
     dual = [dual[i] for i in range(rank)]
     grading = grading_from_dict(data, labels, index)
     check_dense(rank ** 3)
-    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-    for (i, j, k), n in _entries_from(data, "tensor", index).items():
-        tensor[i, j, k] = n
-    tensor.setflags(write=False)  # FusionRing keeps a read-only array without a copy
+    entries = _entries_from(data, "tensor", index).items()
+    ijkv = np.array([ijk + (n,) for ijk, n in entries], dtype=np.int64).reshape(-1, 4)
     try:
-        return FusionRing(labels, unit, dual, tensor, grading)
+        return FusionRing.from_triples(labels, unit, dual, *ijkv.T, grading)
     except Exception as exc:
         raise RingFormatError(str(exc)) from exc
 
 
 def ring_to_dict(ring):
     labels = ring.labels
-    tensor = []
-    for i, j, k in np.argwhere(ring.tensor > 0):
-        tensor.append([labels[i], labels[j], labels[k], int(ring.tensor[i, j, k])])
     data = {
         "rank": ring.rank,
         "labels": list(labels),
         "unit": labels[ring.unit],
         "dual": [[labels[i], labels[int(ring.dual[i])]] for i in range(ring.rank)],
-        "tensor": tensor,
+        "tensor": [[labels[i], labels[j], labels[k], v] for i, j, k, v in ring.triples.T.tolist()],
     }
     if ring.grading is not None:
         data["grading"] = {
@@ -146,7 +147,7 @@ def partial_from_dict(data):
         _check(isinstance(entry, list) and len(entry) == 2, "dims entries must be pairs")
         lab, val = entry
         _check(lab in index, "dims mentions unknown label %r" % lab)
-        _check(isinstance(val, (int, float)), "dims must be numbers")
+        _check(_is_int(val) or isinstance(val, float), "dims must be numbers")
         dimmap[lab] = float(val)
     _check(set(dimmap) == set(labels), "dims must cover every label")
     known = _entries_from(data, "known", index)

@@ -105,28 +105,61 @@ class FusionRing:
     tensor : (rank, rank, rank) array of nonnegative ints, N_{ij}^k
     grading : optional Grading
 
+    The coefficients have two read-only int64 views, each built on first use
+    and then kept: ``tensor``, dense (built past check_dense), and ``triples``,
+    whose rows i, j, k, v list the nonzero N_{ij}^k = v in lexicographic order.
+
     Construction checks only structure (shapes, involution, nonnegativity);
     the ring axioms are checked by :func:`verify_axioms`.  A read-only
     int64 tensor or dual is kept as given; a writeable one is copied, so
     the caller's array is neither frozen nor shared.
     """
 
-    __slots__ = ("labels", "unit", "dual", "tensor", "grading", "_index")
+    __slots__ = ("labels", "unit", "dual", "grading", "_index", "_tensor", "_triples")
 
     def __init__(self, labels, unit, dual, tensor, grading=None):
+        self._set_structure(labels, unit, dual, grading, _read_only(tensor), None)
+        if self._tensor.shape != (self.rank,) * 3:
+            raise MalformedRingError("tensor shape %r does not match rank %d"
+                                     % (self._tensor.shape, self.rank))
+        if self._tensor.min(initial=0) < 0:
+            raise MalformedRingError("negative fusion coefficient")
+
+    @classmethod
+    def from_triples(cls, labels, unit, dual, i, j, k, v, grading=None):
+        """The ring with N_{i[e] j[e]}^{k[e]} = v[e] and every other coefficient 0, from
+        integer arrays of one length in any order; zeros are dropped."""
+        ring = cls.__new__(cls)
+        ring._set_structure(labels, unit, dual, grading, None, None)
+        cols = [np.asarray(a) for a in (i, j, k, v)]
+        if any(c.ndim != 1 or c.shape != cols[0].shape or c.size and c.dtype.kind not in "iu"
+               for c in cols):
+            raise MalformedRingError("triples must be 1-d integer arrays of one length")
+        i, j, k, v = (c.astype(np.int64, copy=False) for c in cols)
+        if any(c.min(initial=0) < 0 or c.max(initial=0) >= ring.rank for c in (i, j, k)):
+            raise MalformedRingError("triple index out of range")
+        if v.min(initial=0) < 0:
+            raise MalformedRingError("negative fusion coefficient")
+        key = (i * ring.rank + j) * ring.rank + k
+        order = np.argsort(key, kind="stable")  # timsort: linear on sorted runs
+        if (np.diff(key[order]) == 0).any():
+            raise MalformedRingError("repeated triple")
+        order = order[v[order] != 0]
+        ring._triples = np.empty((4, len(order)), dtype=np.int64)
+        for row, c in zip(ring._triples, (i, j, k, v)):
+            np.take(c, order, out=row)
+        ring._triples.setflags(write=False)
+        return ring
+
+    def _set_structure(self, labels, unit, dual, grading, tensor, triples):
         labels = tuple(str(x) for x in labels)
         rank = len(labels)
         if len(set(labels)) != rank:
             raise MalformedRingError("labels must be distinct")
-        tensor = _read_only(tensor)
-        if tensor.shape != (rank, rank, rank):
-            raise MalformedRingError("tensor shape %r does not match rank %d" % (tensor.shape, rank))
-        if tensor.min(initial=0) < 0:
-            raise MalformedRingError("negative fusion coefficient")
         dual = _read_only(dual)
         if dual.shape != (rank,) or sorted(dual.tolist()) != list(range(rank)):
             raise MalformedRingError("dual must be a permutation of the indices")
-        if not all(dual[dual[i]] == i for i in range(rank)):
+        if (dual[dual] != np.arange(rank)).any():
             raise MalformedRingError("dual is not an involution")
         unit = as_integer(unit, MalformedRingError)
         if not 0 <= unit < rank:
@@ -138,9 +171,28 @@ class FusionRing:
         self.labels = labels
         self.unit = unit
         self.dual = dual
-        self.tensor = tensor
         self.grading = grading
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._tensor, self._triples = tensor, triples
+
+    @property
+    def tensor(self):
+        if self._tensor is None:
+            check_dense(self.rank ** 3)
+            self._tensor = np.zeros((self.rank,) * 3, dtype=np.int64)
+            self._tensor[tuple(self._triples[:3])] = self._triples[3]
+            self._tensor.setflags(write=False)
+        return self._tensor
+
+    @property
+    def triples(self):
+        if self._triples is None:
+            # a flat boolean scan, several times faster than np.nonzero in 3-d
+            flat = np.flatnonzero(self._tensor != 0)
+            ij, k = np.divmod(flat, self.rank)
+            self._triples = np.stack((*np.divmod(ij, self.rank), k, self._tensor.ravel()[flat]))
+            self._triples.setflags(write=False)
+        return self._triples
 
     @property
     def rank(self):
@@ -156,7 +208,7 @@ class FusionRing:
             self.labels == other.labels
             and self.unit == other.unit
             and np.array_equal(self.dual, other.dual)
-            and np.array_equal(self.tensor, other.tensor)
+            and np.array_equal(self.triples, other.triples)
             and self.grading == other.grading
         )
 
@@ -194,17 +246,17 @@ class AxiomReport:
         return "<AxiomReport %s>" % self
 
 
-def grading_violations(tensor, grading):
+def grading_violations(ring, grading):
     """The (i, j, k) with N_{ij}^k > 0 but deg i + deg j != deg k.
 
-    Triples come in np.nonzero order (lexicographic); an empty list means
-    the grading is multiplicative.
+    Any grading of ring's simples may be passed.  Triples come in
+    lexicographic order; an empty list means the grading is multiplicative.
     """
-    ii, jj, kk = np.nonzero(tensor)
+    i, j, k = ijk = ring.triples[:3]
     deg = np.array(grading.deg, dtype=np.int64)
     orders = np.array(grading.orders, dtype=np.int64)
-    bad = ((deg[ii] + deg[jj] - deg[kk]) % orders).any(axis=1)
-    return [(int(i), int(j), int(k)) for i, j, k in zip(ii[bad], jj[bad], kk[bad])]
+    bad = ((deg[i] + deg[j] - deg[k]) % orders).any(axis=1)
+    return [tuple(x) for x in ijk[:, bad].T.tolist()]
 
 
 def verify_axioms(ring):
@@ -256,7 +308,7 @@ def verify_axioms(ring):
 
     if ring.grading is not None:
         g = ring.grading
-        violations += [("grading", ijk) for ijk in grading_violations(t, g)]
+        violations += [("grading", ijk) for ijk in grading_violations(ring, g)]
         for i in range(r):
             if g.degree(int(dual[i])) != g.neg(g.degree(i)):
                 violations.append(("grading-dual", (i,)))
@@ -322,6 +374,11 @@ def fp_dims(ring):
 # words and K-normality
 
 
+def _check_index(ring, x):
+    if not 0 <= x < ring.rank:
+        raise IndexError("object index %r out of range" % (x,))
+
+
 def _as_word(word):
     out = []
     for step in word:
@@ -343,8 +400,7 @@ def decompose_word(ring, word):
     v = np.zeros(ring.rank, dtype=np.int64)
     v[ring.unit] = 1
     for i, starred in _as_word(word):
-        if not 0 <= i < ring.rank:
-            raise IndexError("word index out of range")
+        _check_index(ring, i)
         y = int(ring.dual[i]) if starred else i
         v = v @ ring.tensor[:, y, :]
     return v
@@ -390,6 +446,7 @@ def is_k_normal(ring, x, k_max=8):
     two k-th power blocks are compared in both orders.  The answer is
     horizon-bounded: equality for all k >= K is not decidable here.
     """
+    _check_index(ring, x)
     t = ring.tensor
     xd = int(ring.dual[x])
     a = np.zeros(ring.rank, dtype=np.int64)
@@ -423,8 +480,10 @@ def subring_generated(ring, seeds):
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    gens = np.union1d(seeds, ring.dual[seeds])
-    label = components(ring.rank, *np.nonzero(ring.tensor[:, gens].any(axis=1)))
+    by = np.zeros(ring.rank, dtype=bool)
+    by[seeds] = by[ring.dual[seeds]] = True
+    i, j, k, _ = ring.triples
+    label = components(ring.rank, i[by[j]], k[by[j]])
     return tuple(np.flatnonzero(label == label[ring.unit]).tolist())
 
 
@@ -435,8 +494,8 @@ def is_generator(ring, x):
 
 def adjoint_subring(ring):
     """Support of the subring generated by all i (x) i*."""
-    t = ring.tensor
-    return subring_generated(ring, np.flatnonzero(t[np.arange(ring.rank), ring.dual].any(axis=0)))
+    i, j, k, _ = ring.triples
+    return subring_generated(ring, np.unique(k[j == ring.dual[i]]))
 
 
 class InvertiblesReport:
@@ -494,14 +553,13 @@ def universal_grading(ring):
     the Smith coordinates of the component presentation, which are fixed
     only up to an automorphism of the group.
     """
-    t = ring.tensor
     r = ring.rank
-    reach = t[np.asarray(adjoint_subring(ring))].any(axis=0)
+    i, j, k, _ = ring.triples
+    on = np.bincount(adjoint_subring(ring), minlength=r) > 0  # the adjoint simples
     # components numbered by least member
-    least, comp = np.unique(components(r, *np.nonzero(reach)), return_inverse=True)
+    least, comp = np.unique(components(r, j[on[i]], k[on[i]]), return_inverse=True)
     n_comp = len(least)
 
-    i, j, k = np.nonzero(t)
     if not np.bincount(i * r + j, minlength=r * r).all():
         raise InconsistentGradingError("empty fusion product (broken ring)")
     # the component product, read off one constituent of each product: a product
@@ -571,11 +629,9 @@ def find_isomorphisms(a, b, max_count=None):
 
 def fusion_graph(ring, x):
     """Digraph of tensoring by x: edge i -> k with multiplicity N_{x i}^k."""
-    t = ring.tensor[x]
-    edges = {}
-    for i, k in np.argwhere(t > 0):
-        edges[(int(i), int(k))] = int(t[i, k])
-    return Digraph(ring.rank, edges)
+    _check_index(ring, x)
+    t = ring.triples
+    return Digraph(ring.rank, {(i, k): m for i, k, m in t[1:, t[0] == x].T.tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -585,25 +641,27 @@ def fusion_graph(ring, x):
 def restrict(ring, indices, grading=None):
     """Subring on a dual- and fusion-closed index set, reindexed from 0.
 
-    ``indices`` must be closed (as produced by subring_generated); entries of
-    the big tensor leaving the set would be dropped silently otherwise, so
-    closure under fusion and duals is checked (MalformedRingError); adjoint
-    and (1,1) subrings both come through here.  Labels are kept and
-    ``grading`` is attached.  The whole index set in order gives a ring on
-    ring's own read-only arrays, with no copy.
+    ``indices`` must be closed (as produced by subring_generated); triples
+    leaving the set would be dropped silently otherwise, so closure under
+    fusion and duals is checked (MalformedRingError); adjoint and (1,1)
+    subrings both come through here, read off ring.triples.  Labels are kept
+    and ``grading`` is attached.  The whole index set in order gives a ring on
+    ring's own read-only views and dual, with no copy.
     """
     idx = list(indices)
     labels = [ring.labels[i] for i in idx]
     if idx == list(range(ring.rank)):
-        return FusionRing(labels, ring.unit, ring.dual, ring.tensor, grading)
-    pos = {g: a for a, g in enumerate(idx)}
-    t = ring.tensor
-    outside = np.delete(np.arange(ring.rank), idx)
-    if len(outside) and np.any(t[np.ix_(idx, idx, outside)]):
+        whole = FusionRing.__new__(FusionRing)
+        whole._set_structure(labels, ring.unit, ring.dual, grading, ring._tensor, ring._triples)
+        return whole
+    pos = np.full(ring.rank, -1)
+    pos[idx] = np.arange(len(idx))
+    i, j, k, v = ring.triples
+    inside = (pos[i] >= 0) & (pos[j] >= 0)
+    if (pos[k[inside]] < 0).any():
         raise MalformedRingError("index set is not fusion-closed")
-    if any(int(ring.dual[i]) not in pos for i in idx):
+    dual = pos[ring.dual[idx]]
+    if (dual < 0).any():
         raise MalformedRingError("index set is not dual-closed")
-    sub = t[np.ix_(idx, idx, idx)]
-    sub.setflags(write=False)  # FusionRing keeps a read-only array without a copy
-    dual = [pos[int(ring.dual[i])] for i in idx]
-    return FusionRing(labels, pos[ring.unit], dual, sub, grading)
+    return FusionRing.from_triples(labels, pos[ring.unit], dual, pos[i[inside]],
+                                   pos[j[inside]], pos[k[inside]], v[inside], grading)

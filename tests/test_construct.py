@@ -60,6 +60,9 @@ def test_ade_families():
         ade_ring("E6", 7)
     with pytest.raises(UnknownFamilyError, match="integer"):
         ade_ring("A", 5.5)  # not truncated to A_5
+    for family in ("A", "D", "E6"):
+        with pytest.raises(UnknownFamilyError, match="integer"):
+            ade_ring(family, "6")  # converted before it is compared
     assert ade_ring("A", np.int64(5)).rank == 5
 
 
@@ -169,7 +172,7 @@ def test_one_one_product_matches_dense_oracle(spy):
             for (base, n), one_one in calls[start:]:
                 if M <= 2 or base.rank * n <= 150:
                     prod = deligne_product(base, pointed_ring((n,)))
-                    assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
+                    assert one_one == one_one_subring(prod, prod.grading)
                     checked.append((row, M))
     # every row but pointed takes a (1,1) step, a-even on a trivially graded base
     assert len(calls) == 3 * (len(ROWS) - 1)
@@ -180,7 +183,7 @@ def test_one_one_product_matches_dense_oracle(spy):
     for n in (2, 4):
         prod = deligne_product(base, pointed_ring((n,)))
         one_one = construct._one_one_product(base, n)
-        assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
+        assert one_one == one_one_subring(prod, prod.grading)
     # every pair is reached unless a product is empty; with y (x) x = 0 (not
     # a fusion ring) y is not, and the support goes through restrict
     t = np.zeros((3, 3, 3), dtype=np.int64)
@@ -190,7 +193,7 @@ def test_one_one_product_matches_dense_oracle(spy):
     prod = deligne_product(base, pointed_ring((4,)))
     one_one = construct._one_one_product(base, 4)
     assert len(one_one.labels) == 4
-    assert construct._dense(one_one) == one_one_subring(prod, prod.grading)
+    assert one_one == one_one_subring(prod, prod.grading)
 
 
 def test_moved_degree_fails_both_one_one_paths(a5):
@@ -237,7 +240,7 @@ def test_dequiv_matches_loop_oracle(spy):
         assert len(calls) == 1
         (one_one, (simple,)), (quot, _) = calls.pop()
         assert quot is build.ring
-        ring = construct._dense(one_one)
+        ring = one_one
         labels, t = _orbit_ring_loop(ring, ring.index(simple))
         assert quot.labels == labels
         assert np.array_equal(quot.tensor, t)

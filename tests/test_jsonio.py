@@ -9,6 +9,7 @@ from fusionrings import (
     config,
     find_isomorphisms,
     load_ring,
+    pointed_ring,
     ring_from_dict,
     ring_to_dict,
     theorem_row,
@@ -62,6 +63,37 @@ def test_format_errors(mutate, fragment):
     with pytest.raises(RingFormatError) as err:
         ring_from_dict(data)
     assert fragment in str(err.value)
+
+
+def _set(path, value):
+    # a mutation of the JSON data setting data[path[0]][path[1]]... to value
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("ring,mutate", [
+    (("A", 3), _set(("tensor", 0, 3), True)),            # would load as N = 1
+    (("A", 3), _set(("grading", "orders"), [True])),     # would load as Z_1
+    (("A", 3), _set(("grading", "deg", 1, 1), [True])),
+    ((), _set(("rank",), True)),                          # the rank-1 ring
+])
+def test_json_booleans_are_not_integers(ring, mutate):
+    data = ring_to_dict(ade_ring(*ring) if ring else pointed_ring(()))
+    ring_from_dict(json.loads(json.dumps(data)))
+    mutate(data)
+    with pytest.raises(RingFormatError):
+        ring_from_dict(data)
+
+
+def test_partial_dims_are_not_booleans():
+    data = partial_to_dict(load_partial(data_path("e4_partial.json")))
+    unit = data["unit"]
+    data["dims"] = [[l, True if l == unit else d] for l, d in data["dims"]]
+    with pytest.raises(RingFormatError, match="numbers"):
+        partial_from_dict(data)
 
 
 def test_partial_round_trip(tmp_path):
@@ -119,14 +151,15 @@ def test_partial_dims_must_be_finite_and_positive(tmp_path, value):
 
 
 def test_ring_from_dict_keeps_its_one_tensor():
-    # the tensor is built once and handed to FusionRing read-only, so the
-    # ring keeps it without a copy (a second copy would make the peak 2x)
+    # the tensor is built once, from the triples, and kept read-only without
+    # a copy (a second copy would make the peak 2x)
     ring = theorem_row("exc4-deq", M=4).ring
     assert ring.rank == 96
     data = ring_to_dict(ring)
     tracemalloc.start()
     try:
         back = ring_from_dict(data)
+        back.tensor  # built from the triples on first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

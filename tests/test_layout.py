@@ -75,3 +75,37 @@ def test_only_ring_holds_the_dense_and_exact_sum_bounds():
     hits = ["%s: %s" % (path.name, hit) for path in sources if path.name != "ring.py"
             for hit in bound_reads(path.read_text())]
     assert hits == []
+
+
+SCANS = ("nonzero", "argwhere", "flatnonzero")
+
+
+def tensor_scans(source):
+    """Calls of np.nonzero, np.argwhere or np.flatnonzero in ``source`` with
+    an argument that reads a ``.tensor`` attribute."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in SCANS
+                and any(isinstance(sub, ast.Attribute) and sub.attr == "tensor"
+                        for arg in node.args + [k.value for k in node.keywords]
+                        for sub in ast.walk(arg))):
+            hits.append("%s line %d" % (node.func.attr, node.lineno))
+    return hits
+
+
+def test_tensor_scan_check_reads_arguments():
+    source = ('"""np.nonzero(ring.tensor)"""\n'
+              "i, j, k = np.nonzero(ring.tensor)\n"
+              "bad = np.argwhere(t.tensor[x] > 0)  # np.nonzero(ring.tensor)\n"
+              "ok = np.flatnonzero(ring.triples[0] == x) + np.nonzero(tensor)[0]\n")
+    assert tensor_scans(source) == ["nonzero line 2", "argwhere line 3"]
+
+
+def test_only_ring_scans_the_tensor_for_nonzeros():
+    # FusionRing.triples is the one sparse view of a ring; every other module
+    # reads it instead of scanning the dense tensor again
+    sources = sorted(pathlib.Path(fusionrings.__file__).parent.glob("*.py"))
+    hits = ["%s: %s" % (path.name, hit) for path in sources if path.name != "ring.py"
+            for hit in tensor_scans(path.read_text())]
+    assert hits == []

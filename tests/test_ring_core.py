@@ -32,6 +32,7 @@ from fusionrings import (
 )
 from fusionrings.abelian import group_from_table
 from fusionrings.construct import ROWS
+from fusionrings import config
 from fusionrings.errors import BoundsExceededError, InconsistentGradingError, MalformedRingError
 from fusionrings.graphs import components, perron_vector
 from fusionrings.ring import grading_violations, restrict
@@ -164,15 +165,15 @@ def _grading_violations_loop(tensor, g):
 
 def test_grading_violations_match_loop(e166):
     t = e166.tensor
-    assert grading_violations(t, e166.grading) == []
-    assert grading_violations(t, Grading((), [()] * e166.rank)) == []
+    assert grading_violations(e166, e166.grading) == []
+    assert grading_violations(e166, Grading((), [()] * e166.rank)) == []
     deg = list(e166.grading.deg)
     deg[e166.index("a0")] = (2,)
     rng = random.Random(20261018)
     wrong = [Grading((6,), deg),
              Grading((6, 2), [(rng.randrange(6), rng.randrange(2)) for _ in deg])]
     for g in wrong:
-        bad = grading_violations(t, g)
+        bad = grading_violations(e166, g)
         assert bad and bad == _grading_violations_loop(t, g)
         ring = FusionRing(e166.labels, e166.unit, e166.dual, t, g)
         assert [idx for kind, idx in verify_axioms(ring).violations if kind == "grading"] == bad
@@ -210,6 +211,57 @@ def test_ring_neither_freezes_nor_shares_callers_arrays(a5):
     assert not ring.tensor.flags.writeable and not ring.dual.flags.writeable
     # a read-only array, such as another ring's tensor, is shared as is
     assert FusionRing(a5.labels, a5.unit, a5.dual, a5.tensor).tensor is a5.tensor
+
+
+def test_from_triples_checks_its_arrays(a5):
+    i, j, k, v = a5.triples
+    head = (a5.labels, a5.unit, a5.dual)
+    bad = [((i[:-1], j, k, v), "one length"),
+           ((i, j, np.where(k == 4, 5, k), v), "out of range"),
+           ((np.where(i == 4, -1, i), j, k, v), "out of range"),
+           ((i, j, k, -v), "negative"),
+           ((i, j, k, v.astype(float)), "integer arrays"),
+           (tuple(np.append(a, a[0]) for a in (i, j, k, v)), "repeated")]
+    for arrays, match in bad:
+        with pytest.raises(MalformedRingError, match=match):
+            FusionRing.from_triples(*head, *arrays)
+    # an explicit zero, here N_{f1 f1}^{f4}, is dropped
+    extra = (np.append(a, x) for a, x in zip((i, j, k, v), (1, 1, 4, 0)))
+    zero = FusionRing.from_triples(*head, *extra, grading=a5.grading)
+    assert zero == a5
+    assert np.array_equal(zero.triples, a5.triples)
+
+
+def test_from_triples_builds_its_tensor_past_the_dense_bound(a5, monkeypatch):
+    ring = FusionRing.from_triples(a5.labels, a5.unit, a5.dual, *a5.triples)
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", a5.tensor.nbytes - 1)
+    assert subring_generated(ring, [1]) == tuple(range(5))  # reads triples only
+    with pytest.raises(BoundsExceededError):
+        ring.tensor
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", a5.tensor.nbytes)
+    assert np.array_equal(ring.tensor, a5.tensor)
+    assert not ring.tensor.flags.writeable
+
+
+def test_triples_view_matches_the_tensor(e4, e166, a5):
+    # each view against the other, on every row at M <= 3 and eight named rings
+    named = [e4, e166, a5, ade_ring("D", 10), ade_ring("E6"), ade_ring("adE8"),
+             pointed_ring((2, 2, 2)), pointed_ring((4, 6))]
+    rows = [theorem_row(row, M=M).ring for row in ROWS for M in (1, 2, 3)]
+    rng = np.random.default_rng(20261019)
+    for ring in rows + named:
+        t = ring.triples
+        want = np.nonzero(ring.tensor)
+        assert np.array_equal(t[:3], want)
+        assert np.array_equal(t[3], ring.tensor[want])
+        assert not t.flags.writeable
+        dense = FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor.copy())
+        assert np.array_equal(dense.triples, t)
+        perm = rng.permutation(t.shape[1])
+        back = FusionRing.from_triples(ring.labels, ring.unit, ring.dual, *t[:, perm],
+                                       grading=ring.grading)
+        assert back == ring
+        assert np.array_equal(back.tensor, ring.tensor)
 
 
 def test_pointed_ring_is_its_group():
@@ -293,6 +345,43 @@ def test_restrict_whole_ring_shares_arrays_and_checks_subsets(a5):
     t[1, 2, 0] = t[2, 1, 0] = 1
     with pytest.raises(MalformedRingError, match="not dual-closed"):
         restrict(FusionRing(["0", "1", "2"], 0, [0, 2, 1], t), [0, 1])
+
+
+def _restrict_oracle(ring, indices, grading=None):
+    # the dense restriction: closure and subring read off gathers of the tensor
+    idx = list(indices)
+    pos = {g: a for a, g in enumerate(idx)}
+    t = ring.tensor
+    outside = np.delete(np.arange(ring.rank), idx)
+    if len(outside) and np.any(t[np.ix_(idx, idx, outside)]):
+        raise MalformedRingError("index set is not fusion-closed")
+    if any(int(ring.dual[i]) not in pos for i in idx):
+        raise MalformedRingError("index set is not dual-closed")
+    dual = [pos[int(ring.dual[i])] for i in idx]
+    return FusionRing([ring.labels[i] for i in idx], pos[ring.unit], dual,
+                      t[np.ix_(idx, idx, idx)], grading)
+
+
+def test_restrict_matches_dense_oracle(a5):
+    checked = 0
+    for row in ROWS:
+        for M in (1, 2, 3):
+            ring = theorem_row(row, M=M).ring
+            idx = adjoint_subring(ring)
+            trivial = Grading((), [()] * len(idx))
+            for order in (idx, idx[::-1]):  # the reversed order is sorted anew
+                assert restrict(ring, order, trivial) == _restrict_oracle(ring, order, trivial)
+                checked += 1
+    assert checked == 6 * len(ROWS)
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(3, dtype=np.int64)
+    t[1, 2, 0] = t[2, 1, 0] = 1
+    for ring, idx, match in [(a5, [0, 1], "not fusion-closed"),
+                             (FusionRing(["0", "1", "2"], 0, [0, 2, 1], t), [0, 1],
+                              "not dual-closed")]:
+        for restriction in (restrict, _restrict_oracle):
+            with pytest.raises(MalformedRingError, match=match):
+                restriction(ring, idx)
 
 
 def test_adjoint_and_generation():
@@ -401,7 +490,7 @@ def test_universal_grading_normal_form(e4, e166):
     rings = list(_grading_rings()) + [("e4", e4), ("e166", e166)]
     for name, ring in rings:
         g = universal_grading(ring)
-        assert grading_violations(ring.tensor, g) == [], name
+        assert grading_violations(ring, g) == [], name
         # one degree per component, and every element of the group is one
         deg_of = {}
         for c, d in zip(_adjoint_classes(ring), g.deg):
@@ -447,6 +536,17 @@ def test_fusion_graph_and_figure(e4):
     target = Digraph.from_edge_list(
         fig["nodes"], [(a - 1, b - 1) for a, b in fig["edges"]])
     assert digraph_iso(g, target)
+
+
+def test_object_indices_are_range_checked(a5):
+    # a negative index would otherwise wrap around to f4
+    for x in (-1, a5.rank):
+        with pytest.raises(IndexError):
+            fusion_graph(a5, x)
+        with pytest.raises(IndexError):
+            is_k_normal(a5, x)
+        with pytest.raises(IndexError):
+            decompose_word(a5, [x])
 
 
 def test_find_isomorphisms(a5):
@@ -599,6 +699,16 @@ def test_digraph_helpers():
     assert doubled.edges[(0, 1)] == 2 and doubled.edge_count == 2
     dot = path.to_dot(labels=["a", "b", "c", "d"])
     assert dot.startswith("digraph") and '"a" -> "b"' in dot
+
+
+def test_digraph_takes_integers_only():
+    for n, edges in [(2, {(0, 1): 1.7}), (2, {(0.0, 1): 1}), (2, {(0, 1.5): 1}),
+                     (2.5, None)]:
+        with pytest.raises(ValueError, match="integer"):
+            Digraph(n, edges)
+    g = Digraph(np.int64(2), {(np.int32(0), 1): np.int64(2)})
+    assert g.n == 2 and g.edges == {(0, 1): 2}
+    assert all(type(x) is int for x in (g.n, *next(iter(g.edges)), g.edges[(0, 1)]))
 
 
 def _bfs_components(n, edges):
