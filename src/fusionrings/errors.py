@@ -74,9 +74,12 @@ class UnknownFamilyError(RingError):
 
 
 def as_integer(value, error):
-    """``value`` as an int if it is a Python or numpy integer; anything else
-    raises the exception class ``error`` instead of being truncated."""
+    """``value`` as an int if it is a Python or numpy integer; anything else,
+    a ``bool`` included, raises the exception class ``error`` instead of
+    being truncated or read as 0 or 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error("expected an integer, got %r" % (value,)) from None

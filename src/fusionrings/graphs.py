@@ -1,7 +1,9 @@
 """Multiplicity-weighted digraphs, DOT export, Perron vectors and
 bipartitions, the ADE Dynkin graphs used as generator fusion graphs, the
 one exact isomorphism search on integer tensors (``isomorphisms``), which
-``digraph_iso`` and ``ring.find_isomorphisms`` wrap, and the one closure
+``digraph_iso`` and ``ring.find_isomorphisms`` wrap and from which
+``automorphism_generators`` builds a strong generating set of a tensor's
+symmetries for the solver, and the one closure
 routine (``components``), which generated subrings, grading components,
 quotient subgroups and the solver's Frobenius orbits are read from.
 """
@@ -182,6 +184,60 @@ def isomorphisms(ta, tb, ca, cb, max_count=None):
 
     extend(0)
     return sorted(found)
+
+
+def automorphism_generators(t, c):
+    """Generators of the group of index permutations s that fix the integer
+    tensor t, t[s(i), s(j), ...] = t[i, j, ...], and the start colours c.
+
+    The group is never enumerated.  One individualise-and-refine path picks
+    the base b_0, b_1, ...: refine the colouring, give the least index of
+    its smallest non-singleton cell a colour of its own, and repeat until
+    the colouring is discrete.  Then, from the deepest level to the first,
+    each index x of b_l's cell on the path that the generators found so far
+    do not map b_l to gets one isomorphisms search from the colouring with
+    b_0..b_l individualised to the one with b_0..b_{l-1}, x individualised;
+    the map it finds, if any, is kept.  The generators found by level l
+    generate the stabiliser of b_0..b_{l-1}, so they form a strong
+    generating set, and the group's order is the product of the base
+    points' orbit sizes.  Returns the generators as image tuples.
+    """
+    t = np.asarray(t)
+    n = t.shape[0]
+    m = t.sum(axis=tuple(range(t.ndim - 2)))
+
+    def individualised(points):
+        at = {x: p for p, x in enumerate(points)}
+        return [(c[i], at.get(i, -1)) for i in range(n)]
+
+    base, cells = [], []
+    while True:
+        start = individualised(base)
+        colors = refine(m, m, start, start)[0]
+        by_color = {}
+        for i, x in enumerate(colors):
+            by_color.setdefault(x, []).append(i)
+        open_cells = [cell for cell in by_color.values() if len(cell) > 1]
+        if not open_cells:
+            break
+        cell = min(open_cells, key=len)
+        base.append(cell[0])
+        cells.append(cell)
+
+    gens = []
+    for level in range(len(base) - 1, -1, -1):
+        b, prefix = base[level], base[:level]
+        orbit = {b}
+        for x in cells[level]:
+            if x in orbit:
+                continue
+            found = isomorphisms(t, t, individualised(prefix + [b]),
+                                 individualised(prefix + [x]), max_count=1)
+            if found:
+                gens.append(found[0])
+                label = components(n, np.tile(np.arange(n), len(gens)), gens)
+                orbit = set(np.flatnonzero(label == label[b]).tolist())
+    return gens
 
 
 def digraph_iso(g, h):

@@ -6,7 +6,12 @@ completion to a fusion ring.  The pipeline:
 
   1. enumerate dual involutions consistent with dims, grading and the
      known coefficients (branching when two same-dimension objects could be
-     either mutually dual or separately self-dual);
+     either mutually dual or separately self-dual); G, the group of
+     permutations of the simples that the partial ring cannot tell apart,
+     maps completions to completions, so only the first involution sigma
+     of each G-conjugacy class is searched, and the leaves of each
+     g sigma g^-1 are sigma's relabelled by g (G is known by a strong
+     generating set from graphs.automorphism_generators);
   2. tie coefficients into Frobenius-reciprocity orbits (one variable per
      orbit, read off graphs.components), pre-fill unit laws, duality,
      grading zeros and known entries, and bound every variable by
@@ -24,10 +29,14 @@ completion to a fusion ring.  The pipeline:
      ring.check_dense that one rank^4 array fits config.MAX_DENSE_BYTES);
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
-  5. verify the full axioms on every leaf;
+  5. verify the full axioms and the dimension sums on every leaf, the
+     relabelled ones included;
   6. sort the survivors by tensor bytes (leaves never repeat: the tensor
-     fixes the dual, and two leaves of one dual branch part at a branching)
-     and class each against one representative per class found so far.
+     fixes the dual, and two leaves of one dual branch part at a branching),
+     join each to its image under each generator of G (a missing image
+     raises: the survivors must be closed under G) and class the first
+     solution of each G-orbit against one representative per class found
+     so far.
 """
 
 import math
@@ -43,7 +52,7 @@ from .errors import (
     SearchCapExceededError,
     as_integer,
 )
-from .graphs import Digraph, bipartition, components, perron_vector
+from .graphs import Digraph, automorphism_generators, bipartition, components, perron_vector
 from .ring import (
     FusionRing,
     Grading,
@@ -121,11 +130,12 @@ class SolveResult:
 
     ``solutions`` are sorted by tensor bytes; each class lists indices into
     them in increasing order, and its first index is its representative.
-    ``stats`` counts what the search did: ``nodes`` (values tried at
-    branchings), ``dual_branches`` (dual involutions tried),
-    ``propagation_rounds`` (row pass plus associativity pass),
-    ``row_solves`` and ``row_enumerations`` (row solves whose hull was not
-    in the memo yet).
+    ``stats`` counts what the search did: ``dual_branches`` (every dual
+    involution), ``branches_by_symmetry`` (those filled in by relabelling
+    the leaves of a searched one), and, over the searched ones only,
+    ``nodes`` (values tried at branchings), ``propagation_rounds`` (row
+    pass plus associativity pass), ``row_solves`` and ``row_enumerations``
+    (row solves whose hull was not in the memo yet).
     """
 
     def __init__(self, solutions, classes, nodes, stats):
@@ -513,6 +523,85 @@ class _State:
 
 
 # ---------------------------------------------------------------------------
+# symmetries of the partial ring
+
+
+def _known_tensor(partial, tol):
+    """The known-entry tensor (-1 for unknown, the partial dual written in
+    as unit-column entries) and the start colours of the simples (is-unit,
+    dimension class, degree) whose automorphisms form G, the symmetry group
+    of the partial ring: the set of its completions is closed under G."""
+    r, d, unit = partial.rank, partial.dims, partial.unit
+    known = np.full((r, r, r), -1, dtype=np.int64)
+    for t, v in partial.known.items():
+        known[t] = v
+    for i, j in (partial.dual or {}).items():
+        known[i, :, unit] = 0
+        known[i, j, unit] = 1
+    # dimension classes, in increasing order of dimension, named by their
+    # least member: each opens at a dim that the tolerance rule of
+    # _dual_branches tells from the class's least, so that rule calls every
+    # pair in a class equal
+    dim_class = [0] * r
+    least = None
+    for i in np.argsort(d, kind="stable").tolist():
+        if least is None or abs(d[i] - d[least]) > tol * max(1.0, d[least]):
+            least = i
+        dim_class[i] = least
+    return known, [(i == unit, dim_class[i]) + partial.grading.degree(i) for i in range(r)]
+
+
+def _symmetries(partial, tol):
+    """A strong generating set of G as index arrays."""
+    return [np.array(g, dtype=np.intp)
+            for g in automorphism_generators(*_known_tensor(partial, tol))]
+
+
+def _relabel(tensor, g):
+    """The tensor with each index i renamed g[i]."""
+    inv = np.argsort(g)
+    return tensor[np.ix_(inv, inv, inv)]
+
+
+def _conjugates(sigma, gens):
+    """The involutions g sigma g^-1 for g in the group the generators
+    generate, each mapped to one such g; found by breadth-first search."""
+    found = {tuple(sigma): np.arange(len(sigma))}
+    queue = list(found)
+    for s in queue:
+        g = found[s]
+        for h in gens:
+            conj = np.empty(len(s), dtype=np.intp)
+            conj[h] = h[list(s)]
+            key = tuple(conj.tolist())
+            if key not in found:
+                found[key] = h[g]
+                queue.append(key)
+    return found
+
+
+def _orbits(solutions, gens):
+    """The G-orbits of the solutions as increasing index lists, in order of
+    their least index.  Each solution is joined to its image under each
+    generator; an image missing from the solutions means the set is not
+    closed under G, which the symmetry argument rules out, and raises."""
+    index = {ring.tensor.tobytes(): x for x, ring in enumerate(solutions)}
+    src, dst = [], []
+    for g in gens:
+        for x, ring in enumerate(solutions):
+            y = index.get(_relabel(ring.tensor, g).tobytes())
+            if y is None:
+                raise RuntimeError("completions are not closed under the symmetry %r"
+                                   % (g.tolist(),))
+            src.append(x)
+            dst.append(y)
+    orbits = {}
+    for x, least in enumerate(components(len(solutions), src, dst).tolist()):
+        orbits.setdefault(least, []).append(x)
+    return list(orbits.values())
+
+
+# ---------------------------------------------------------------------------
 # search
 
 
@@ -555,23 +644,33 @@ def complete_partial_ring(partial, search_cap=10_000_000):
 
     Returns a SolveResult whose solutions all pass verify_axioms, extend the
     known entries exactly, match the target dims within tolerance and respect
-    the grading.  Raises NoSolutionError (with the first conflict) if there
-    are none, SearchCapExceededError past the node budget.
+    the grading.  Raises NoSolutionError (with the first conflict met in a
+    searched dual branch) if there are none, SearchCapExceededError past the
+    node budget.
     """
     tol = config.TOLERANCE
+    gens = _symmetries(partial, tol)
     raw = []
-    stats = dict.fromkeys(("nodes", "dual_branches", "propagation_rounds",
-                           "row_solves", "row_enumerations"), 0)
+    stats = dict.fromkeys(("nodes", "dual_branches", "branches_by_symmetry",
+                           "propagation_rounds", "row_solves", "row_enumerations"), 0)
     memo = {}  # row hulls, shared by the dual branches
+    conjugate = {}  # each branch g sigma g^-1 of a searched sigma: g and sigma's leaves
     conflict = None
     for sigma in _dual_branches(partial, tol):
         stats["dual_branches"] += 1
+        if tuple(sigma) in conjugate:
+            g, tensors = conjugate[tuple(sigma)]
+            stats["branches_by_symmetry"] += 1
+            raw += [(_relabel(t, g), sigma) for t in tensors]
+            continue
+        tensors = []
+        for key, g in _conjugates(sigma, gens).items():
+            conjugate[key] = (g, tensors)
         try:
             state = _State(partial, sigma, tol, memo)
         except NoSolutionError as exc:
             conflict = conflict or str(exc)
             continue
-        tensors = []
         found = _search(state, tensors, search_cap, stats)
         conflict = conflict or found
         stats["propagation_rounds"] += state.rounds
@@ -600,15 +699,15 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     solutions.sort(key=lambda ring: ring.tensor.tobytes())
     classes = []
     reps = []
-    for idx, ring in enumerate(solutions):
+    for orbit in _orbits(solutions, gens):
         for c, rep_ring in zip(classes, reps):
-            if find_isomorphisms(rep_ring, ring, max_count=1):
-                c.append(idx)
+            if find_isomorphisms(rep_ring, solutions[orbit[0]], max_count=1):
+                c += orbit
                 break
         else:
-            classes.append([idx])
-            reps.append(ring)
-    return SolveResult(solutions, classes, stats["nodes"], stats)
+            classes.append(orbit)
+            reps.append(solutions[orbit[0]])
+    return SolveResult(solutions, [sorted(c) for c in classes], stats["nodes"], stats)
 
 
 # ---------------------------------------------------------------------------

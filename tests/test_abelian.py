@@ -88,8 +88,9 @@ def test_str_forms():
 
 
 def test_orders_must_be_integers():
-    with pytest.raises(ValueError, match="integer"):
-        FiniteAbelianGroup((2.5,))
+    for orders in ((2.5,), (True, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            FiniteAbelianGroup(orders)
     assert FiniteAbelianGroup((np.int64(2), 3)).orders == (2, 3)
 
 

@@ -310,6 +310,11 @@ def test_row_spec_validation():
         TheoremRowSpec("e8", N=2)  # fixed-size row
     with pytest.raises(ValueError):
         TheoremRowSpec("d-even", N=1)  # series starts at D_4
+    for kw in ({"M": True}, {"M": 2.0}):  # no bool or float is read as an integer
+        with pytest.raises(ValueError, match="integer"):
+            TheoremRowSpec("e6", **kw)
+    with pytest.raises(ValueError, match="integer"):
+        TheoremRowSpec("d-even", N=True)
 
     spec = TheoremRowSpec("exc4-deq", M=3)
     assert spec.grading_order == 24

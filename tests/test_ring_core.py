@@ -453,7 +453,9 @@ def test_grading_rejects_bad_orders_and_arity():
                                   ((0,), [(0,)], "orders"),
                                   ((-3,), [(1,)], "orders"),
                                   ((2.5,), [(1,)], "integer"),
-                                  ((2,), [(1.7,)], "integer")):
+                                  ((2,), [(1.7,)], "integer"),
+                                  ((True,), [(0,)], "integer"),
+                                  ((2,), [(False,)], "integer")):
         with pytest.raises(MalformedRingError, match=fragment):
             Grading(orders, deg)
     assert Grading((np.int64(4),), [(np.int32(5),)]).deg == ((1,),)
@@ -703,7 +705,7 @@ def test_digraph_helpers():
 
 def test_digraph_takes_integers_only():
     for n, edges in [(2, {(0, 1): 1.7}), (2, {(0.0, 1): 1}), (2, {(0, 1.5): 1}),
-                     (2.5, None)]:
+                     (2.5, None), (True, None), (2, {(0, 1): True}), (2, {(False, 1): 1})]:
         with pytest.raises(ValueError, match="integer"):
             Digraph(n, edges)
     g = Digraph(np.int64(2), {(np.int32(0), 1): np.int64(2)})

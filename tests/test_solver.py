@@ -17,6 +17,7 @@ from fusionrings import (
     e166_ring,
     find_isomorphisms,
     fp_dims,
+    pointed_ring,
     ring_from_generator_graph,
     unique_ring_from_graph,
     verify_axioms,
@@ -28,10 +29,10 @@ from fusionrings.errors import (
     NoSolutionError,
     SearchCapExceededError,
 )
-from fusionrings.graphs import Digraph
+from fusionrings.graphs import Digraph, automorphism_generators, isomorphisms
 from fusionrings.jsonio import load_partial, partial_from_dict, partial_to_dict
 from fusionrings.ring import Grading
-from fusionrings.solve import _Conflict, _dual_branches, _graph_partial, _State
+from fusionrings.solve import _Conflict, _dual_branches, _graph_partial, _known_tensor, _State
 from conftest import data_path, load_json
 
 
@@ -395,7 +396,9 @@ def test_row_memo_matches_no_memo_on_seeded_partials(monkeypatch):
 
 
 def test_row_memo_enumerates_distinct_rows_once(monkeypatch, e4):
-    # e4 from Z_2 parity solves about 7,500 rows with under 200 distinct inputs
+    # e4 from Z_2 parity searches 12 of its 40 dual branches, fills in the
+    # other 28 by relabelling, and solves about 2,500 rows with under 200
+    # distinct inputs
     counts = collections.Counter()
 
     def counted(name, f):
@@ -410,9 +413,9 @@ def test_row_memo_enumerates_distinct_rows_once(monkeypatch, e4):
     partial = _e4_parity(e4)
     result = complete_partial_ring(partial)
     assert result.stats == dict(
-        counts, nodes=result.nodes,
+        counts, nodes=result.nodes, branches_by_symmetry=28,
         dual_branches=len(list(_dual_branches(partial, config.TOLERANCE))))
-    assert counts["row_solves"] >= 7000 and counts["row_enumerations"] <= 300
+    assert counts["row_solves"] >= 2000 and counts["row_enumerations"] <= 300
 
 
 def _a5_state(opened, raised):
@@ -548,3 +551,135 @@ def test_row_solve_reports_interval_fallback():
             state._solve_row(unreachable, 100.0, 1e-9)
         assert str(info.value) == "row sum 100.000000 unreachable in [0.000000, 18.000000]"
     assert len(state.memo) == 3
+
+
+# ---------------------------------------------------------------------------
+# symmetry of the partial ring: searched branches, relabelled leaves, orbits
+
+
+def _group_order(gens, n):
+    # oracle: every element of the group the generators generate
+    seen, stack = {tuple(range(n))}, [tuple(range(n))]
+    while stack:
+        a = stack.pop()
+        for g in gens:
+            b = tuple(int(g[x]) for x in a)
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen)
+
+
+SYMMETRY_INPUTS = {
+    # name: (tensor, start colours), group order
+    "e4 from Z2 parity": (lambda: _known_tensor(_e4_parity(e4_ring()), config.TOLERANCE), 96),
+    "e4 partial fixture": (lambda: _known_tensor(_e4_partial(), config.TOLERANCE), 8),
+    "pointed Z2^3": (lambda: (pointed_ring([2, 2, 2]).tensor, [0] * 8), 168),
+    "D6 adjacency": (lambda: (dynkin("D", 6), [0] * 6), 2),
+    "E7 adjacency": (lambda: (dynkin("E7"), [0] * 7), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_INPUTS))
+def test_automorphism_generators_match_enumeration(name):
+    make, order = SYMMETRY_INPUTS[name]
+    t, c = make()
+    gens = automorphism_generators(t, c)
+    assert _group_order(gens, len(c)) == len(isomorphisms(t, t, c, c)) == order
+    for g in gens:
+        g = list(g)
+        assert sorted(g) == list(range(len(c)))
+        assert np.array_equal(t[np.ix_(*[g] * t.ndim)], t)
+        assert [c[x] for x in g] == list(c)
+
+
+def _without_nodes(outcome):
+    return outcome if isinstance(outcome, str) else outcome[:2]
+
+
+def _e4_parity_pinned(e4):
+    # e4 parity with N_{1 4}^5 = 1 known: 5 orbits of G in 4 classes, so a
+    # class is assembled from several orbits
+    p = _e4_parity(e4)
+    return PartialRing(p.labels, p.unit, p.dims, p.grading, known={(1, 4, 5): 1})
+
+
+def test_symmetry_matches_trivial_group(monkeypatch, e4):
+    # with no generators every dual branch is searched and every solution
+    # is its own orbit, which is the search without the symmetry step
+    pinned = _e4_parity_pinned(e4)
+    result = complete_partial_ring(pinned)
+    gens = solve._symmetries(pinned, config.TOLERANCE)
+    assert len(solve._orbits(result.solutions, gens)) > len(result.classes) > 1
+
+    partials = [f() for f in ASSOC_CASES.values()] + [pinned] + list(_seeded_partials())
+    got = [_outcome(p) for p in partials]
+    with monkeypatch.context() as m:
+        m.setattr(solve, "_symmetries", lambda partial, tol: [])
+        plain = [_outcome(p) for p in partials]
+    assert [_without_nodes(o) for o in got] == [_without_nodes(o) for o in plain]
+    assert sum(isinstance(o, str) for o in got) == 3
+
+    stats = complete_partial_ring(_e4_parity(e4)).stats
+    assert (stats["dual_branches"], stats["branches_by_symmetry"]) == (40, 28)
+
+
+def test_completions_not_closed_under_symmetry_raise(monkeypatch, e4):
+    # drop one leaf of the first searched branch whose dual has a nontrivial
+    # stabiliser in G: the stabiliser moves that leaf to another leaf of the
+    # branch, so the completions lose their closure and the classing raises
+    partial = _e4_parity(e4)
+    gens = solve._symmetries(partial, config.TOLERANCE)
+    order = _group_order(gens, partial.rank)
+    search, depth, dropped = solve._search, [0], []
+
+    def dropping(state, out, cap, stats):
+        # _search recurses through this wrapper; depth 0 is a whole branch
+        depth[0] += 1
+        conflict = search(state, out, cap, stats)
+        depth[0] -= 1
+        if depth[0] == 0 and not dropped and len(out) > 1:
+            sigma = state.values()[:, :, state.unit].argmax(axis=1).tolist()
+            if len(solve._conjugates(sigma, gens)) < order:
+                dropped.append(out.pop())
+        return conflict
+
+    monkeypatch.setattr(solve, "_search", dropping)
+    with pytest.raises(RuntimeError, match="not closed under the symmetry"):
+        complete_partial_ring(partial)
+    assert dropped
+
+
+def _relabelled(partial, perm):
+    # the partial ring with simple i renamed perm[i]
+    inv = np.argsort(perm)
+    g = partial.grading
+    dual = partial.dual and {perm[i]: perm[j] for i, j in partial.dual.items()}
+    return PartialRing([partial.labels[x] for x in inv], perm[partial.unit], partial.dims[inv],
+                       Grading(g.orders, [g.deg[x] for x in inv]), dual=dual,
+                       known={(perm[i], perm[j], perm[k]): v
+                              for (i, j, k), v in partial.known.items()})
+
+
+@pytest.mark.parametrize("name", sorted(ASSOC_CASES))
+def test_completions_follow_a_relabelling(name):
+    # oracle without the symmetry code: solve a relabelled copy of the
+    # partial ring and map its solutions back
+    partial = ASSOC_CASES[name]()
+    others = [x for x in range(partial.rank) if x != partial.unit]
+    perm = list(range(partial.rank))
+    for x, y in zip(others, random.Random(name).sample(others, len(others))):
+        perm[x] = y
+    inv = np.argsort(perm)
+
+    def key(tensor, dual):
+        return tensor.tobytes() + np.asarray(dual, dtype=np.int64).tobytes()
+
+    def partition(result, key_of):
+        keys = [key_of(ring) for ring in result.solutions]
+        return set(keys), {frozenset(keys[x] for x in c) for c in result.classes}
+
+    want = partition(complete_partial_ring(partial), lambda ring: key(ring.tensor, ring.dual))
+    got = partition(complete_partial_ring(_relabelled(partial, perm)), lambda ring: key(
+        ring.tensor[np.ix_(perm, perm, perm)], inv[ring.dual[perm]]))
+    assert got == want
