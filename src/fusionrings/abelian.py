@@ -1,15 +1,15 @@
 """Finite abelian groups and exact linear algebra over Z.
 
-Everything in this module is computed with plain Python integers, so there is
-no overflow to worry about.  One sparse unimodular column reduction does the
-lattice work: its zeroed columns give integer kernels and its pivot columns
-echelon bases, along which every quotient of lattices reduces to one square
-matrix.  The Smith normal form (U A V = D with U, V unimodular), with only
-the transforms asked for, types that matrix; U is tracked only when a
-finite presentation's quotient map is asked for (``quotient_with_map``).
-Invariant factors are the Smith diagonal of diag(orders), by gcd/lcm steps,
-and groups given by a multiplication table are typed from their element
-orders.
+Lattice work is done in plain Python integers, so there is no overflow to
+worry about.  One sparse unimodular column reduction does the lattice work:
+its zeroed columns give integer kernels and its pivot columns echelon bases,
+along which every quotient of lattices reduces to one square matrix.  The
+Smith normal form (U A V = D with U, V unimodular), with only the transforms
+asked for, types that matrix; U is tracked only when a finite presentation's
+quotient map is asked for (``quotient_with_map``).  Invariant factors are
+the Smith diagonal of diag(orders), by gcd/lcm steps, and a group given by
+a multiplication table is typed, with coordinates, by the Smith form of one
+relation per generator of a greedy generating set (``table_group``).
 
 Matrices are lists of rows of ints.  Vectors are lists of ints; sparse ones
 are dicts index -> nonzero int.
@@ -19,6 +19,8 @@ import math
 from collections import namedtuple
 from itertools import product as _cartesian
 
+import numpy as np
+
 from .errors import as_integer
 
 
@@ -27,8 +29,7 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
+    k = len(b)
     bt = list(zip(*b)) if k else []
     return [[sum(ra[t] * ct[t] for t in range(k)) for ct in bt] for ra in a]
 
@@ -94,19 +95,17 @@ def smith_normal_form(a, u=False, v=False):
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-            if any(d[i][t] for i in range(t + 1, m)):
+                    add_row(i, t, -(d[i][t] // d[t][t]))
+            i = next((i for i in range(t + 1, m) if d[i][t]), None)
+            if i is not None:
                 # a nonzero remainder became the new, smaller pivot
-                i = next(i for i in range(t + 1, m) if d[i][t])
                 d[t], d[i] = d[i], d[t]
                 continue
             for j in range(t + 1, n):
                 if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-            if any(d[t][j] for j in range(t + 1, n)):
-                j = next(j for j in range(t + 1, n) if d[t][j])
+                    add_col(j, t, -(d[t][j] // d[t][t]))
+            j = next((j for j in range(t + 1, n) if d[t][j]), None)
+            if j is not None:
                 swap_cols(t, j)
                 continue
             break
@@ -340,56 +339,6 @@ class FiniteAbelianGroup:
         return " x ".join("Z_%d" % f for f in facs)
 
 
-def group_from_table(n, mul):
-    """Isomorphism type of an abelian group given by a multiplication table.
-
-    ``mul(i, j)`` returns the index of the product of elements i and j,
-    0 <= i, j < n.  The type is read off the element orders: for a prime p
-    with p^a || n, c_k = #{x : ord(x) divides p^k} equals p^(s_k), and
-    s_k - s_(k-1) counts the cyclic p-primary factors of exponent >= k.
-    The cost is O(n * exponent) calls of ``mul``.  Raises ValueError when
-    the table is not that of a group of order n.
-
-    >>> g = group_from_table(4, lambda i, j: (i + j) % 4)
-    >>> str(g)
-    'Z_4'
-    >>> str(group_from_table(4, lambda i, j: i ^ j))
-    'Z_2 x Z_2'
-    """
-    e = next((x for x in range(n) if mul(x, x) == x), None)
-    if e is None:
-        raise ValueError("no identity: no element x with x * x = x")
-    orders = []
-    for x in range(n):
-        y, k = x, 1
-        while y != e:
-            if k == n:
-                raise ValueError("element %d does not return to the identity "
-                                 "within %d steps" % (x, n))
-            y, k = mul(y, x), k + 1
-        orders.append(k)
-
-    primary, rest = [], n
-    for p in range(2, n + 1):
-        s = [0]  # s[k] = log_p #{x : ord(x) divides p^k}
-        while rest % p == 0:  # p is prime: smaller primes are divided out
-            rest //= p
-            c, k = sum(1 for o in orders if (p ** len(s)) % o == 0), 0
-            while c % p == 0:
-                c, k = c // p, k + 1
-            if c != 1:
-                raise ValueError("the elements of order dividing %d^%d are not "
-                                 "a power of %d in number" % (p, len(s), p))
-            s.append(k)
-        at_least = [b - a for a, b in zip(s, s[1:])]  # factors p^j with j >= k
-        primary += [p ** sum(1 for r in at_least if r >= j)
-                    for j in range(1, max(at_least, default=0) + 1)]
-    if math.prod(primary) != n:
-        raise ValueError("element orders give a group of order %d, not %d"
-                         % (math.prod(primary), n))
-    return FiniteAbelianGroup(_invariant_factors(primary))
-
-
 def quotient_with_map(orders, relations):
     """Finite quotient of Z_{n_1} x ... x Z_{n_k} by extra relations, with the map.
 
@@ -415,3 +364,56 @@ def quotient_with_map(orders, relations):
         return tuple(sum(u[i][j] * vec[j] for j in range(k)) % diag[i] for i in keep)
 
     return FiniteAbelianGroup(tuple(diag[i] for i in keep)), f
+
+
+def table_group(table, unit):
+    """The finite abelian group of a multiplication table, with coordinates.
+
+    ``table[a][b]`` is the index of a b, 0 <= a, b < n, and ``unit`` that of
+    the identity.  Returns (group, coords), coords[a] the element a as a
+    tuple indexed like ``group.orders``, fixed up to an automorphism.  Each
+    generator s is the least element outside the subgroup H found so far;
+    with s^m its first power in H, the h s^j (h in H, j < m) get exponent
+    vectors and s^m = h_0 gives the relation m e_s = exponents(h_0).  For
+    the Smith form U R V = D of these k <= log2(n) triangular relations,
+    e -> e V mod D is a bijection of the exponent box 0 <= e_s < m_s onto a
+    group of order n.  Raises ValueError unless coords[a b] = coords[a] +
+    coords[b] for every pair, that is unless the table is a group's.
+
+    >>> group, coords = table_group([[(a + b) % 4 for b in range(4)] for a in range(4)], 0)
+    >>> str(group), coords
+    ('Z_4', [(0,), (1,), (2,), (3,)])
+    """
+    t = np.asarray(table, dtype=np.int64)
+    n, unit = len(t), as_integer(unit, ValueError)
+    if t.shape != (n, n) or not 0 <= unit < n or t.min() < 0 or t.max() >= n:
+        raise ValueError("not an n x n table on 0..n-1 with the unit among them")
+    exps, rels = {unit: ()}, []  # element -> exponents of the generators so far
+    while len(exps) < n:
+        s = next(x for x in range(n) if x not in exps)
+        times_s, power, m = t[:, s].tolist(), s, 1
+        while power not in exps:
+            if m == n:
+                raise ValueError("no power of %d lies in the subgroup before it" % s)
+            power, m = times_s[power], m + 1
+        g = len(rels)
+        rels.append(tuple(-x for x in exps[power]) + (0,) * (g - len(exps[power])) + (m,))
+        for h in list(exps):
+            x, base = h, exps[h] + (0,) * (g - len(exps[h]))
+            for j in range(1, m):
+                x = times_s[x]
+                if x in exps:
+                    raise ValueError("the cosets of the subgroup before %d overlap" % s)
+                exps[x] = base + (j,)
+    k = len(rels)
+    snf = smith_normal_form([r + (0,) * (k - len(r)) for r in rels], v=True)
+    diag = diagonal_entries(snf.d)
+    keep = [i for i, x in enumerate(diag) if x > 1]
+    group = FiniteAbelianGroup(tuple(diag[i] for i in keep))
+    v = np.array([[row[i] % diag[i] for i in keep] for row in snf.v], dtype=np.int64)
+    e = np.array([exps[x] + (0,) * (k - len(exps[x])) for x in range(n)], dtype=np.int64)
+    orders = np.array(group.orders, dtype=np.int64)
+    c = e @ v.reshape(k, len(keep)) % orders
+    if not (c[t] == (c[:, None] + c[None]) % orders).all():
+        raise ValueError("the table is not that of an abelian group with identity %d" % unit)
+    return group, [tuple(x) for x in c.tolist()]

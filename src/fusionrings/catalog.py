@@ -22,7 +22,7 @@ import numpy as np
 
 from .abelian import FiniteAbelianGroup
 from .cohomology import GroupAction, h_cyclic
-from .errors import UnknownFamilyError
+from .errors import UnknownFamilyError, as_integer
 from .graphs import bipartition, dynkin, perron_vector
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -226,6 +226,7 @@ def extension_count(family, size=None, M=1):
     >>> extension_count("adE6", M=3)
     [('1 -> E_odd', '2 | M', 0)]
     """
+    M = as_integer(M, ValueError)
     if M < 1:
         raise ValueError("M must be >= 1")
     entry = bp_catalog(family, size)

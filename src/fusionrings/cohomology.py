@@ -120,8 +120,9 @@ def h_cyclic(n, m, coeffs, action=None):
     >>> str(h_cyclic(1, 6, FiniteAbelianGroup((4,))))   # Hom(Z_6, Z_4)
     'Z_2'
     """
-    if n not in (1, 2, 3):
+    if as_integer(n, ValueError) not in (1, 2, 3):
         raise ValueError("only H^1, H^2, H^3 are provided")
+    m = as_integer(m, InvalidActionError)
     powers = _action_powers(m, coeffs, action)
     k, o = len(coeffs.orders), len(powers)
     # T - 1 and the norm, m/o times the sum over one period; T = 1 when o = 1
@@ -190,6 +191,7 @@ def brute_force_h2(m, coeffs, action=None):
     >>> str(brute_force_h2(4, FiniteAbelianGroup((4,))))
     'Z_4'
     """
+    m = as_integer(m, InvalidActionError)
     if m > 12 or coeffs.order > 16:
         raise BoundsExceededError("brute_force_h2 bounds are m <= 12, |A| <= 16")
     powers = _action_powers(m, coeffs, action)

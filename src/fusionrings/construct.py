@@ -48,6 +48,7 @@ from .ring import (
     Grading,
     adjoint_subring,
     check_dense,
+    check_index,
     fp_dims,
     grading_violations,
     restrict,
@@ -254,7 +255,8 @@ def _one_one_product(base, n):
 def dequiv_free(ring, h):
     """Quotient by the orbits of a freely acting subgroup of invertibles.
 
-    h lists generators (labels or indices); the subgroup is their closure.
+    h lists generators (labels, or indices under ring.check_index); the
+    subgroup is their closure.
     The orbit ring has N_[i][j]^[k] = sum over the subgroup of N_ij^{g.k}.
     Raises FixedPointError naming the fixed simple if the action is not
     free, and NotASubgroupError if a generator is not invertible.
@@ -265,7 +267,7 @@ def dequiv_free(ring, h):
 def _dequiv(ring, h):
     # dequiv_free read off ring.triples, and the index of each simple's orbit
     i, j, k, v = ring.triples
-    gens = [x if isinstance(x, (int, np.integer)) else ring.index(x) for x in h]
+    gens = [check_index(ring, x) if isinstance(x, (int, np.integer)) else ring.index(x) for x in h]
     for g in gens:
         # g is invertible when g (x) g* is exactly the unit
         own = (i == g) & (j == ring.dual[g])

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import config
-from .abelian import FiniteAbelianGroup, group_from_table, identity_matrix, quotient_with_map
+from .abelian import FiniteAbelianGroup, table_group
 from .errors import (
     BoundsExceededError,
     InconsistentGradingError,
@@ -374,20 +374,12 @@ def fp_dims(ring):
 # words and K-normality
 
 
-def _check_index(ring, x):
+def check_index(ring, x):
+    """x as an object index: an integer, not a bool, in 0 <= x < rank; else IndexError."""
+    x = as_integer(x, IndexError)
     if not 0 <= x < ring.rank:
         raise IndexError("object index %r out of range" % (x,))
-
-
-def _as_word(word):
-    out = []
-    for step in word:
-        if isinstance(step, (tuple, list)):
-            i, starred = step
-            out.append((int(i), bool(starred)))
-        else:
-            out.append((int(step), False))
-    return out
+    return x
 
 
 def decompose_word(ring, word):
@@ -399,8 +391,9 @@ def decompose_word(ring, word):
     """
     v = np.zeros(ring.rank, dtype=np.int64)
     v[ring.unit] = 1
-    for i, starred in _as_word(word):
-        _check_index(ring, i)
+    for step in word:
+        i, starred = step if isinstance(step, (tuple, list)) else (step, False)
+        i = check_index(ring, i)
         y = int(ring.dual[i]) if starred else i
         v = v @ ring.tensor[:, y, :]
     return v
@@ -446,7 +439,8 @@ def is_k_normal(ring, x, k_max=8):
     two k-th power blocks are compared in both orders.  The answer is
     horizon-bounded: equality for all k >= K is not decidable here.
     """
-    _check_index(ring, x)
+    x = check_index(ring, x)
+    k_max = as_integer(k_max, ValueError)
     t = ring.tensor
     xd = int(ring.dual[x])
     a = np.zeros(ring.rank, dtype=np.int64)
@@ -520,7 +514,8 @@ class InvertiblesReport:
 
 
 def invertibles(ring):
-    """The group of invertible simples (those with i (x) i* = unit exactly)."""
+    """The group of invertible simples (those with i (x) i* = unit exactly);
+    MalformedRingError if they are not closed under fusion or not a group."""
     t = ring.tensor
     own = t[np.arange(ring.rank), ring.dual]
     inv = np.flatnonzero((own.sum(axis=1) == 1) & (own[:, ring.unit] == 1))
@@ -528,15 +523,17 @@ def invertibles(ring):
     pos[inv] = np.arange(len(inv))
     # a product of invertibles is a single invertible with coefficient 1;
     # entries are nonnegative, so that is a row summing to 1
-    block = t[np.ix_(inv, inv)]
-    prod = block.argmax(axis=2)
-    if not ((block.sum(axis=2) == 1) & (pos[prod] >= 0)).all():
+    block = t[inv[:, None], inv]
+    table = pos[block.argmax(axis=2)]
+    if not ((block.sum(axis=2) == 1) & (table >= 0)).all():
         raise MalformedRingError("invertibles are not closed under fusion")
-    abelian = bool((prod == prod.T).all())
+    abelian = bool((table == table.T).all())
     group = None
     if abelian:
-        mul = pos[prod].tolist()
-        group = group_from_table(len(inv), lambda a, b: mul[a][b])
+        try:
+            group, _ = table_group(table, pos[ring.unit])
+        except ValueError as exc:
+            raise MalformedRingError("invertibles do not form a group: %s" % exc) from None
     return InvertiblesReport(inv.tolist(), group, abelian)
 
 
@@ -544,14 +541,15 @@ def universal_grading(ring):
     """The finest grading, as a Grading (group + degree per simple).
 
     Components are the equivalence classes of simples under "k appears in
-    a (x) j for some adjoint a"; the group law is induced by fusion.  Raises
-    InconsistentGradingError if components do not multiply single-valuedly
-    (or multiply noncommutatively, which cannot happen for the rings here).
+    a (x) j for some adjoint a"; the group law is induced by fusion, and
+    ``abelian.table_group`` types it.  Raises InconsistentGradingError if
+    components do not multiply single-valuedly, multiply noncommutatively
+    (which cannot happen for the rings here) or do not form a group.
 
     Degrees are in a normal form: for a cyclic group Z_n, the least-indexed
     simple whose degree generates Z_n has degree (1,).  Other groups keep
-    the Smith coordinates of the component presentation, which are fixed
-    only up to an automorphism of the group.
+    the Smith coordinates of ``table_group``, which are fixed only up to an
+    automorphism of the group.
     """
     r = ring.rank
     i, j, k, _ = ring.triples
@@ -575,17 +573,10 @@ def universal_grading(ring):
     if (prod != prod.T).any():
         raise InconsistentGradingError("nonabelian universal grading")
 
-    # coordinates: present the component group and read off degrees
-    rels = []
-    for c1 in range(n_comp):
-        for c2 in range(c1, n_comp):
-            row = [0] * n_comp
-            row[c1] += 1
-            row[c2] += 1
-            row[prod[c1, c2]] -= 1
-            rels.append(row)
-    group, f = quotient_with_map((0,) * n_comp, rels)
-    degrees = [f(u) for u in identity_matrix(n_comp)]
+    try:
+        group, degrees = table_group(prod, comp[ring.unit])
+    except ValueError as exc:
+        raise InconsistentGradingError("components do not form a group: %s" % exc) from None
     deg = [degrees[c] for c in comp]
     if len(group.orders) == 1:
         # normal form: the least-indexed simple whose degree generates Z_n
@@ -629,7 +620,7 @@ def find_isomorphisms(a, b, max_count=None):
 
 def fusion_graph(ring, x):
     """Digraph of tensoring by x: edge i -> k with multiplicity N_{x i}^k."""
-    _check_index(ring, x)
+    x = check_index(ring, x)
     t = ring.triples
     return Digraph(ring.rank, {(i, k): m for i, k, m in t[1:, t[0] == x].T.tolist()})
 

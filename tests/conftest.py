@@ -15,6 +15,24 @@ def load_json(name):
         return json.load(fh)
 
 
+def group_from_presentation(n, mul):
+    """Reference typing of the abelian group of order n with table ``mul``:
+    the Smith normal form of the presentation with one generator per element
+    and the relations e_i + e_j = e_{mul(i, j)} for every pair."""
+    from fusionrings.abelian import FiniteAbelianGroup, diagonal_entries, smith_normal_form
+
+    rels = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[mul(i, j)] -= 1
+            rels.append(row)
+    diag = diagonal_entries(smith_normal_form(rels).d)
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+
+
 @pytest.fixture(scope="session")
 def e4():
     from fusionrings import e4_ring

@@ -7,13 +7,14 @@ import pytest
 from fusionrings.abelian import (
     FiniteAbelianGroup,
     diagonal_entries,
-    group_from_table,
     congruence_kernel,
     quotient_invariants,
     quotient_with_map,
     smith_normal_form,
     sparse_columns,
+    table_group,
 )
+from conftest import group_from_presentation
 
 
 def test_smith_normal_form_certificate():
@@ -105,26 +106,17 @@ def test_elements_and_orders():
     assert g.neg((1, 1)) == (1, 3)
 
 
-def test_group_from_table():
-    assert str(group_from_table(4, lambda i, j: (i + j) % 4)) == "Z_4"
+def _table(n, mul):
+    return [[mul(i, j) for j in range(n)] for i in range(n)]
+
+
+def test_table_group():
+    group, coords = table_group(_table(4, lambda i, j: (i + j) % 4), 0)
+    assert str(group) == "Z_4" and coords == [(0,), (1,), (2,), (3,)]
     # Klein table via bitwise xor
-    assert group_from_table(4, lambda i, j: i ^ j) == FiniteAbelianGroup((2, 2))
-    assert group_from_table(1, lambda i, j: 0).is_trivial
-
-
-def _group_from_presentation(n, mul):
-    # reference typing: SNF of the presentation with one generator per
-    # element and the relations e_i + e_j = e_{mul(i, j)}
-    rels = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[mul(i, j)] -= 1
-            rels.append(row)
-    diag = diagonal_entries(smith_normal_form(rels).d)
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+    assert table_group(_table(4, lambda i, j: i ^ j), 0)[0] == FiniteAbelianGroup((2, 2))
+    group, coords = table_group([[0]], 0)
+    assert group.is_trivial and coords == [()]
 
 
 def _abelian_groups(max_order):
@@ -143,34 +135,89 @@ def _abelian_groups(max_order):
     return out
 
 
-def test_group_from_table_matches_presentation_oracle():
+def test_table_group_matches_presentation_oracle():
     rng = random.Random(20261018)
     groups = _abelian_groups(64)
     # sum over n <= 64 of the product of partition numbers of n's exponents
     assert len(groups) == len(set(groups)) == 117
     for g in groups:
         els = list(g.elements())
-        rng.shuffle(els)
+        rng.shuffle(els)  # the identity lands wherever the shuffle puts it
         pos = {x: i for i, x in enumerate(els)}
 
         def mul(i, j):
             return pos[g.add(els[i], els[j])]
 
-        typed = group_from_table(g.order, mul)
+        table = _table(g.order, mul)
+        typed, coords = table_group(table, pos[g.zero()])
         assert typed.orders == g.invariant_factors
-        assert typed.orders == _group_from_presentation(g.order, mul).orders
+        assert typed.orders == group_from_presentation(g.order, mul).orders
+        # the coordinates are a bijection onto the group, and additive
+        assert sorted(coords) == sorted(typed.elements())
+        assert all(coords[table[i][j]] == typed.add(coords[i], coords[j])
+                   for i in range(g.order) for j in range(g.order))
 
 
-def test_group_from_table_rejects_non_groups():
-    with pytest.raises(ValueError, match="no identity"):
-        group_from_table(3, lambda i, j: (i + 1) % 3)
-    with pytest.raises(ValueError, match="does not return"):
-        group_from_table(3, max)
-    # every element squares to the identity, which no group of order 3 allows
-    with pytest.raises(ValueError, match="order 1, not 3"):
-        group_from_table(3, lambda i, j: 0 if i == j else max(i, j))
-    with pytest.raises(ValueError):
-        group_from_table(0, max)
+def test_table_group_rejects_non_groups():
+    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+            [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+    # a commutative loop of order 6 with identity 0 that is not associative:
+    # (2 2) 4 = 3 but 2 (2 4) = 2; its element orders are those of Z_6
+    assert loop == [list(r) for r in zip(*loop)]
+    assert (loop[loop[2][2]][4], loop[2][loop[2][4]]) == (3, 2)
+    cases = [
+        (_table(3, lambda i, j: (i + 1) % 3), 0, "not that of an abelian group"),
+        (_table(3, max), 0, "no power"),
+        # every element squares to the identity, which no group of order 3 allows
+        (_table(3, lambda i, j: 0 if i == j else max(i, j)), 0, "overlap"),
+        (loop, 0, "not that of an abelian group"),
+        # Z_4 with a unit that is not its identity
+        (_table(4, lambda i, j: (i + j) % 4), 1, "no power"),
+        ([], 0, "table"),
+        ([[0, 1], [1, 2]], 0, "table"),
+        ([[0, 1], [1, -1]], 0, "table"),
+        ([[0, 1, 2]], 0, "table"),
+        ([[0]], 1, "table"),
+    ]
+    for table, unit, match in cases:
+        with pytest.raises(ValueError, match=match):
+            table_group(table, unit)
+
+
+def test_table_group_stops_and_is_exact_on_random_tables():
+    # on arbitrary tables the routine ends, and it types a table only when
+    # the table is an abelian group's with that unit, checked pair by pair
+    rng = random.Random(7)
+    groups = [g for g in _abelian_groups(12) if g.order > 1]
+    for trial in range(400):
+        if trial % 2:
+            n = rng.randint(1, 5)
+            table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        else:
+            # a relabelled group table with one entry changed half the time
+            g = rng.choice(groups)
+            els = list(g.elements())
+            rng.shuffle(els)
+            pos = {x: i for i, x in enumerate(els)}
+            n = g.order
+            table = _table(n, lambda i, j: pos[g.add(els[i], els[j])])
+            if rng.random() < 0.5:
+                table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        unit = rng.randrange(n)
+        els = range(n)
+        is_group = (
+            all(table[unit][x] == x for x in els)
+            and all(table[x][y] == table[y][x] for x in els for y in els)
+            and all(table[table[x][y]][z] == table[x][table[y][z]]
+                    for x in els for y in els for z in els)
+            and all(any(table[x][y] == unit for y in els) for x in els))
+        try:
+            group, _ = table_group(table, unit)
+        except ValueError:
+            assert not is_group, table
+        else:
+            assert is_group, table
+            assert group == group_from_presentation(n, lambda i, j: table[i][j])
 
 
 def test_quotient_with_map():

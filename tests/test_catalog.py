@@ -144,6 +144,9 @@ def test_extension_count_reports_constraints():
     assert rows == [("1 -> E_odd", "2 | M", 2)]
     rows = extension_count("adA", 4, M=9)
     assert rows == [("1 -> A_even", "any M", 1)]
+    for M, match in ((True, "integer"), (3.0, "integer"), (0, ">= 1")):
+        with pytest.raises(ValueError, match=match):
+            extension_count("adE6", M=M)
 
 
 # ---------------------------------------------------------------------------

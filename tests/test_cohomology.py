@@ -120,6 +120,18 @@ def test_action_validation():
     for m, matrix in ((2.5, [[1]]), (2, [[1.5]])):  # not truncated
         with pytest.raises(InvalidActionError, match="integer"):
             GroupAction(m, matrix)
+    # the degree and the group order follow the integer rule too, so True is
+    # not read as 1 and 4.0 does not pass as 4 beside an action for M = 4
+    z2 = FiniteAbelianGroup((2,))
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            h_cyclic(n, 4, z2)
+    with pytest.raises(ValueError, match="only H"):
+        h_cyclic(4, 4, z2)
+    with pytest.raises(InvalidActionError, match="integer"):
+        h_cyclic(2, 4.0, z2, GroupAction(4, [[1]]))
+    with pytest.raises(InvalidActionError, match="integer"):
+        brute_force_h2(4.0, z2, GroupAction(4, [[1]]))
 
 
 def _full_period_powers(action, coeffs):
@@ -178,15 +190,18 @@ def test_parse_action_forms():
 
 
 def test_doctests_stay_true():
+    # every package module whose source holds an example runs it
     import doctest
+    import importlib
+    import pathlib
 
-    import fusionrings.abelian
-    import fusionrings.catalog
-    import fusionrings.cohomology
-    import fusionrings.graphs
+    import fusionrings
 
-    for mod in (fusionrings.abelian, fusionrings.catalog, fusionrings.cohomology,
-                fusionrings.graphs):
+    sources = sorted(pathlib.Path(fusionrings.__file__).parent.glob("*.py"))
+    names = [path.stem for path in sources if ">>>" in path.read_text()]
+    assert {"abelian", "catalog", "cohomology", "graphs"} <= set(names)
+    for name in names:
+        mod = importlib.import_module("fusionrings." + name)
         result = doctest.testmod(mod)
         assert result.attempted > 0, mod.__name__
-        assert result.failed == 0
+        assert result.failed == 0, mod.__name__

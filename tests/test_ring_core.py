@@ -30,12 +30,17 @@ from fusionrings import (
     universal_grading,
     verify_axioms,
 )
-from fusionrings.abelian import group_from_table
-from fusionrings.construct import ROWS
+from fusionrings.construct import ROWS, dequiv_free
 from fusionrings import config
-from fusionrings.errors import BoundsExceededError, InconsistentGradingError, MalformedRingError
+from fusionrings.errors import (
+    BoundsExceededError,
+    FixedPointError,
+    InconsistentGradingError,
+    MalformedRingError,
+)
 from fusionrings.graphs import components, perron_vector
 from fusionrings.ring import grading_violations, restrict
+from conftest import group_from_presentation
 
 
 def test_a_series_dims_are_quantum_integers(a5):
@@ -296,7 +301,7 @@ def _invertibles_loop(ring):
     abelian = all(table[(a, b)] == table[(b, a)] for a in inv for b in inv)
     group = None
     if abelian:
-        group = group_from_table(len(inv), lambda a, b: pos[table[(inv[a], inv[b])]])
+        group = group_from_presentation(len(inv), lambda a, b: pos[table[(inv[a], inv[b])]])
     return inv, group, abelian, table
 
 
@@ -326,6 +331,23 @@ def test_invertibles_not_closed_raise():
             _invertibles_loop(ring)
         with pytest.raises(MalformedRingError, match="not closed under fusion"):
             invertibles(ring)
+
+
+def test_invertibles_forming_a_loop_raise():
+    # six invertibles whose table is a commutative loop with identity 0 that
+    # is not associative, so no group; its element orders are those of Z_6
+    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+            [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+    t = np.zeros((6, 6, 6), dtype=np.int64)
+    for a, b in itertools.product(range(6), repeat=2):
+        t[a, b, loop[a][b]] = 1
+    ring = FusionRing([str(x) for x in range(6)], 0, [0, 1, 4, 5, 2, 3], t)
+    assert _invertibles_loop(ring)[2]  # commutative, every simple invertible
+    with pytest.raises(MalformedRingError, match="do not form a group"):
+        invertibles(ring)
+    # every simple is its own component, so the components form the loop too
+    with pytest.raises(InconsistentGradingError, match="do not form a group"):
+        universal_grading(ring)
 
 
 def test_restrict_whole_ring_shares_arrays_and_checks_subsets(a5):
@@ -505,6 +527,17 @@ def test_universal_grading_normal_form(e4, e166):
     assert e166.grading == universal_grading(e166)
 
 
+def test_universal_grading_of_noncyclic_pointed_rings():
+    # every simple is its own component: the grading is the group itself, with
+    # Smith coordinates that are a bijection onto it
+    for orders in ((2, 2, 2), (4, 6), (2, 4, 4)):
+        ring = pointed_ring(FiniteAbelianGroup(orders))
+        g = universal_grading(ring)
+        assert g.group == FiniteAbelianGroup(orders), orders
+        assert grading_violations(ring, g) == [], orders
+        assert sorted(g.deg) == sorted(g.group.elements()), orders
+
+
 def _k_normal_oracle(ring, x, k_max):
     # x^k x*^k against x*^k x^k, each word decomposed letter by letter
     return {k: bool(np.array_equal(decompose_word(ring, [x] * k + [(x, True)] * k),
@@ -522,6 +555,9 @@ def test_k_normality(e4, a5):
     # a commutative ring is 1-normal at every object
     report = is_k_normal(a5, 1, k_max=4)
     assert report.least == 1
+    for k_max in (True, 2.0):  # the integer rule: not read as 1, not truncated
+        with pytest.raises(ValueError, match="integer"):
+            is_k_normal(a5, 1, k_max=k_max)
     # the rank-12 Z_4-graded ring is strictly 2-normal at its generator
     report = is_k_normal(e4, e4.labels.index("5"), k_max=6)
     assert report.least == 2
@@ -541,14 +577,20 @@ def test_fusion_graph_and_figure(e4):
 
 
 def test_object_indices_are_range_checked(a5):
-    # a negative index would otherwise wrap around to f4
-    for x in (-1, a5.rank):
+    # a negative index would otherwise wrap around to f4, and True read as f1
+    for x in (-1, a5.rank, True):
         with pytest.raises(IndexError):
             fusion_graph(a5, x)
         with pytest.raises(IndexError):
             is_k_normal(a5, x)
         with pytest.raises(IndexError):
             decompose_word(a5, [x])
+        with pytest.raises(IndexError):
+            dequiv_free(a5, [x])
+    # f4 itself is invertible: it gets past the subgroup check, and fixes f2
+    for x in (4, np.int64(4), "f4"):
+        with pytest.raises(FixedPointError, match="fixes f2"):
+            dequiv_free(a5, [x])
 
 
 def test_find_isomorphisms(a5):
@@ -741,3 +783,56 @@ def test_components_match_bfs(graph):
     n, edges = graph
     src, dst = [u for u, _ in edges], [v for _, v in edges]
     assert components(n, src, dst).tolist() == _bfs_components(n, edges)
+
+
+def _relabel(ring, p):
+    # the same ring with simple x renamed p[x]; the grading moves along
+    def moved(values):
+        out = [None] * ring.rank
+        for x, value in enumerate(values):
+            out[p[x]] = value
+        return out
+
+    i, j, k, v = ring.triples
+    grading = None if ring.grading is None else Grading(ring.grading.orders,
+                                                        moved(ring.grading.deg))
+    return FusionRing.from_triples(moved(ring.labels), p[ring.unit], moved(p[ring.dual]),
+                                   p[i], p[j], p[k], v, grading)
+
+
+def _degree_blocks(grading, p=None):
+    blocks = {}
+    for x, d in enumerate(grading.deg):
+        blocks.setdefault(d, set()).add(x if p is None else int(p[x]))
+    return {frozenset(b) for b in blocks.values()}
+
+
+def test_intrinsic_computations_follow_a_relabelling(e4, e166):
+    # an oracle independent of every fast path: renaming the simples renames
+    # each answer and changes no invariant
+    cases = [(build.ring, build.generator)
+             for build in (theorem_row(row, M=M) for row in sorted(ROWS) for M in (1, 2))]
+    cases += [(e4, e4.labels.index("5")), (e166, e166.labels.index("a0"))]
+    rng = np.random.default_rng(20261020)
+    for ring, gen in cases:
+        base = (verify_axioms(ring).violations, fp_dims(ring).dims, invertibles(ring),
+                universal_grading(ring), adjoint_subring(ring),
+                is_k_normal(ring, gen).equal_at, is_generator(ring, gen))
+        for _ in range(2):
+            p = rng.permutation(ring.rank)
+            moved = _relabel(ring, p)
+            name = "%s under %s" % (ring, p.tolist())
+            violations, dims, inv, grading, adj, k_normal, generates = base
+            assert sorted((kind, tuple(int(p[x]) for x in idx)) for kind, idx in violations) \
+                == sorted(verify_axioms(moved).violations), name
+            np.testing.assert_allclose(fp_dims(moved).dims[p], dims, rtol=1e-9)
+            report = invertibles(moved)
+            assert report.indices == tuple(sorted(p[list(inv.indices)].tolist())), name
+            assert (report.group, report.abelian) == (inv.group, inv.abelian), name
+            g = universal_grading(moved)
+            assert g.group == grading.group, name
+            assert _degree_blocks(g) == _degree_blocks(grading, p), name
+            assert adjoint_subring(moved) == tuple(sorted(p[list(adj)].tolist())), name
+            assert is_k_normal(moved, p[gen]).equal_at == k_normal, name
+            assert is_generator(moved, p[gen]) == generates, name
+            assert find_isomorphisms(moved, ring, max_count=1), name
