@@ -126,29 +126,28 @@ def ade_ring(family, size=None):
     """
     fam = str(family)
     size = None if size is None else as_integer(size, UnknownFamilyError)
-    if fam in ("A", "adA"):
-        if size is None or size < 2:
-            raise UnknownFamilyError("A_N needs a size N >= 2")
-        ring = _a_ring(size)
-    elif fam in ("D", "adD"):
-        if size is None or size < 4 or size % 2:
-            raise UnknownFamilyError("D_2N needs an even size 2N >= 4")
-        ring = _d_ring(size)
-    elif fam in ("E6", "adE6"):
-        if size not in (None, 6):
-            raise UnknownFamilyError("E6 has no free size")
-        ring = _e6_ring()
-    elif fam in ("E8", "adE8"):
-        if size not in (None, 8):
-            raise UnknownFamilyError("E8 has no free size")
-        ring = _e8_ring()
-    else:
-        raise UnknownFamilyError("unknown family %r" % (family,))
-    if fam.startswith("ad"):
-        # the adjoint subring, trivially graded inside its extension
+    if fam in ("adA", "adD", "adE6", "adE8"):
+        # the adjoint subring of the cached ring, trivially graded inside its extension
+        ring = ade_ring(fam[2:], size)
         idx = adjoint_subring(ring)
         return restrict(ring, idx, Grading((), [()] * len(idx)))
-    return ring
+    if fam == "A":
+        if size is None or size < 2:
+            raise UnknownFamilyError("A_N needs a size N >= 2")
+        return _a_ring(size)
+    if fam == "D":
+        if size is None or size < 4 or size % 2:
+            raise UnknownFamilyError("D_2N needs an even size 2N >= 4")
+        return _d_ring(size)
+    if fam == "E6":
+        if size not in (None, 6):
+            raise UnknownFamilyError("E6 has no free size")
+        return _e6_ring()
+    if fam == "E8":
+        if size not in (None, 8):
+            raise UnknownFamilyError("E8 has no free size")
+        return _e8_ring()
+    raise UnknownFamilyError("unknown family %r" % (family,))
 
 
 def deligne_product(a, b):

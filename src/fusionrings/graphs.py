@@ -5,7 +5,8 @@ one exact isomorphism search on integer tensors (``isomorphisms``), which
 ``automorphism_generators`` builds a strong generating set of a tensor's
 symmetries for the solver, and the one closure
 routine (``components``), which generated subrings, grading components,
-quotient subgroups and the solver's Frobenius orbits are read from.
+quotient subgroups and the solver's Frobenius orbits are read from, and
+``unique_rows``, which numbers colour signatures and degree vectors.
 """
 
 import numpy as np
@@ -104,6 +105,19 @@ def components(n, src, dst):
         label = new
 
 
+def unique_rows(a):
+    """The distinct rows of a 2-d integer array in lexicographic order, and
+    each row's index among them (np.unique(a, axis=0, return_inverse=True),
+    by one lexsort and the differences of the sorted rows)."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[new], inverse
+
+
 def refine(a, b, ca, cb):
     """Joint colour refinement of two n x n integer matrices.
 
@@ -123,10 +137,10 @@ def refine(a, b, ca, cb):
     while True:
         onehot = np.eye(count, dtype=np.int64)[colors]
         sig = np.hstack([colors[:, None], m @ onehot, m.T @ onehot])
-        classes, new = np.unique(sig, axis=0, return_inverse=True)
+        classes, new = unique_rows(sig)
         if len(classes) == count:
             return colors[:n].tolist(), colors[n:].tolist()
-        colors, count = new.reshape(-1), len(classes)
+        colors, count = new, len(classes)
 
 
 def isomorphisms(ta, tb, ca, cb, max_count=None):

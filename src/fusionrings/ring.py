@@ -7,13 +7,16 @@ reciprocity N_{ij}^k = N_{i* k}^j = N_{k j*}^i.  This module holds the ring
 type and every intrinsic computation: axiom verification, Frobenius-Perron
 dimensions, word decompositions and K-normality, generated subrings, the
 adjoint subring, invertible objects, the universal grading, isomorphism
-search, and fusion graphs.  It also holds the package's one dense-size guard
-(check_dense) and one 2**53 guard (check_exact_sums).
+search, and fusion graphs.  It also holds the package's one associativity
+kernel (associativity_sides over a GradedInstances layout, shared with the
+solver), its one dense-size guard (check_dense) and its one 2**53 guard
+(check_exact_sums).
 
 All operations are pure; rings are immutable after construction.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .errors import (
     NonConvergenceError,
     as_integer,
 )
-from .graphs import Digraph, components, isomorphisms, perron_vector
+from .graphs import Digraph, components, isomorphisms, perron_vector, unique_rows
 
 
 class Grading:
@@ -259,17 +262,207 @@ def grading_violations(ring, grading):
     return [tuple(x) for x in ijk[:, bad].T.tolist()]
 
 
-def verify_axioms(ring):
+class GradedInstances:
+    """The associativity instances (i, j, k, l) with deg l = deg i + deg j + deg k.
+
+    When every nonzero N_ij^m has deg m = deg i + deg j, both sides of
+    associativity vanish off these instances, and in sum_m N_ij^m N_mk^l
+    (sum_m N_jk^m N_im^l) only the m of degree deg i + deg j (deg j + deg k)
+    contribute.  The simples are laid out by degree once per grading: block
+    e has the pairs (i, j) with deg i + deg j = e as rows, the pairs (k, l)
+    with deg l - deg k = e as columns and the simples of degree e as its sum
+    index, pairs in increasing order of i * rank + j, so that each side is one
+    product per block (associativity_sides): the left side at
+    ((i, j), (k, l)), the right side at ((j, k), (i, l)).
+
+    A chunk holds the instances of a range of whole left factors i, block by
+    block in the left side's order; its ``targets`` place the right side's
+    products there.  The chunk of every instance is built once per layout
+    and then kept.
+    """
+
+    def __init__(self, grading, rank):
+        r = self.rank = rank
+        self.grading = grading
+        f = len(grading.orders)
+        orders = np.array(grading.orders + (1,), dtype=np.int64)
+        deg = np.zeros((r, f + 1), dtype=np.int64)
+        if f:
+            deg[:, :f] = grading.deg
+        classes, cls = unique_rows(deg)
+        c = len(classes)
+        # the degrees of the simples, of the sums a + b and of the differences
+        # b - a of two of them, numbered together ("keys")
+        sums = (classes[:, None] + classes[None, :]) % orders
+        diffs = (classes[None, :] - classes[:, None]) % orders
+        _, key = unique_rows(np.concatenate([classes, sums.reshape(-1, f + 1),
+                                             diffs.reshape(-1, f + 1)]))
+        pair = (cls[:, None] * c + cls[None, :]).ravel()
+        self.sum_key = key[c:c + c * c][pair]      # of pair (i, j): deg i + deg j
+        diff_key = key[c + c * c:][pair]           # of pair (k, l): deg l - deg k
+        n_keys = int(key.max()) + 1
+
+        def grouped(keys):
+            # the indices grouped by key, each group increasing; where each
+            # group starts; and each index's place within its group
+            order = np.argsort(keys, kind="stable")
+            start = np.zeros(n_keys + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys, minlength=n_keys), out=start[1:])
+            place = np.empty(len(keys), dtype=np.int64)
+            place[order] = np.arange(len(keys)) - start[keys[order]]
+            return order, start, place
+
+        members, m_start, _ = grouped(key[:c][cls])
+        self.rows, row_start, self.row_pos = grouped(self.sum_key)
+        self.cols, col_start, self.col_pos = grouped(diff_key)
+        n_cols = np.diff(col_start)
+        kept = np.flatnonzero((np.diff(row_start) > 0) & (n_cols > 0))
+        self.block_of = np.full(n_keys + 1, -1)  # the last entry stands for no block
+        self.block_of[kept] = np.arange(len(kept))
+        self.row_start, self.col_start = row_start[kept], col_start[kept]
+        self.block_cols = n_cols[kept]
+        self.blocks = [(self.rows[row_start[e]:row_start[e + 1]],
+                        self.cols[col_start[e]:col_start[e + 1]],
+                        members[m_start[e]:m_start[e + 1]]) for e in kept.tolist()]
+        self.pair_size = n_cols[self.sum_key]  # instances per pair (i, j)
+        self.size = int(self.pair_size.sum())
+        self._whole = None
+
+    def chunks(self, budget=None):
+        """Chunks of whole left factors, in order, each of at most ``budget``
+        instances or of one left factor, when its instances are more; one
+        chunk of every instance when they fit, when budget is None or when
+        that chunk is built already."""
+        r = self.rank
+        if self._whole is not None or budget is None or self.size <= budget:
+            if self._whole is None:
+                self._whole = self._chunk(0, r)
+            yield self._whole
+            return
+        ends = np.cumsum(self.pair_size.reshape(r, r).sum(axis=1))
+        i = 0
+        while i < r:
+            reach = (ends[i - 1] if i else 0) + budget
+            stop = max(int(np.searchsorted(ends, reach, side="right")), i + 1)
+            yield self._chunk(i, stop)
+            i = stop
+
+    def _chunk(self, i0, i1):
+        r = self.rank
+        left, right = [], []
+        # per block, then 0 at the index -1 that block_of gives pairs in no block
+        offsets, firsts = np.zeros((2, len(self.blocks) + 1), dtype=np.int64)
+        for b, (rows, cols, _) in enumerate(self.blocks):
+            lo, hi = np.searchsorted(rows, [i0 * r, i1 * r])
+            left.append((b, slice(lo, hi), offsets[b], (hi - lo) * len(cols)))
+            firsts[b] = lo
+            offsets[b + 1] = offsets[b] + (hi - lo) * len(cols)
+        size = int(offsets[-1])
+        offsets[-1] = 0
+        # with one degree and one left factor both sides come in one order
+        targets = None
+        if len(self.blocks) > 1 or i1 - i0 > 1:
+            targets = np.empty(size, np.int64)
+            # instance (i, j, k, l) sits at base[j, i] + col_pos[k, l]
+            b = self.block_of[self.sum_key]
+            base = (offsets[b] + (self.row_pos - firsts[b]) * self.pair_size)
+            base = base.reshape(r, r).T.copy()
+            col_pos = self.col_pos.reshape(r, r)
+        at = 0
+        for b, (rows, cols, _) in enumerate(self.blocks):
+            i, l = np.divmod(cols[np.searchsorted(cols, i0 * r):np.searchsorted(cols, i1 * r)], r)
+            if len(i):  # no l may have degree deg i + e
+                n = len(rows) * len(i)
+                right.append((b, i, l, at, n))
+                if targets is not None:
+                    j, k = np.divmod(rows, r)
+                    np.add(base[:, i][j], col_pos[:, l][k],
+                           out=targets[at:at + n].reshape(len(j), -1))
+                at += n
+        return _Chunk(size, left, right, targets, offsets[:-1],
+                      self.row_start + firsts[:-1])
+
+    def instances(self, chunk, positions):
+        """(i, j, k, l) arrays of the instances at these positions of a chunk."""
+        b = np.searchsorted(chunk.offsets, positions, side="right") - 1
+        row, col = np.divmod(positions - chunk.offsets[b], self.block_cols[b])
+        i, j = np.divmod(self.rows[chunk.first_row[b] + row], self.rank)
+        k, l = np.divmod(self.cols[self.col_start[b] + col], self.rank)
+        return i, j, k, l
+
+
+_Chunk = namedtuple("_Chunk", "size left right targets offsets first_row")
+
+
+def associativity_sides(layout, x, y, budget=None):
+    """Both sides of associativity on a layout's instances, chunk by chunk.
+
+    x and y are (r, r, r) arrays, or (C, r, r, r) stacks summed over the
+    first axis too: at instance (i, j, k, l) the left side is
+    sum_{c, m} x[c, i, j, m] y[c, m, k, l] and the right side
+    sum_{c, m} x[c, j, k, m] y[c, i, m, l], m over the one degree that can
+    contribute (exact when x and y vanish off the grading).  Yields
+    (chunk, left, right) per chunk of layout.chunks(budget), both sides as
+    float64 arrays in the chunk's order, overwritten by the next chunk's.
+    Each block is one float64 product per side, exact while its sums stay
+    below 2**53 (check_exact_sums).
+    """
+    r = layout.rank
+    same = x is y
+    x = np.asarray(x).reshape(-1, r * r, r)
+    y = np.asarray(y).reshape(len(x), r, r, r)
+    c = np.arange(len(x))
+    if layout.size == r ** 4 and len(x) == 1:
+        # one degree: the one block is the whole array, read in place through
+        # one float64 copy (shared when x is y), from which the right side's
+        # factors are gathered too
+        xs = [x[0].astype(np.float64, copy=False)]
+        y = (xs[0] if same else y[0].astype(np.float64, copy=False)).reshape(1, r, r, r)
+        ys = [y.reshape(r, r * r)]
+    else:
+        # per block: x at ((i, j), (c, m)) and y at ((c, m), (k, l))
+        xs = [x[c[:, None], rows[:, None, None], m].reshape(len(rows), -1)
+              .astype(np.float64, copy=False) for rows, _, m in layout.blocks]
+        ys = [y.reshape(len(x), r, r * r)[c[:, None, None], m[:, None], cols]
+              .reshape(-1, len(cols)).astype(np.float64, copy=False)
+              for _, cols, m in layout.blocks]
+    buf = np.empty(0)  # left, the right side's products and right, reused
+    for chunk in layout.chunks(budget):
+        size = chunk.size
+        need = (2 if chunk.targets is None else 3) * size
+        if len(buf) < need:
+            buf = np.empty(need)
+        left, products = buf[:size], buf[size:2 * size]
+        for b, rs, at, n in chunk.left:
+            np.matmul(xs[b][rs], ys[b], out=left[at:at + n].reshape(-1, ys[b].shape[1]))
+        for b, i, l, at, n in chunk.right:
+            z = y[c[:, None, None], i, layout.blocks[b][2][:, None], l].reshape(-1, len(i))
+            np.matmul(xs[b], z, out=products[at:at + n].reshape(-1, len(i)))
+        if chunk.targets is None:
+            right = products
+        else:
+            right = buf[2 * size:3 * size]
+            right[chunk.targets] = products
+        yield chunk, left, right
+
+
+def verify_axioms(ring, layout=None):
     """Check every fusion-ring axiom; returns an AxiomReport.
 
     Unit laws, duality (N_{ij}^1 = delta_{j,i*}), Frobenius reciprocity
-    (each failing cell once, in (i, j, k) order), associativity, and (when a
-    grading is attached) multiplicativity of degrees, in that order.  One
-    pass over the left factor i checks both Frobenius identities on r x r
-    slices and associativity by float64 products into two r^3 buffers, beside
-    one float64 copy of the tensor.  The products sum nonnegative integers up
-    to rank * max(N)**2, so they are exact below 2**53; past it
-    check_exact_sums raises BoundsExceededError instead of checking inexactly.
+    (each failing cell once, in (i, j, k) order), associativity (in
+    (i, j, k, l) order), and (when a grading is attached) multiplicativity of
+    degrees, in that order.  One pass over the left factor i checks both
+    Frobenius identities on r x r slices.  Associativity is checked by
+    associativity_sides on the instances graded by ring.grading when no
+    nonzero coefficient breaks that grading (``layout``, a GradedInstances
+    of it, is used when given), and else on all rank^4 instances, those of
+    the one-degree grading; in chunks of whole left factors, of at most
+    max(r^3 / 4, 2^15) instances or of one left factor, so that the float64
+    arrays stay within a few times the tensor.  The products sum nonnegative
+    integers up to rank * max(N)**2, so they are exact below 2**53; past it
+    check_exact_sums raises BoundsExceededError instead of checking
+    inexactly.
     """
     t = ring.tensor
     r = ring.rank
@@ -287,28 +480,31 @@ def verify_axioms(ring):
     bad = np.argwhere(t[:, :, ring.unit] != dual_mat)
     violations += [("duality", (int(i), int(j), ring.unit)) for i, j in bad]
 
-    check_exact_sums(r, int(t.max()))
-    check_dense(r ** 3)
-    tf = t.astype(np.float64)
-    flat = tf.reshape(r, r * r)
-    colflat = tf.reshape(r * r, r)
-    lhs, rhs = np.empty((2, r, r, r))  # (j, k, l) for one i, rewritten each pass
-    frobenius, associativity = [], []
     for i in range(r):
         # over (j, k): N_ij^k = N_{i* k}^j and N_ij^k = N_{k j*}^i
         bad = (t[i] != t[dual[i]].T) | (t[i] != t[:, dual, i].T)
         if bad.any():
-            frobenius += [("frobenius", (i, int(j), int(k))) for j, k in np.argwhere(bad)]
-        np.matmul(tf[i], flat, out=lhs.reshape(r, r * r))        # sum_m N_ij^m N_mk^l
-        np.matmul(colflat, tf[i], out=rhs.reshape(r * r, r))     # sum_m N_jk^m N_im^l
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)
-            associativity += [("associativity", (i, int(j), int(k), int(l))) for j, k, l in bad]
-    violations += frobenius + associativity
+            violations += [("frobenius", (i, int(j), int(k))) for j, k in np.argwhere(bad)]
 
-    if ring.grading is not None:
-        g = ring.grading
-        violations += [("grading", ijk) for ijk in grading_violations(ring, g)]
+    g = ring.grading
+    graded = [] if g is None else grading_violations(ring, g)
+    check_exact_sums(r, int(t.max()))
+    check_dense(r ** 3)
+    if g is None or graded:
+        layout = GradedInstances(Grading((), [()] * r), r)
+    elif layout is None or layout.grading != g:
+        layout = GradedInstances(g, r)
+    codes = []
+    for chunk, left, right in associativity_sides(layout, t, t, max(r ** 3 // 4, 1 << 15)):
+        if not np.array_equal(left, right):
+            bad = np.flatnonzero(left != right)
+            codes.append(np.ravel_multi_index(layout.instances(chunk, bad), (r,) * 4))
+    if codes:
+        ijkl = np.unravel_index(np.sort(np.concatenate(codes)), (r,) * 4)
+        violations += [("associativity", x) for x in zip(*(a.tolist() for a in ijkl))]
+
+    if g is not None:
+        violations += [("grading", ijk) for ijk in graded]
         for i in range(r):
             if g.degree(int(dual[i])) != g.neg(g.degree(i)):
                 violations.append(("grading-dual", (i,)))
@@ -437,10 +633,13 @@ def is_k_normal(ring, x, k_max=8):
 
     At k = 1 this is the normality test x (x) x* = x* (x) x; for larger k the
     two k-th power blocks are compared in both orders.  The answer is
-    horizon-bounded: equality for all k >= K is not decidable here.
+    horizon-bounded: equality for all k >= K is not decidable here.  A
+    horizon k_max below 1 raises ValueError.
     """
     x = check_index(ring, x)
     k_max = as_integer(k_max, ValueError)
+    if k_max < 1:
+        raise ValueError("the horizon k_max must be at least 1, not %d" % k_max)
     t = ring.tensor
     xd = int(ring.dual[x])
     a = np.zeros(ring.rank, dtype=np.int64)

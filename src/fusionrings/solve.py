@@ -22,11 +22,18 @@ completion to a fusion ring.  The pipeline:
      of one of its variables moved; the hull of a row depends only on its
      coefficients, bounds, target and tolerance, so each search keeps one
      memo of hulls keyed by these, shared by its dual branches, and
-     enumerates each distinct row once; associativity is then checked on all
-     rank^4 instances with float64 matmuls, and an instance with a single
-     open term assigns its unknown the integer it forces (before the search,
-     ring.check_exact_sums checks that the matmuls are exact, and
-     ring.check_dense that one rank^4 array fits config.MAX_DENSE_BYTES);
+     enumerates each distinct row once; associativity is then checked by
+     ring.associativity_sides on the instances (i, j, k, l) with
+     deg l = deg i + deg j + deg k, the only ones where a term can be
+     nonzero once the grading zeros are filled in, with one float64 product
+     per degree block and m summed over one degree; an instance with a
+     single open term assigns its unknown the integer it forces, and a pass
+     is skipped when no bound moved since the last one began (the layout of
+     the instances, ring.GradedInstances, is built once per search and
+     shared like the memo; before the search ring.check_exact_sums checks
+     that the products are exact, and ring.check_dense that an array of one
+     entry per instance or per rank^3 coefficient fits
+     config.MAX_DENSE_BYTES); the leaves' axiom check reuses that layout;
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
   5. verify the full axioms and the dimension sums on every leaf, the
@@ -55,7 +62,9 @@ from .errors import (
 from .graphs import Digraph, automorphism_generators, bipartition, components, perron_vector
 from .ring import (
     FusionRing,
+    GradedInstances,
     Grading,
+    associativity_sides,
     check_dense,
     check_exact_sums,
     find_isomorphisms,
@@ -286,24 +295,31 @@ class _State:
     variable; a variable is assigned once its bounds meet.
 
     ``dirty[i*r + j]`` marks row (i, j) for a solve: it is set whenever a
-    bound of one of the row's variables moves (``rows_of[v]`` lists v's
-    rows) and cleared once the row is solved to its exact hull.  ``memo``
-    maps a row's inputs to their _row_hull result and may be shared by the
-    states of one search; ``rounds`` and ``row_solves`` count propagation
-    rounds and row solves.
+    bound of one of the row's variables moves (v's rows are
+    ``var_rows[var_start[v]:var_start[v + 1]]``) and cleared once the row is
+    solved to its exact hull.  ``memo`` maps a row's inputs to their
+    _row_hull result and ``layout``, the ring.GradedInstances of the
+    grading, holds the associativity instances; both may be shared by the
+    states of one search.  ``moves`` counts bound
+    moves, ``assoc_seen`` is its value when the last associativity pass
+    began (-1 after a restore), and ``rounds`` and ``row_solves`` count
+    propagation rounds and row solves.
     """
 
-    def __init__(self, partial, sigma, tol, memo=None):
+    def __init__(self, partial, sigma, tol, memo=None, layout=None):
         r = partial.rank
         self.r = r
         self.dims = partial.dims
         self.unit = partial.unit
         self.tol = tol
         self.memo = {} if memo is None else memo
+        self.layout = GradedInstances(partial.grading, r) if layout is None else layout
         self.rounds = self.row_solves = 0
         d = partial.dims
         g = partial.grading
-        check_dense(r ** 4)  # each associativity pass holds a few rank^4 float64 arrays
+        # the arrays below have rank^3 entries, and each associativity pass
+        # holds a few float64 arrays of one entry per graded instance
+        check_dense(max(self.layout.size, r ** 3))
 
         ub = np.floor(np.einsum("i,j,k->ijk", d, d, 1.0 / d) + tol).astype(np.int64)
         degs = np.array([g.degree(i) for i in range(r)], dtype=np.int64)
@@ -330,28 +346,43 @@ class _State:
         self.hi = np.full(len(least), np.iinfo(np.int64).max)
         np.minimum.at(self.hi, var_of, ub.ravel())
         check_exact_sums(r, int(self.hi.max()))  # the contractions sum r products of two values
-        self.rows_of = np.zeros((len(least), r * r), dtype=bool)
-        self.rows_of[var_of.reshape(r * r, r), np.arange(r * r)[:, None]] = True
+        self.var_rows = np.argsort(var_of, kind="stable") // r
+        self.var_start = [0] + np.cumsum(np.bincount(var_of)).tolist()
         self.dirty = np.ones(r * r, dtype=bool)
         self.moves = 0
+        self.assoc_seen = -1
 
-        # prefill: unit laws, duality row, known entries, grading zeros
-        try:
-            for j in range(r):
-                for k in range(r):
-                    self.set_entry((self.unit, j, k), 1 if j == k else 0)
-                    self.set_entry((j, self.unit, k), 1 if j == k else 0)
-                    self.set_entry((j, k, self.unit), 1 if k == sigma[j] else 0)
-            for t, v in partial.known.items():
-                self.set_entry(t, v)
-            for v in np.flatnonzero(self.hi == 0):
-                self.assign(int(v), 0)
-        except _Conflict as exc:
-            raise NoSolutionError("inconsistent input: %s" % exc, conflict=str(exc))
-
-    def set_entry(self, t, value):
-        v = int(self.var_of[t])
-        self.assign(v, value)
+        # prefill, in this order: the unit laws and the duality row,
+        # (unit, j, k), (j, unit, k) and (j, k, unit) for each (j, k), then
+        # the known entries.  A variable takes its first value there; the
+        # first entry outside its variable's bounds, or unlike that value, is
+        # the conflict.  The grading zeros are filled in already: their
+        # bound is 0.
+        j, k = np.divmod(np.arange(r * r), r)
+        u = np.full(r * r, self.unit)
+        var = [np.stack([self.var_of[u, j, k], self.var_of[j, u, k],
+                         self.var_of[j, k, u]], axis=1).ravel()]
+        val = [np.stack([j == k, j == k, k == sig[j]], axis=1).ravel().astype(np.int64)]
+        known = list(partial.known.values())
+        if known:
+            var.append(self.var_of[tuple(np.array(list(partial.known)).T)])
+            # a value past 2**62 is past every bound (check_exact_sums)
+            val.append(np.array([min(n, 1 << 62) for n in known], dtype=np.int64))
+        var, val = np.concatenate(var), np.concatenate(val)
+        _, at = np.unique(var, return_index=True)
+        first = np.zeros(len(var), dtype=bool)
+        first[at] = True
+        value = np.zeros(len(least), dtype=np.int64)
+        value[var[at]] = val[at]
+        bad = np.where(first, val > self.hi[var], val != value[var])
+        if bad.any():
+            n = int(bad.argmax())
+            v = var[n]
+            lo, hi = (self.lo[v], self.hi[v]) if first[n] else (value[v], value[v])
+            exc = "value %d for %r outside [%d, %d]" % (
+                val[n] if n < 3 * r * r else known[n - 3 * r * r], self.first[v], lo, hi)
+            raise NoSolutionError("inconsistent input: %s" % exc, conflict=exc)
+        self.lo[var[at]] = self.hi[var[at]] = val[at]
 
     def assign(self, v, value):
         if value < self.lo[v] or value > self.hi[v]:
@@ -371,7 +402,7 @@ class _State:
 
     def _move(self, v):
         self.moves += 1
-        self.dirty |= self.rows_of[v]
+        self.dirty[self.var_rows[self.var_start[v]:self.var_start[v + 1]]] = True
 
     def values(self):
         """N: a variable's value once assigned, else -1."""
@@ -385,6 +416,7 @@ class _State:
 
     def restore(self, snap):
         self.lo, self.hi, self.dirty = (a.copy() for a in snap)
+        self.assoc_seen = -1  # the restored bounds are not the ones last seen
 
     def unassigned(self):
         return np.flatnonzero(self.lo != self.hi)
@@ -396,7 +428,11 @@ class _State:
             moves = self.moves
             self.rounds += 1
             self._rows_pass()
-            self._assoc_pass()
+            # with no bound moved since the last associativity pass began,
+            # this one would see the state that found no conflict and no value
+            if self.moves != self.assoc_seen:
+                self.assoc_seen = self.moves
+                self._assoc_pass()
             if self.moves == moves:
                 return
 
@@ -450,12 +486,13 @@ class _State:
         return exact
 
     def _assoc_pass(self):
-        # one instance (i, j, k, l) per rank^4 entry:
+        # one instance (i, j, k, l) per graded quadruple (every other one has
+        # a known zero in each term, see ring.GradedInstances):
         #   sum_m N_ij^m N_mk^l  (left)  =  sum_m N_jk^m N_im^l  (right);
         # a term is open when one factor is unknown and the other is unknown
         # or known nonzero, so (u + w)(u + w) - w w counts it, with u marking
-        # the unknowns and w the known nonzeros; stacking [u + w, w] against
-        # [u + w, -w] along m gives that count in one product per side
+        # the unknowns and w the known nonzeros; the stacks [u + w, w] and
+        # [u + w, -w] give that count in one product per block and side
         r = self.r
         val = self.values()
         unknown = val < 0
@@ -463,36 +500,29 @@ class _State:
         known_pos = val > 0
         w = known_pos.astype(np.float64)
         uw = unknown + w
-
-        def left(x, y):
-            # x[i, j, m] y[m, k, l] summed over m
-            return (x.reshape(r * r, -1) @ y.reshape(-1, r * r)).reshape(r, r, r, r)
-
-        def right(x, y):
-            # x[j, k, m] y[i, m, l] summed over m
-            xy = x.reshape(r * r, -1) @ y.transpose(1, 0, 2).reshape(-1, r * r)
-            return xy.reshape(r, r, r, r).transpose(2, 0, 1, 3)
-
-        pair = np.concatenate([uw, w], axis=2)
-        occ = left(pair, np.concatenate([uw, -w]))
-        occ += right(pair, np.concatenate([uw, -w], axis=1))
+        (chunk, occ, right), = associativity_sides(self.layout, np.stack([uw, w]),
+                                                   np.stack([uw, -w]))
+        occ += right
         closed = occ == 0
         single = np.flatnonzero(occ == 1)
-        del occ  # at most two rank^4 float64 arrays are alive at once
+        del occ, right  # at most three arrays of one float64 per instance are alive at once
         v = val.astype(np.float64)
-        gap = right(v, v)
-        gap -= left(v, v)
+        (_, left, gap), = associativity_sides(self.layout, v, v)
+        gap -= left
 
-        bad = closed & (gap != 0)
-        if bad.any():
-            i, j, k, l = (int(x) for x in np.argwhere(bad)[0])
+        bad = np.flatnonzero(closed & (gap != 0))
+        if len(bad):
+            code = np.ravel_multi_index(self.layout.instances(chunk, bad), (r,) * 4)
+            i, j, k, l = np.unravel_index(code.min(), (r,) * 4)
             raise _Conflict("associativity fails at (%d,%d,%d,%d)" % (i, j, k, l))
 
-        # an instance with one open term is linear in its unknown unless both
-        # factors are unknown; opens[n, m, p] marks the term m whose factor
-        # p (left first, left second, right first, right second) is unknown
-        # and the other known nonzero
-        i, j, k, l = np.unravel_index(single, (r, r, r, r))
+        # the single-open instances in (i, j, k, l) order; one is linear in
+        # its unknown unless both factors are unknown; opens[n, m, p] marks
+        # the term m whose factor p (left first, left second, right first,
+        # right second) is unknown and the other known nonzero
+        i, j, k, l = self.layout.instances(chunk, single)
+        order = np.argsort(np.ravel_multi_index((i, j, k, l), (r,) * 4))
+        single, i, j, k, l = single[order], i[order], j[order], k[order], l[order]
         opens = np.stack([
             unknown[i, j] & known_pos[:, k, l].T,
             known_pos[i, j] & unknown[:, k, l].T,
@@ -501,7 +531,7 @@ class _State:
         ], axis=2).reshape(len(single), 4 * r)
         at = opens.argmax(axis=1)
         hit = np.flatnonzero(opens[np.arange(len(single)), at])
-        i, j, k, l, gap = i[hit], j[hit], k[hit], l[hit], gap.ravel()[single[hit]]
+        i, j, k, l, gap = i[hit], j[hit], k[hit], l[hit], gap[single[hit]]
         m, p = np.divmod(at[hit], 4)
         var = np.choose(p, [self.var_of[i, j, m], self.var_of[m, k, l],
                             self.var_of[j, k, m], self.var_of[i, m, l]])
@@ -654,6 +684,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     stats = dict.fromkeys(("nodes", "dual_branches", "branches_by_symmetry",
                            "propagation_rounds", "row_solves", "row_enumerations"), 0)
     memo = {}  # row hulls, shared by the dual branches
+    layout = GradedInstances(partial.grading, partial.rank)  # shared likewise
     conjugate = {}  # each branch g sigma g^-1 of a searched sigma: g and sigma's leaves
     conflict = None
     for sigma in _dual_branches(partial, tol):
@@ -667,7 +698,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
         for key, g in _conjugates(sigma, gens).items():
             conjugate[key] = (g, tensors)
         try:
-            state = _State(partial, sigma, tol, memo)
+            state = _State(partial, sigma, tol, memo, layout)
         except NoSolutionError as exc:
             conflict = conflict or str(exc)
             continue
@@ -683,7 +714,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     solutions = []
     for tensor, sigma in raw:
         ring = FusionRing(partial.labels, partial.unit, sigma, tensor, partial.grading)
-        rep = verify_axioms(ring)
+        rep = verify_axioms(ring, layout)
         if not rep.ok:
             continue
         residual = float(np.max(np.abs(

@@ -47,6 +47,8 @@ def test_short_horizon_fails_k_normality():
     full = audit_row("exc4", M=1, k_max=K_HORIZON)
     assert full.passed
     assert full.checks["k_normal"][1] == "2"
+    with pytest.raises(ValueError, match="at least 1"):
+        audit_row("exc4", M=1, k_max=0)
 
 
 def test_audit_all_table_order():

@@ -183,6 +183,7 @@ def test_separate(cli, rowA, rowB, M, N, expected):
 @pytest.mark.parametrize("argv", [
     ("verify", "/nonexistent/ring.json"),
     ("knormal", E4_JSON, "--object", "zz"),
+    ("knormal", E4_JSON, "--object", "5", "--kmax", "0"),
     ("frobnicate",),
     ("audit", "--all", "--row", "pointed"),
     ("cohom", "--deg", "2", "--M", "4"),

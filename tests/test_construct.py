@@ -10,6 +10,7 @@ from fusionrings import (
     Grading,
     TheoremRowSpec,
     ade_ring,
+    adjoint_subring,
     audit_row,
     deligne_product,
     dequiv_free,
@@ -25,6 +26,7 @@ from fusionrings import (
 )
 from fusionrings import config, construct
 from fusionrings.construct import ROWS, expected_adjoint
+from fusionrings.ring import restrict
 from fusionrings.errors import (
     BoundsExceededError,
     DegenerateGradeError,
@@ -64,6 +66,22 @@ def test_ade_families():
         with pytest.raises(UnknownFamilyError, match="integer"):
             ade_ring(family, "6")  # converted before it is compared
     assert ade_ring("A", np.int64(5)).rank == 5
+
+
+def test_adjoint_rings_restrict_the_cached_ring(monkeypatch):
+    # ade_ring("adX", n) cuts the adjoint subring out of the cached
+    # ade_ring("X", n) instead of solving the Dynkin graph again
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved the graph again")
+
+    for family, size in (("A", 5), ("D", 6), ("E6", None), ("E8", None)):
+        ring = ade_ring(family, size)
+        with monkeypatch.context() as m:
+            m.setattr(construct, "unique_ring_from_graph", no_solve)
+            ad = ade_ring.__wrapped__("ad" + family, size)
+        idx = adjoint_subring(ring)
+        assert ad == restrict(ring, idx, Grading((), [()] * len(idx)))
+        assert ad == ade_ring("ad" + family, size) and ad.rank < ring.rank
 
 
 def test_d_series_spinor_dims():

@@ -38,8 +38,8 @@ from fusionrings.errors import (
     InconsistentGradingError,
     MalformedRingError,
 )
-from fusionrings.graphs import components, perron_vector
-from fusionrings.ring import grading_violations, restrict
+from fusionrings.graphs import components, perron_vector, unique_rows
+from fusionrings.ring import GradedInstances, associativity_sides, grading_violations, restrict
 from conftest import group_from_presentation
 
 
@@ -98,7 +98,7 @@ def test_associativity_bound_is_checked(a5):
         verify_axioms(FusionRing(a5.labels, a5.unit, a5.dual, t, a5.grading))
 
 
-def _axiom_oracle(ring):
+def _cell_oracle(ring):
     # every identity, one cell at a time, in verify_axioms' order of kinds
     t, r, u, dual = ring.tensor.tolist(), ring.rank, ring.unit, ring.dual.tolist()
     cells = list(itertools.product(range(r), repeat=3))
@@ -122,9 +122,40 @@ def _axiom_oracle(ring):
     return out
 
 
+def _axiom_oracle(ring):
+    # the dense check, one left factor i at a time: both Frobenius identities
+    # on r x r slices and both sides of associativity on all r^3 (j, k, l)
+    t, r, u, dual = ring.tensor, ring.rank, ring.unit, ring.dual
+    eye = np.eye(r, dtype=np.int64)
+    out = [("unit-left", (u, int(j), int(k))) for j, k in np.argwhere(t[u] != eye)]
+    out += [("unit-right", (int(i), u, int(k))) for i, k in np.argwhere(t[:, u, :] != eye)]
+    dual_mat = np.zeros((r, r), dtype=np.int64)
+    dual_mat[np.arange(r), dual] = 1
+    out += [("duality", (int(i), int(j), u)) for i, j in np.argwhere(t[:, :, u] != dual_mat)]
+    tf = t.astype(np.float64)
+    frobenius, associativity = [], []
+    for i in range(r):
+        bad = (t[i] != t[dual[i]].T) | (t[i] != t[:, dual, i].T)
+        frobenius += [("frobenius", (i, int(j), int(k))) for j, k in np.argwhere(bad)]
+        lhs = (tf[i] @ tf.reshape(r, r * r)).reshape(r, r, r)    # sum_m N_ij^m N_mk^l
+        rhs = (tf.reshape(r * r, r) @ tf[i]).reshape(r, r, r)    # sum_m N_jk^m N_im^l
+        associativity += [("associativity", (i, int(j), int(k), int(l)))
+                          for j, k, l in np.argwhere(lhs != rhs)]
+    out += frobenius + associativity
+    g = ring.grading
+    if g is not None:
+        out += [("grading", ijk) for ijk in _grading_violations_loop(t, g)]
+        out += [("grading-dual", (i,)) for i in range(r)
+                if g.degree(int(dual[i])) != g.neg(g.degree(i))]
+        if any(g.degree(u)):
+            out.append(("grading-unit", (u,)))
+    return out
+
+
 def test_axiom_violations_match_loop_oracle(e4):
     # one raised coefficient N_{1,j}^k, k of another degree than j: the unit
-    # law, Frobenius, associativity and the grading all fail
+    # law, Frobenius, associativity and the grading all fail, and the broken
+    # grading leaves the dense rank^4 check
     t = e4.tensor.copy()
     j = e4.index("5")
     k = next(k for k in range(e4.rank)
@@ -133,30 +164,120 @@ def test_axiom_violations_match_loop_oracle(e4):
     raised = FusionRing(e4.labels, e4.unit, e4.dual, t, e4.grading)
     found = verify_axioms(raised).violations
     assert {kind for kind, _ in found} == {"unit-left", "frobenius", "associativity", "grading"}
-    assert found == _axiom_oracle(raised)
+    assert found == _cell_oracle(raised) == _axiom_oracle(raised)
     # one swapped dual pair of Z_5 (1 <-> 3 and 2 <-> 4 instead of 1 <-> 4 and
     # 2 <-> 3): only duality and Frobenius fail, each Frobenius cell once
     z5 = pointed_ring((5,))
     swapped = FusionRing(z5.labels, z5.unit, [0, 3, 4, 1, 2], z5.tensor)
     found = verify_axioms(swapped).violations
     assert {kind for kind, _ in found} == {"duality", "frobenius"}
-    assert found == _axiom_oracle(swapped)
-    assert verify_axioms(e4).violations == _axiom_oracle(e4) == []
+    assert found == _cell_oracle(swapped) == _axiom_oracle(swapped)
+    assert verify_axioms(e4).violations == _cell_oracle(e4) == _axiom_oracle(e4) == []
+
+
+def _with_one_raised(ring, rng):
+    # the ring and a copy with one nonzero coefficient off the unit raised by
+    # 1, when there is one (its grading stays multiplicative, so the graded
+    # check runs on it)
+    i, j, k, _ = ring.triples
+    off_unit = np.flatnonzero((i != ring.unit) & (j != ring.unit) & (k != ring.unit))
+    if not len(off_unit):
+        return [ring]
+    e = rng.choice(off_unit)
+    t = ring.tensor.copy()
+    t[i[e], j[e], k[e]] += 1
+    return [ring, FusionRing(ring.labels, ring.unit, ring.dual, t, ring.grading)]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_axiom_reports_match_per_factor_oracle(row):
+    rng = np.random.default_rng(20261020)
+    for M in (1, 2, 3):
+        for ring in _with_one_raised(theorem_row(row, M=M).ring, rng):
+            assert verify_axioms(ring).violations == _axiom_oracle(ring), (row, M)
+
+
+def test_axiom_reports_match_per_factor_oracle_off_the_table(e4, e166):
+    rng = np.random.default_rng(20261020)
+    rings = [e4, e166, pointed_ring([2, 2, 2])]
+    # a grading with violations: the one-degree (rank^4) check runs instead
+    deg = list(e166.grading.deg)
+    deg[e166.index("a0")] = (2,)
+    rings.append(FusionRing(e166.labels, e166.unit, e166.dual, e166.tensor, Grading((6,), deg)))
+    for ring in rings:
+        for copy in _with_one_raised(ring, rng):
+            found = verify_axioms(copy).violations
+            assert found == _axiom_oracle(copy)
+            assert ("associativity" in {kind for kind, _ in found}) == (copy is not ring)
+
+
+# gradings of five or six simples: trivial, degrees that are no subgroup
+# (1 + 1 = 2 is no simple's degree), two factors, and unequal components
+KERNEL_GRADINGS = {
+    "trivial": Grading((), [()] * 5),
+    "Z4 on 0, 1, 3": Grading((4,), [(0,), (1,), (3,), (1,), (0,)]),
+    "Z2 x Z2": Grading((2, 2), [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0)]),
+    "Z3 3, 2, 1": Grading((3,), [(0,), (0,), (1,), (0,), (1,), (2,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRADINGS))
+def test_associativity_sides_match_dense_contractions(name):
+    g = KERNEL_GRADINGS[name]
+    r = len(g.deg)
+    rng = np.random.default_rng(20261020)
+    deg = np.array(g.deg, dtype=np.int64).reshape(r, -1)
+    orders = np.array(g.orders, dtype=np.int64)
+    # two channels of random integers on the triples (i, j, m) with
+    # deg m = deg i + deg j, zero elsewhere
+    on = ~((deg[:, None, None] + deg[None, :, None] - deg[None, None, :]) % orders).any(axis=3)
+    x, y = (rng.integers(-3, 4, (2, r, r, r)) * on for _ in range(2))
+    graded = ~((deg[:, None, None, None] + deg[None, :, None, None] + deg[None, None, :, None]
+                - deg[None, None, None, :]) % orders).any(axis=4)
+    layout = GradedInstances(g, r)
+    assert layout.size == graded.sum()
+    per_factor = graded.sum(axis=(1, 2, 3))
+    # budgets below one left factor and over several, then the one chunk of
+    # every instance, which is kept from then on
+    for budget in (1, 40, 300, None, 1):
+        for stack in (x, y), (x[0], y[0]):
+            a, b = (z.reshape(-1, r, r, r) for z in stack)
+            lhs = np.einsum("cijm,cmkl->ijkl", a, b)
+            rhs = np.einsum("cjkm,ciml->ijkl", a, b)
+            assert not lhs[~graded].any() and not rhs[~graded].any()
+            seen = np.zeros((r,) * 4, dtype=int)
+            # left and right are read before the next chunk overwrites them
+            for chunk, left, right in associativity_sides(layout, *stack, budget):
+                ijkl = layout.instances(chunk, np.arange(chunk.size))
+                factors = np.unique(ijkl[0])
+                assert chunk.size == per_factor[factors].sum()  # whole left factors
+                assert chunk.size == layout.size or chunk.size <= max(budget, per_factor.max())
+                assert np.array_equal(left, lhs[ijkl]) and np.array_equal(right, rhs[ijkl])
+                np.add.at(seen, ijkl, 1)
+            assert np.array_equal(seen, graded)
 
 
 def test_verify_axioms_peak_memory():
-    # the float64 copy and the two per-i product buffers, each r^3 entries,
-    # sized against the int64 tensor (an r^3 permuted copy per Frobenius
-    # identity on top of those would reach 6x)
+    # sized against the int64 tensor.  Under its Z_6 grading the row's check
+    # holds the float64 block gathers of the tensor and one buffer for the
+    # chunks' left sides, products and placed right sides (about 1.7x).
+    # With the grading dropped it holds one float64 copy of the tensor, read
+    # in place as the one block, and a buffer for a left factor's two sides,
+    # r^3 entries each (about 3.3x; the dense loop over i it replaces held
+    # 3.2x).  Gathering that block, or placing its products through an index
+    # array, would take it past 4x, and an r^3 permuted copy per Frobenius
+    # identity past 5x.
     ring = theorem_row("exc166", M=2).ring
     assert ring.rank == 48
-    tracemalloc.start()
-    try:
-        assert verify_axioms(ring).ok
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * ring.tensor.nbytes
+    ungraded = FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor, None)
+    for rg, bound in ((ring, 4.5), (ungraded, 3.5)):
+        tracemalloc.start()
+        try:
+            assert verify_axioms(rg).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * ring.tensor.nbytes
 
 
 def _grading_violations_loop(tensor, g):
@@ -558,6 +679,9 @@ def test_k_normality(e4, a5):
     for k_max in (True, 2.0):  # the integer rule: not read as 1, not truncated
         with pytest.raises(ValueError, match="integer"):
             is_k_normal(a5, 1, k_max=k_max)
+    for k_max in (0, -3):  # no horizon to report on
+        with pytest.raises(ValueError, match="at least 1"):
+            is_k_normal(a5, 1, k_max=k_max)
     # the rank-12 Z_4-graded ring is strictly 2-normal at its generator
     report = is_k_normal(e4, e4.labels.index("5"), k_max=6)
     assert report.least == 2
@@ -783,6 +907,18 @@ def test_components_match_bfs(graph):
     n, edges = graph
     src, dst = [u for u, _ in edges], [v for _, v in edges]
     assert components(n, src, dst).tolist() == _bfs_components(n, edges)
+
+
+def test_unique_rows_match_numpy_unique():
+    # colour signatures: few distinct values, repeated rows, zero columns
+    rng = np.random.default_rng(20261020)
+    for _ in range(500):
+        n, k = int(rng.integers(1, 50)), int(rng.integers(1, 26))
+        a = rng.integers(-2, 3, (n, k)) * rng.integers(0, 2, (1, k))
+        a = a[rng.integers(0, n, n)]
+        rows, inverse = np.unique(a, axis=0, return_inverse=True)
+        got_rows, got_inverse = unique_rows(a)
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_inverse, inverse.ravel())
 
 
 def _relabel(ring, p):

@@ -31,7 +31,7 @@ from fusionrings.errors import (
 )
 from fusionrings.graphs import Digraph, automorphism_generators, isomorphisms
 from fusionrings.jsonio import load_partial, partial_from_dict, partial_to_dict
-from fusionrings.ring import Grading
+from fusionrings.ring import GradedInstances, Grading
 from fusionrings.solve import _Conflict, _dual_branches, _graph_partial, _known_tensor, _State
 from conftest import data_path, load_json
 
@@ -124,6 +124,57 @@ def test_orbit_variables_match_stack_orbits():
         var_of, first = _stack_orbits(partial.rank, sigma)
         assert np.array_equal(state.var_of, var_of)
         assert state.first == first
+
+
+def _prefilled(partial, sigma):
+    # the bounds a state starts its search from, or its input conflict
+    try:
+        state = _State(partial, sigma, config.TOLERANCE)
+    except NoSolutionError as exc:
+        return exc.conflict
+    return state.lo.tolist(), state.hi.tolist()
+
+
+def _prefilled_oracle(partial, sigma):
+    # the known entries assigned one at a time, in order, to the state of
+    # the partial ring without them (its unit laws and duality row in)
+    bare = PartialRing(partial.labels, partial.unit, partial.dims, partial.grading,
+                       dual=partial.dual)
+    state = _State(bare, sigma, config.TOLERANCE)
+    try:
+        for t, v in partial.known.items():
+            state.assign(int(state.var_of[t]), v)
+    except _Conflict as exc:
+        return str(exc)
+    return state.lo.tolist(), state.hi.tolist()
+
+
+def test_prefill_matches_entry_by_entry_oracle():
+    # known entries of a ring changed at random: one orbit member unlike
+    # the others, a value past its bound, a unit-law or duality entry
+    # contradicted, a value past 2**62; and the rings' whole tables
+    rng = random.Random(20261020)
+    kinds = collections.Counter()
+    for ring in (ade_ring("A", 5), ade_ring("D", 6), ade_ring("E6"), e4_ring(), e166_ring()):
+        sigma = [int(x) for x in ring.dual]
+        cells = list(itertools.product(range(ring.rank), repeat=3))
+        for case in range(12):
+            partial = PartialRing.from_ring(ring, forget=rng.sample(cells, len(cells) // 2))
+            known = dict(partial.known)
+            for t in rng.sample(sorted(known), case % 4):
+                known[t] = rng.choice([0, 1, 2, 5, 10 ** 30])
+            partial = PartialRing(partial.labels, partial.unit, partial.dims, partial.grading,
+                                  dual=partial.dual, known=known)
+            got = _prefilled(partial, sigma)
+            assert got == _prefilled_oracle(partial, sigma)
+            if isinstance(got, tuple):
+                kinds["no conflict"] += 1
+            else:
+                value, lo, hi = re.fullmatch(r"value (\d+) for .* outside \[(\d+), (\d+)\]",
+                                             got).groups()
+                kinds["past 2**62" if int(value) > 2 ** 62 else
+                      "unlike its orbit" if lo == hi else "past its bound"] += 1
+    assert len(kinds) == 4, kinds
 
 
 def test_ring_from_generator_graph_a_series(a5):
@@ -357,6 +408,39 @@ def test_assoc_pass_matches_loop_oracle(monkeypatch, name):
     _same_as_loop_oracle(monkeypatch, ASSOC_CASES[name]())
 
 
+def _propagate_every_pass(self):
+    # oracle: an associativity pass in every round, as if a bound had moved
+    while True:
+        moves = self.moves
+        self.rounds += 1
+        self._rows_pass()
+        self._assoc_pass()
+        if self.moves == moves:
+            return
+
+
+def test_skipped_assoc_passes_change_nothing(monkeypatch, e4):
+    # e4 from Z_2 parity: 40 of 174 passes would see the state the pass
+    # before them saw; the solutions, classes and counts stay the same
+    partial = _e4_parity(e4)
+    passes = []
+    assoc_pass = _State._assoc_pass
+
+    def counted(self):
+        passes[-1] += 1
+        assoc_pass(self)
+
+    monkeypatch.setattr(_State, "_assoc_pass", counted)
+    passes.append(0)
+    result = complete_partial_ring(partial)
+    monkeypatch.setattr(_State, "propagate", _propagate_every_pass)
+    passes.append(0)
+    every = complete_partial_ring(partial)
+    assert passes == [134, 174]
+    assert every.stats == result.stats and every.classes == result.classes
+    assert [r.tensor.tobytes() for r in every] == [r.tensor.tobytes() for r in result]
+
+
 def test_assoc_pass_matches_loop_oracle_on_seeded_partials(monkeypatch):
     outcomes = [_same_as_loop_oracle(monkeypatch, p)[0] for p in _seeded_partials()]
     assert any(isinstance(o, str) and o.startswith("associativity fails at") for o in outcomes)
@@ -376,8 +460,8 @@ def _same_without_memo(monkeypatch, partial):
     got = _outcome(partial)
     init = _State.__init__
 
-    def without_memo(self, partial, sigma, tol, memo=None):
-        init(self, partial, sigma, tol, _MissingMemo())
+    def without_memo(self, partial, sigma, tol, memo=None, layout=None):
+        init(self, partial, sigma, tol, _MissingMemo(), layout)
 
     with monkeypatch.context() as m:
         m.setattr(_State, "__init__", without_memo)
@@ -451,6 +535,10 @@ def _after_assoc_pass(state, assoc_pass):
      "associativity at (1,1,2,4) forces non-integer "),
     (((0, 0, 0), (0, 2, 2), (0, 3, 3), (1, 1, 2), (1, 2, 3)), (2, 4, 4),
      "associativity at (1,3,2,4) forces negative -1"),
+    # (1,2,2,3) comes first in (i, j, k, l) order and (1,3,2,2) first in the
+    # order of the degree blocks (deg 1 + deg 3 = 0, deg 1 + deg 2 = 1)
+    (((4, 3, 3), (3, 2, 3), (4, 1, 1)), (2, 1, 1),
+     "associativity at (1,2,2,3) forces negative -1"),
 ])
 def test_assoc_pass_unit_cases_match_loop_oracle(opened, raised, fragment):
     state = _a5_state(opened, raised)
@@ -467,10 +555,34 @@ def test_assoc_pass_unit_cases_match_loop_oracle(opened, raised, fragment):
 
 
 def test_solver_contractions_past_the_dense_bound_raise(monkeypatch):
+    # the bound is on the graded instances an associativity pass holds,
+    # about a quarter of rank^4 under e4's Z_4 grading, and on the search
+    # state's rank^3 arrays: no array the state keeps is larger.  (A dense
+    # (orbit variables x rank^2) table of each variable's rows would hold
+    # 328 x 144 flags on one dual branch, 5,904 8-byte cells.)
     partial = _e4_partial()
-    monkeypatch.setattr(config, "MAX_DENSE_BYTES", 8 * partial.rank ** 4 - 1)
+    r = partial.rank
+    size = GradedInstances(partial.grading, r).size
+    assert r ** 3 < size < r ** 4 // 3
+    states = []
+    init = _State.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        states.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(_State, "__init__", kept)
+        assert len(complete_partial_ring(partial).solutions) == 4
+    assert states
+    for state in states:
+        for name, a in vars(state).items():
+            assert np.asarray(a).nbytes <= 8 * size, name
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", 8 * size - 1)
     with pytest.raises(BoundsExceededError):
         complete_partial_ring(partial)
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", 8 * size)
+    assert len(complete_partial_ring(partial).solutions) == 4
 
 
 def test_solver_sums_past_2_53_raise():
