@@ -1,22 +1,24 @@
 """Finite abelian groups and exact linear algebra over Z.
 
 Lattice work is done in plain Python integers, so there is no overflow to
-worry about.  One sparse unimodular column reduction does the lattice work:
-its zeroed columns give integer kernels and its pivot columns echelon bases,
-along which every quotient of lattices reduces to one square matrix.  The
-Smith normal form (U A V = D with U, V unimodular), with only the transforms
-asked for, types that matrix; U is tracked only when a finite presentation's
-quotient map is asked for (``quotient_with_map``).  Invariant factors are
-the Smith diagonal of diag(orders), by gcd/lcm steps, and a group given by
-a multiplication table is typed, with coordinates, by the Smith form of one
-relation per generator of a greedy generating set (``table_group``).
+worry about.  One sparse unimodular column reduction does it: run on a map
+with the identity below it as extra head rows, it zeroes the map's rows and
+goes on to leave an echelon basis of the kernel in the head rows, along
+which a quotient of lattices reduces to one square matrix
+(``kernel_mod_image``).  A diagonal square is typed as it stands, any other
+by its Smith normal form (U A V = D with U, V unimodular), with U tracked
+only when a finite presentation's quotient map is asked for
+(``quotient_with_map``).  Invariant factors are the Smith diagonal of
+diag(orders), by gcd/lcm steps, and a group given by a multiplication table
+is typed, with coordinates, by the Smith form of one relation per generator
+of a greedy generating set (``table_group``).
 
 Matrices are lists of rows of ints.  Vectors are lists of ints; sparse ones
 are dicts index -> nonzero int.
 """
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import product as _cartesian
 
 import numpy as np
@@ -132,115 +134,128 @@ def diagonal_entries(d):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+def _column_reduce(cols):
+    """Sparse unimodular column reduction (Cohen, GTM 138, 2.4), in place.
+
+    Row by row, Euclid runs among the columns nonzero there that are not yet
+    pivots: the least |entry| is the pivot (of those, the sparsest column,
+    which keeps fill-in down), the others drop a quotient multiple of it; the
+    last one left is the row's pivot.  A row -> columns index finds them; a
+    subtraction that creates an entry adds its column there, and a read
+    skips members that are pivots or have lost the entry.  Returns the
+    pivots as (row, column) in increasing row order, an echelon basis of the
+    columns' span.
+    """
+    index = defaultdict(set)
+    for c, col in enumerate(cols):
+        for i in col:
+            index[i].add(c)
+    done, pivots = [False] * len(cols), []
+    for i in sorted(index):
+        hit = [c for c in index[i] if not done[c] and i in cols[c]]
+        while len(hit) > 1:
+            hit.sort(key=lambda c: (abs(cols[c][i]), len(cols[c])))
+            pivot, left = cols[hit[0]], hit[:1]
+            for c in hit[1:]:
+                col = cols[c]
+                _sub_multiple(col, pivot, col[i] // pivot[i], index, c)
+                if i in col:
+                    left.append(c)
+            hit = left
+        if hit:
+            done[hit[0]] = True
+            pivots.append((i, cols[hit[0]]))
+    return pivots
+
+
+def _sub_multiple(x, y, q, index=None, c=None):
+    """x -= q * y for sparse vectors; c joins index[k] for each key k x gains."""
+    for k, v in y.items():
+        w = x.get(k)
+        if w is None:
+            x[k] = -q * v
+            if index is not None:
+                index[k].add(c)
+        elif w == q * v:
+            del x[k]
+        else:
+            x[k] = w - q * v
+
+
 def congruence_kernel(cols, moduli):
     """Z-basis, as sparse vectors, of {x : sum_j x_j cols[j] = 0 mod moduli}.
 
-    Row i is taken mod ``moduli[i]``, 0 meaning an exact equation.  The x
-    are the heads of the kernel of [cols | -diag(moduli)] (nonzero moduli
-    only): the transform parts, kept on the heads, of the columns
-    ``_column_reduce`` zeroes.  A kernel vector with a zero head is zero, so
-    they are a basis.
+    Row i is taken mod ``moduli[i]``, 0 meaning an exact equation.  The
+    identity rides below [cols | -diag(moduli)] as head rows len(moduli) + j.
+    The reduction zeroes the rows of cols first, which leaves the heads x of
+    the kernel; its pivots in the head rows are then an echelon basis of it.
 
     >>> congruence_kernel([{0: 2}], [4])   # 2 x = 0 mod 4
     [{0: 2}]
     """
-    stacked = [(dict(c), {j: 1}) for j, c in enumerate(cols)]
-    stacked += [({i: -o}, {}) for i, o in enumerate(moduli) if o]
-    return _column_reduce(stacked)[1]
+    b = len(moduli)
+    stacked = [{**c, b + j: 1} for j, c in enumerate(cols)]
+    stacked += [{i: -o} for i, o in enumerate(moduli) if o]
+    return [{j - b: x for j, x in p.items()} for i, p in _column_reduce(stacked) if i >= b]
 
 
-def _column_reduce(cols):
-    """Sparse unimodular column reduction (Cohen, GTM 138, 2.4), in place.
+def kernel_mod_image(f, g, mid, out):
+    """ker f / im g for f: Z^n / diag(mid) -> Z^m / diag(out) and g into
+    Z^n / diag(mid), both lists of sparse integer columns with f g = 0.
 
-    Each column is a pair of sparse vectors, the column and its transform
-    part, which every operation also applies to.  Row by row, Euclid runs
-    among the active columns nonzero there: the least |entry| is the pivot
-    (of those, the sparsest column, which keeps fill-in down), the others drop
-    a quotient multiple of it; the last one left is the row's pivot and leaves
-    the active set.  Returns the pivots as (row, column) in increasing row
-    order, an echelon basis of the columns' span, and the transform parts of
-    the columns reduced to zero.
+    The preimage L of ker f holds diag(mid) Z^n, as f is well defined.  The
+    columns of g and diag(mid) get their coordinates along the echelon basis
+    of L from ``congruence_kernel`` by substitution, and those reduce to a
+    square matrix that types the quotient (Cohen, GTM 138, 2.4.2-2.4.4).
+    Raises ValueError if a column of g is outside L.
+
+    >>> str(kernel_mod_image([{0: 2}], [{0: 6}], [12], [4]))   # 2Z / 6Z
+    'Z_3'
     """
-    active = list(range(len(cols)))
-    pivots = []
-    for i in sorted(set().union(*(c for c, _ in cols))):
-        hit = [c for c in active if i in cols[c][0]]
-        while len(hit) > 1:
-            p = min(hit, key=lambda c: (abs(cols[c][0][i]),
-                                        len(cols[c][0]) + len(cols[c][1])))
-            pa, pt = cols[p]
-            rest = []
-            for c in hit:
-                if c != p:
-                    ca, ct = cols[c]
-                    q = ca[i] // pa[i]
-                    _sub_multiple(ca, pa, q)
-                    _sub_multiple(ct, pt, q)
-                    if i in ca:
-                        rest.append(c)
-            hit = rest + [p]
-        if hit:
-            active.remove(hit[0])
-            pivots.append((i, cols[hit[0]][0]))
-    return pivots, [cols[c][1] for c in active]
-
-
-def _sub_multiple(x, y, q):
-    """x -= q * y for sparse vectors (dicts index -> nonzero int)."""
-    for k, v in y.items():
-        w = x.get(k, 0) - q * v
-        if w:
-            x[k] = w
-        else:
-            del x[k]
-
-
-def sparse_columns(a):
-    """The columns of the matrix ``a`` as dicts row -> nonzero entry."""
-    return [{i: row[j] for i, row in enumerate(a) if row[j]}
-            for j in range(len(a[0]) if a else 0)]
+    gens = g + [{i: o} for i, o in enumerate(mid) if o]
+    return FiniteAbelianGroup(_quotient(congruence_kernel(f, out), gens)[0])
 
 
 def quotient_invariants(basis, subgens):
     """Invariant factors of L / <subgens>, L spanned by the sparse ``basis``.
 
-    The basis is reduced to echelon form, each generator gets its coordinates
-    by substitution along the pivot rows, and the r pivots the coordinates
-    reduce to give a square matrix with the quotient's invariant factors
-    (Cohen, GTM 138, 2.4.2-2.4.4).  Raises ValueError if the basis vectors
-    are dependent, a generator is outside L or the quotient is infinite.
+    The basis is reduced to echelon form; the rest is as in
+    ``kernel_mod_image``.  Raises ValueError if the basis vectors are
+    dependent, a generator is outside L or the quotient is infinite.
 
     >>> quotient_invariants([{0: 2}, {1: 1}], [{0: 4}, {0: 2, 1: 6}, {1: 9}])
     (3,)
     """
-    r = len(basis)
-    echelon, _ = _column_reduce([(dict(b), {}) for b in basis])
-    if len(echelon) < r:
+    echelon = [p for _, p in _column_reduce([dict(b) for b in basis])]
+    if len(echelon) < len(basis):
         raise ValueError("basis vectors are dependent")
+    return _invariant_factors(_quotient(echelon, subgens)[0])
+
+
+def _quotient(echelon, gens, u=False):
+    # <echelon> / <gens>.  An echelon vector's least row is its pivot row, so
+    # a generator gets its coordinates by subtracting, again and again, the
+    # vector pivoted at its least row.  The coordinates reduce to a square;
+    # returns a diagonal of the quotient (the square's own if diagonal, else
+    # its Smith diagonal) and, if u is set, the Smith U to Smith coordinates
+    pivot_at = {min(p): (k, p) for k, p in enumerate(echelon)}
     coords = []
-    for g in subgens:
+    for g in gens:
         g, y = dict(g), {}
-        for k, (i, p) in enumerate(echelon):
-            if i in g:
-                if g[i] % p[i]:
-                    raise ValueError("generator outside the lattice")
-                y[k] = g[i] // p[i]
-                _sub_multiple(g, p, y[k])
-        if g:
-            raise ValueError("generator outside the lattice")
+        while g:
+            i = min(g)
+            k, p = pivot_at.get(i, (None, None))
+            if p is None or g[i] % p[i]:
+                raise ValueError("generator outside the lattice")
+            y[k] = g[i] // p[i]
+            _sub_multiple(g, p, y[k])
         coords.append(y)
-    d, _ = _square_quotient(r, coords)
-    return tuple(x for x in d if x > 1)
-
-
-def _square_quotient(r, coords, u=False):
-    # shared by quotient_invariants and quotient_with_map: the sparse
-    # coordinates (consumed) reduce to an r x r square; its Smith diagonal and,
-    # when u is set, the U that takes coordinates to Smith coordinates
-    square, _ = _column_reduce([(y, {}) for y in coords])
-    if len(square) < r:
+    square = _column_reduce(coords)
+    if len(square) < len(echelon):
         raise ValueError("infinite quotient")
-    s = smith_normal_form([[p.get(k, 0) for _, p in square] for k in range(r)], u=u)
+    if not u and all(len(p) == 1 for _, p in square):
+        return [abs(p[i]) for i, p in square], None
+    s = smith_normal_form([[p.get(k, 0) for _, p in square] for k in range(len(echelon))], u=u)
     return diagonal_entries(s.d), s.u
 
 
@@ -293,10 +308,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self):
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return math.prod(self.orders)
 
     @property
     def is_trivial(self):
@@ -347,8 +359,7 @@ def quotient_with_map(orders, relations):
     orders they must leave a finite quotient, else ValueError.  Returns
     (group, f) where ``group`` is the quotient and ``f`` maps an integer
     vector of length k to its class, a tuple indexed like ``group.orders``.
-    The lattice is Z^k, so its echelon basis is the standard one and a
-    vector is its own coordinates.
+    The lattice is Z^k, whose echelon basis is the standard one.
 
     >>> g, f = quotient_with_map((4,), [[2]])
     >>> str(g), f([1]), f([2]), f([3])
@@ -357,7 +368,7 @@ def quotient_with_map(orders, relations):
     k = len(orders)
     gens = [{i: o} for i, o in enumerate(orders) if o]
     gens += [{i: x for i, x in enumerate(v) if x} for v in relations]
-    diag, u = _square_quotient(k, gens, u=True)
+    diag, u = _quotient([{i: 1} for i in range(k)], gens, u=True)
     keep = [i for i, d in enumerate(diag) if d > 1]
 
     def f(vec):

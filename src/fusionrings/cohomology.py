@@ -10,15 +10,15 @@ T^{M-1} = (M/o)(1 + T + ... + T^{o-1}) for the order o of T,
 An independent oracle for H^2 on small instances runs the normalised bar
 complex instead (Brown, Cohomology of Groups, I.5): cochains are functions
 (Z_M \\ {0})^n -> A, and H^2 = ker d^2 / im d^1.  Both read the same powers
-of T over one period and the same kernel-modulo-image routine, which works in
-A^k = Z^(kn) / diag(orders, ..., orders) on sparse integer columns: a
-preimage basis from a congruence kernel, then ``quotient_invariants``, so
-results are exact.
+of T over one period and pass their maps, as sparse integer columns, to
+``abelian.kernel_mod_image``: one exact column reduction with the identity
+riding below f as head rows, then substitution and one square reduction.
 """
 
 from itertools import product
+from operator import mul
 
-from .abelian import FiniteAbelianGroup, congruence_kernel, quotient_invariants, sparse_columns
+from .abelian import FiniteAbelianGroup, kernel_mod_image
 from .errors import BoundsExceededError, InvalidActionError, as_integer
 
 class GroupAction:
@@ -56,18 +56,16 @@ class GroupAction:
             raise InvalidActionError(
                 "action matrix size %d does not match %d coefficient factors"
                 % (len(self.matrix), n))
-        for j in range(n):
-            for i in range(n):
-                if (self.matrix[i][j] * orders[j]) % orders[i]:
-                    raise InvalidActionError(
-                        "matrix does not define an endomorphism of %s" % coeffs)
+        if any(x * oj % oi for row, oi in zip(self.matrix, orders)
+               for x, oj in zip(row, orders)):
+            raise InvalidActionError("matrix does not define an endomorphism of %s" % coeffs)
         one = [[int(i == j) % o for j in range(n)] for i, o in enumerate(orders)]
+        cols = list(zip(*self.matrix))
         # multiply until T^i returns to 1 (i is then the order of T) or M steps
         powers, p = [], one
         while True:
             powers.append(p)
-            p = [[sum(p[i][t] * self.matrix[t][j] for t in range(n)) % orders[i]
-                  for j in range(n)] for i in range(n)]
+            p = [[sum(map(mul, row, col)) % o for col in cols] for row, o in zip(p, orders)]
             if p == one or len(powers) == self.m:
                 break
         if p != one or self.m % len(powers):
@@ -89,23 +87,6 @@ def _action_powers(m, coeffs, action):
     return action.period(coeffs)
 
 
-def _kernel_mod_image(f, g, orders, a, b):
-    """ker f / im g for f: A^a -> A^b and g: A^c -> A^a.
-
-    A = Z^n / diag(orders) and A^k is k copies of it, coordinate i*n + t for
-    factor t of copy i.  The maps are integer matrices on these coordinates
-    (f is bn x an, g is an x cn) and must be well defined on A.  Callers
-    pass b = 0 only with a = 0: a map with no rows has no kernel vectors here.
-
-    x lies in the preimage L of ker f when f x = 0 mod out; L holds
-    diag(mid) Z^(an) because f is well defined on A.
-    """
-    mid, out = orders * a, orders * b
-    basis = congruence_kernel(sparse_columns(f), out)
-    lam = [{i: o} for i, o in enumerate(mid)]
-    return FiniteAbelianGroup(quotient_invariants(basis, sparse_columns(g) + lam))
-
-
 def h_cyclic(n, m, coeffs, action=None):
     """H^n(Z_m, A) for n in {1, 2, 3} via the periodic resolution.
 
@@ -124,13 +105,15 @@ def h_cyclic(n, m, coeffs, action=None):
         raise ValueError("only H^1, H^2, H^3 are provided")
     m = as_integer(m, InvalidActionError)
     powers = _action_powers(m, coeffs, action)
-    k, o = len(coeffs.orders), len(powers)
-    # T - 1 and the norm, m/o times the sum over one period; T = 1 when o = 1
-    s = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(powers[1 % o])]
-    nm = [[m // o * sum(p[i][j] for p in powers) for j in range(k)] for i in range(k)]
-    if n % 2 == 0:
-        return _kernel_mod_image(s, nm, coeffs.orders, 1, 1)
-    return _kernel_mod_image(nm, s, coeffs.orders, 1, 1)
+    o = len(powers)
+    # the columns of T - 1 and of the norm, m/o times the sum over one
+    # period; T = 1 when o = 1
+    s = [{i: x - (i == j) for i, x in enumerate(col) if x != (i == j)}
+         for j, col in enumerate(zip(*powers[1 % o]))]
+    nm = [{i: m // o * x for i, x in enumerate(map(sum, zip(*cols))) if x}
+          for cols in zip(*(zip(*p) for p in powers))]
+    f, g = (s, nm) if n % 2 == 0 else (nm, s)
+    return kernel_mod_image(f, g, coeffs.orders, coeffs.orders)
 
 
 def h3_roots_of_unity(m):
@@ -155,8 +138,9 @@ def _coboundary(n, m, powers, orders):
 
     C^n holds the functions f: (Z_m \\ {0})^n -> A, extended by 0 to
     arguments containing 0; the n-tuples are ordered lexicographically and f
-    is stored as in ``_kernel_mod_image``.  ``powers`` holds T^0, T^1, ...
-    over a whole number of periods.  With g_1 acting by T^(g_1),
+    is the vector of its values, coordinate i*k + t for factor t of the i-th
+    tuple.  d^n is returned as sparse integer columns.  ``powers`` holds T^0,
+    T^1, ... over a whole number of periods.  With g_1 acting by T^(g_1),
 
         (d f)(g_1, ..., g_{n+1}) = g_1 f(g_2, ..., g_{n+1})
             + sum_{i=1..n} (-1)^i f(..., g_i + g_{i+1}, ...)
@@ -164,20 +148,20 @@ def _coboundary(n, m, powers, orders):
     """
     k = len(orders)
     index = {h: i for i, h in enumerate(product(range(1, m), repeat=n))}
-    rows = list(product(range(1, m), repeat=n + 1))
-    d = [[0] * (len(index) * k) for _ in range(len(rows) * k)]
-    for r, g in enumerate(rows):
-        c = index[g[1:]]
-        for s in range(k):
-            for t in range(k):
-                d[r * k + s][c * k + t] += powers[g[0] % len(powers)][s][t]
+    d = [{} for _ in range(len(index) * k)]
+    for r, g in enumerate(product(range(1, m), repeat=n + 1)):
+        c = index[g[1:]] * k
+        for t, col in enumerate(zip(*powers[g[0] % len(powers)])):
+            for s, x in enumerate(col):
+                d[c + t][r * k + s] = x
         faces = [(g[:i] + ((g[i] + g[i + 1]) % m,) + g[i + 2:], (-1) ** (i + 1))
                  for i in range(n)] + [(g[:n], (-1) ** (n + 1))]
         for h, sign in faces:
             if 0 not in h:
                 for t in range(k):
-                    d[r * k + t][index[h] * k + t] += sign
-    return d
+                    column = d[index[h] * k + t]
+                    column[r * k + t] = column.get(r * k + t, 0) + sign
+    return [{i: x for i, x in column.items() if x} for column in d]
 
 
 def brute_force_h2(m, coeffs, action=None):
@@ -195,9 +179,9 @@ def brute_force_h2(m, coeffs, action=None):
     if m > 12 or coeffs.order > 16:
         raise BoundsExceededError("brute_force_h2 bounds are m <= 12, |A| <= 16")
     powers = _action_powers(m, coeffs, action)
-    d1 = _coboundary(1, m, powers, coeffs.orders)
-    d2 = _coboundary(2, m, powers, coeffs.orders)
-    return _kernel_mod_image(d2, d1, coeffs.orders, (m - 1) ** 2, (m - 1) ** 3)
+    orders = coeffs.orders
+    d1, d2 = _coboundary(1, m, powers, orders), _coboundary(2, m, powers, orders)
+    return kernel_mod_image(d2, d1, orders * (m - 1) ** 2, orders * (m - 1) ** 3)
 
 
 def parse_action(spec, m, orders):

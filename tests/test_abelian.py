@@ -11,7 +11,6 @@ from fusionrings.abelian import (
     quotient_invariants,
     quotient_with_map,
     smith_normal_form,
-    sparse_columns,
     table_group,
 )
 from conftest import group_from_presentation
@@ -317,11 +316,15 @@ def solve_integer(a, b):
     return _integer_solver(a)(b)
 
 
+def _sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
 def integer_kernel(a):
     # {x : A x = 0}: congruence_kernel with every modulus 0, as dense columns
     n = len(a[0]) if a else 0
     return [[t.get(j, 0) for j in range(n)]
-            for t in congruence_kernel(sparse_columns(a), [0] * len(a))]
+            for t in congruence_kernel([_sparse(col) for col in zip(*a)], [0] * len(a))]
 
 
 def test_integer_linear_algebra():
@@ -377,10 +380,6 @@ def test_integer_kernel_matches_snf_oracle():
         for x in kernel:
             assert len(x) == n and not any(_mat_vec(a, x)), a
         assert _in_lattice(kernel, oracle) and _in_lattice(oracle, kernel), a
-
-
-def _sparse(v):
-    return {i: x for i, x in enumerate(v) if x}
 
 
 def test_congruence_kernel_is_a_basis_of_the_preimage():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,7 @@ from fusionrings import (
     h3_roots_of_unity,
     h_cyclic,
 )
-from fusionrings.abelian import mat_mul
+from fusionrings.abelian import kernel_mod_image, mat_mul
 from fusionrings.cohomology import _coboundary, parse_action
 from fusionrings.errors import BoundsExceededError, InvalidActionError
 
@@ -68,6 +70,12 @@ def test_brute_force_closed_form_beyond_prime_exponent():
             assert h_cyclic(2, m, coeffs) == want
 
 
+def _dense_coboundary(n, m, powers, orders):
+    # _coboundary's sparse columns as a dense matrix of (m-1)^(n+1) k rows
+    rows = (m - 1) ** (n + 1) * len(orders)
+    return [[c.get(i, 0) for c in _coboundary(n, m, powers, orders)] for i in range(rows)]
+
+
 def test_bar_coboundaries_compose_to_zero():
     # d^(n+1) d^n = 0 on A; orders 3, 4 and 5 keep a sign error visible
     for spec, orders in (("swap", (4, 4)), ("inv", (5,)), ("inv2", (4, 3))):
@@ -75,8 +83,8 @@ def test_bar_coboundaries_compose_to_zero():
         for m in (2, 4):
             powers = parse_action(spec, m, orders).period(coeffs)
             for n in (0, 1, 2):
-                d = _coboundary(n, m, powers, orders)
-                dd = mat_mul(_coboundary(n + 1, m, powers, orders), d)
+                d = _dense_coboundary(n, m, powers, orders)
+                dd = mat_mul(_dense_coboundary(n + 1, m, powers, orders), d)
                 assert dd and len(dd[0]) == len(d[0])
                 assert all(x % orders[r % k] == 0 for r, row in enumerate(dd) for x in row), \
                     (spec, m, n)
@@ -149,21 +157,26 @@ def _full_period_powers(action, coeffs):
     return powers if p == powers[0] else None
 
 
+def _random_action(rng):
+    # (action, coeffs) with 1 to 3 factors of order <= 9 and M <= 24
+    orders = tuple(rng.choice((1, 2, 3, 4, 5, 6, 8, 9)) for _ in range(rng.randint(1, 3)))
+    n, m = len(orders), rng.randint(1, 24)
+    if rng.random() < 0.5:
+        # a monomial matrix on equal factors is often a valid action
+        orders = (orders[0],) * n
+        perm = rng.sample(range(n), n)
+        t = [[rng.choice((1, -1, 2)) if perm[j] == i else 0 for j in range(n)]
+             for i in range(n)]
+    else:
+        t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    return GroupAction(m, t), FiniteAbelianGroup(orders)
+
+
 def test_action_powers_stop_at_the_period():
     rng = random.Random(20261018)
     valid = invalid = 0
     for _ in range(1500):
-        orders = tuple(rng.choice((1, 2, 3, 4, 5, 6, 8, 9)) for _ in range(rng.randint(1, 3)))
-        n, m = len(orders), rng.randint(1, 24)
-        if rng.random() < 0.5:
-            # a monomial matrix on equal factors is often a valid action
-            orders = (orders[0],) * n
-            perm = rng.sample(range(n), n)
-            t = [[rng.choice((1, -1, 2)) if perm[j] == i else 0 for j in range(n)]
-                 for i in range(n)]
-        else:
-            t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        action, coeffs = GroupAction(m, t), FiniteAbelianGroup(orders)
+        action, coeffs = _random_action(rng)
         want = _full_period_powers(action, coeffs)
         if want is None:
             invalid += 1
@@ -172,8 +185,111 @@ def test_action_powers_stop_at_the_period():
         else:
             valid += 1
             powers = action.period(coeffs)
-            assert [powers[i % len(powers)] for i in range(m)] == want, (m, orders, t)
+            assert [powers[i % len(powers)] for i in range(action.m)] == want, \
+                (action, coeffs)
     assert valid > 300 and invalid > 300, (valid, invalid)
+
+
+# ---------------------------------------------------------------------------
+# an oracle for the kernel-modulo-image step that works on the elements of A:
+# ker f and im g are built as sets and ker f / im g is typed by how many
+# elements it has of each order, which determines a finite abelian group
+
+
+def _add(x, y, orders):
+    return tuple((a + b) % o for a, b, o in zip(x, y, orders))
+
+
+def _apply(matrix, x, orders):
+    # the matrix on Z^n, read mod orders row by row
+    return tuple(sum(a * b for a, b in zip(row, x)) % o for row, o in zip(matrix, orders))
+
+
+def _span(gens, orders):
+    # the subgroup of Z^n / diag(orders) the gens generate
+    zero = (0,) * len(orders)
+    seen, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = _add(x, g, orders)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _quotient_profile(kernel, image, orders):
+    # order d -> number of elements of order d in kernel / image
+    assert image <= kernel
+    counts = Counter()
+    for x in kernel:
+        d, y = 1, x
+        while y not in image:
+            d, y = d + 1, _add(y, x, orders)
+        counts[d] += 1
+    return {d: c // len(image) for d, c in counts.items()}
+
+
+def _profile(group):
+    return dict(Counter(group.element_order(x) for x in group.elements()))
+
+
+def test_h_cyclic_matches_the_element_oracle():
+    # H^even = ker(T - 1) / im(Norm), H^odd = ker(Norm) / im(T - 1), with T and
+    # Norm = 1 + T + ... + T^(M-1) applied to each element of A
+    rng = random.Random(20261020)
+    cases, outcomes = 0, set()
+    while cases < 300:
+        action, coeffs = _random_action(rng)
+        orders, m = coeffs.orders, action.m
+        if coeffs.order > 64 or _full_period_powers(action, coeffs) is None:
+            continue
+        cases += 1
+        elements = list(coeffs.elements())
+        t = {x: _apply(action.matrix, x, orders) for x in elements}
+        norm = {}
+        for x in elements:
+            total, y = x, x
+            for _ in range(m - 1):
+                y = t[y]
+                total = _add(total, y, orders)
+            norm[x] = total
+        minus_one = {x: _add(t[x], coeffs.neg(x), orders) for x in elements}
+        zero = coeffs.zero()
+        even = _quotient_profile({x for x in elements if minus_one[x] == zero},
+                                 set(norm.values()), orders)
+        odd = _quotient_profile({x for x in elements if norm[x] == zero},
+                                set(minus_one.values()), orders)
+        for n, want in ((1, odd), (2, even), (3, odd)):
+            assert _profile(h_cyclic(n, m, coeffs, action)) == want, (n, action, coeffs)
+        outcomes.add((len(even), len(odd)))
+    # trivial and non-trivial groups in both parities, some with several orders
+    assert {(1, 1), (2, 2)} <= outcomes and max(max(o) for o in outcomes) > 2, outcomes
+
+
+def test_kernel_mod_image_matches_the_element_oracle():
+    # f: A_mid -> A_out well defined, g given by images in ker f, so f g = 0
+    rng = random.Random(20261021)
+    outcomes = set()
+    for _ in range(300):
+        mid = [rng.choice((1, 2, 3, 4, 6, 8)) for _ in range(rng.randint(1, 3))]
+        while math.prod(mid) > 64:
+            mid.pop()
+        out = [rng.choice((2, 3, 4, 6, 12)) for _ in range(rng.randint(0, 3))]
+        f = [[rng.randint(-3, 3) * (o // math.gcd(o, a)) for a in mid] for o in out]
+        box = list(itertools.product(*(range(a) for a in mid)))
+        kernel = {x for x in box if not any(_apply(f, x, out))}
+        reps = rng.sample(sorted(kernel), min(len(kernel), rng.randint(0, 3)))
+        # the images of g as integer vectors, off their residues by multiples of mid
+        g = [[x + rng.randint(-1, 1) * a for x, a in zip(rep, mid)] for rep in reps]
+        want = _quotient_profile(kernel, _span(reps, mid), mid)
+        f_cols = [{i: row[j] for i, row in enumerate(f) if row[j]} for j in range(len(mid))]
+        g_cols = [{i: x for i, x in enumerate(v) if x} for v in g]
+        got = kernel_mod_image(f_cols, g_cols, mid, out)
+        assert _profile(got) == want, (mid, out, f, g)
+        outcomes.add(len(want))
+    assert {1, 2, 3} <= outcomes, outcomes
 
 
 def test_parse_action_forms():
