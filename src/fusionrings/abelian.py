@@ -3,15 +3,16 @@
 Lattice work is done in plain Python integers, so there is no overflow to
 worry about.  One sparse unimodular column reduction does it: run on a map
 with the identity below it as extra head rows, it zeroes the map's rows and
-goes on to leave an echelon basis of the kernel in the head rows, along
-which a quotient of lattices reduces to one square matrix
-(``kernel_mod_image``).  A diagonal square is typed as it stands, any other
-by its Smith normal form (U A V = D with U, V unimodular), with U tracked
-only when a finite presentation's quotient map is asked for
-(``quotient_with_map``).  Invariant factors are the Smith diagonal of
-diag(orders), by gcd/lcm steps, and a group given by a multiplication table
-is typed, with coordinates, by the Smith form of one relation per generator
-of a greedy generating set (``table_group``).
+goes on to leave an echelon basis of the kernel in the head rows
+(``congruence_kernel``).  Along that basis a quotient of lattices reduces to
+one square matrix: ``kernel_mod_image`` is the one kernel-modulo-image step,
+and ``quotient_with_map`` runs the same step on Z^k.  A diagonal square is
+typed as it stands, any other by its Smith normal form (U A V = D with U, V
+unimodular), with U tracked only when a quotient map is asked for.
+Invariant factors are the Smith diagonal of diag(orders), by gcd/lcm steps,
+and a group given by a multiplication table is typed, with coordinates, by
+the Smith form of one relation per generator of a greedy generating set
+(``table_group``).
 
 Matrices are lists of rows of ints.  Vectors are lists of ints; sparse ones
 are dicts index -> nonzero int.
@@ -216,22 +217,6 @@ def kernel_mod_image(f, g, mid, out):
     return FiniteAbelianGroup(_quotient(congruence_kernel(f, out), gens)[0])
 
 
-def quotient_invariants(basis, subgens):
-    """Invariant factors of L / <subgens>, L spanned by the sparse ``basis``.
-
-    The basis is reduced to echelon form; the rest is as in
-    ``kernel_mod_image``.  Raises ValueError if the basis vectors are
-    dependent, a generator is outside L or the quotient is infinite.
-
-    >>> quotient_invariants([{0: 2}, {1: 1}], [{0: 4}, {0: 2, 1: 6}, {1: 9}])
-    (3,)
-    """
-    echelon = [p for _, p in _column_reduce([dict(b) for b in basis])]
-    if len(echelon) < len(basis):
-        raise ValueError("basis vectors are dependent")
-    return _invariant_factors(_quotient(echelon, subgens)[0])
-
-
 def _quotient(echelon, gens, u=False):
     # <echelon> / <gens>.  An echelon vector's least row is its pivot row, so
     # a generator gets its coordinates by subtracting, again and again, the
@@ -309,10 +294,6 @@ class FiniteAbelianGroup:
     @property
     def order(self):
         return math.prod(self.orders)
-
-    @property
-    def is_trivial(self):
-        return self.order == 1
 
     def zero(self):
         return (0,) * len(self.orders)

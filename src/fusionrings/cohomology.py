@@ -10,9 +10,11 @@ T^{M-1} = (M/o)(1 + T + ... + T^{o-1}) for the order o of T,
 An independent oracle for H^2 on small instances runs the normalised bar
 complex instead (Brown, Cohomology of Groups, I.5): cochains are functions
 (Z_M \\ {0})^n -> A, and H^2 = ker d^2 / im d^1.  Both read the same powers
-of T over one period and pass their maps, as sparse integer columns, to
-``abelian.kernel_mod_image``: one exact column reduction with the identity
-riding below f as head rows, then substitution and one square reduction.
+of T over one period, which ``GroupAction.period`` checks once per action and
+coefficient group and keeps on the action for every later degree, and pass
+their maps, as sparse integer columns, to ``abelian.kernel_mod_image``: one
+exact column reduction with the identity riding below f as head rows, then
+substitution and one square reduction.
 """
 
 from itertools import product
@@ -38,6 +40,7 @@ class GroupAction:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise InvalidActionError("action matrix must be square")
+        self._checked = None  # ((orders, m, matrix), powers) of the last valid period call
 
     @classmethod
     def trivial(cls, m, n_factors):
@@ -48,9 +51,13 @@ class GroupAction:
 
         o is the order of T, and each power is reduced mod the orders, row i
         mod orders[i].  Raises InvalidActionError when T is not well defined
-        or T^M != 1 on A (o does not divide M).
+        or T^M != 1 on A (o does not divide M).  The powers are kept with the
+        orders, M and a copy of the matrix they were checked for, and returned
+        again, not to be changed, while all three stay the same.
         """
         orders = coeffs.orders
+        if self._checked and self._checked[0] == (orders, self.m, self.matrix):
+            return self._checked[1]
         n = len(orders)
         if len(self.matrix) != n:
             raise InvalidActionError(
@@ -72,6 +79,7 @@ class GroupAction:
             raise InvalidActionError(
                 "T^%d is not 1 on %s: the action is not invertible of order "
                 "dividing %d" % (self.m, coeffs, self.m))
+        self._checked = (orders, self.m, [list(row) for row in self.matrix]), powers
         return powers
 
     def __repr__(self):

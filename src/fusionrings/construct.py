@@ -383,52 +383,52 @@ def e166_ring():
 # with quotient = (s, k) is then divided by the free subgroup generated by
 # (s, kM).  base(N) gives C and its display name, gen(N) the simple x of C
 # whose (x, 1) is the generator, and s(N) a simple of C; pointed is Vec(Z_nM)
-# itself.  factor is the table's grading order per unit of M, N is None or
-# (least N, default N), and adjoint(N) is the ring the row's adjoint subring
-# must be isomorphic to.
-RowRecipe = namedtuple("RowRecipe", "display factor base n adjoint gen quotient N",
+# itself.  N is None or (least N, default N), and adjoint(N) is the ring the
+# row's adjoint subring must be isomorphic to.  The grading group is Z_nM, or
+# Z_nM / <kM> = Z_kM for a quotient row: its order per unit of M is k or n.
+RowRecipe = namedtuple("RowRecipe", "display base n adjoint gen quotient N",
                        defaults=(lambda N: "f1", None, None))
 
 ROWS = {
-    "pointed": RowRecipe("Vec(Z_M)", factor=1, base=None, n=1, gen=None,
+    "pointed": RowRecipe("Vec(Z_M)", base=None, n=1, gen=None,
                          adjoint=lambda N: pointed_ring(())),
-    "a-even": RowRecipe("ad(A_2N) x Vec(Z_M)", factor=1, N=(1, 2), n=1,
+    "a-even": RowRecipe("ad(A_2N) x Vec(Z_M)", N=(1, 2), n=1,
                         base=lambda N: (ade_ring("adA", 2 * N), "ad(A_%d)" % (2 * N)),
                         gen=lambda N: "f%d" % (2 * N - 2),
                         adjoint=lambda N: ade_ring("adA", 2 * N)),
-    "a-odd": RowRecipe("[A_{2N+1} x Vec(Z_2M)]_(1,1)", factor=2, N=(1, 2), n=2,
+    "a-odd": RowRecipe("[A_{2N+1} x Vec(Z_2M)]_(1,1)", N=(1, 2), n=2,
                        base=lambda N: (ade_ring("A", 2 * N + 1), "A_%d" % (2 * N + 1)),
                        adjoint=lambda N: ade_ring("adA", 2 * N + 1)),
-    "a-odd-deq-1": RowRecipe("[A_{4N+1} x Vec(Z_4M)]_(1,1) / <f^(4N) x 2M>", factor=2,
+    "a-odd-deq-1": RowRecipe("[A_{4N+1} x Vec(Z_4M)]_(1,1) / <f^(4N) x 2M>",
                              N=(1, 1), n=4, quotient=(lambda N: "f%d" % (4 * N), 2),
                              base=lambda N: (ade_ring("A", 4 * N + 1), "A_%d" % (4 * N + 1)),
                              adjoint=lambda N: ade_ring("adA", 4 * N + 1)),
-    "a-odd-deq-3": RowRecipe("[A_{4N+3} x IVec(Z_4M)]_(1,1) / <f^(4N+2) x 2M>", factor=2,
+    "a-odd-deq-3": RowRecipe("[A_{4N+3} x IVec(Z_4M)]_(1,1) / <f^(4N+2) x 2M>",
                              N=(1, 1), n=4, quotient=(lambda N: "f%d" % (4 * N + 2), 2),
                              base=lambda N: (ade_ring("A", 4 * N + 3), "A_%d" % (4 * N + 3)),
                              adjoint=lambda N: ade_ring("adA", 4 * N + 3)),
-    "a3-deq": RowRecipe("[A_3 x IVec(Z_8M)]_(1,1) / <f^(2) x 4M>", factor=4, n=8,
+    "a3-deq": RowRecipe("[A_3 x IVec(Z_8M)]_(1,1) / <f^(2) x 4M>", n=8,
                         base=lambda N: (ade_ring("A", 3), "A_3"), quotient=(lambda N: "f2", 4),
                         adjoint=lambda N: ade_ring("adA", 3)),
-    "d-even": RowRecipe("[D_2N x Vec(Z_2M)]_(1,1)", factor=2, N=(2, 3), n=2,
+    "d-even": RowRecipe("[D_2N x Vec(Z_2M)]_(1,1)", N=(2, 3), n=2,
                         base=lambda N: (ade_ring("D", 2 * N), "D_%d" % (2 * N)),
                         adjoint=lambda N: ade_ring("adD", 2 * N)),
-    "d4-deq": RowRecipe("[D_4 x Vec(Z_18M)]_(1,1) / <P x 6M>", factor=6, n=18,
+    "d4-deq": RowRecipe("[D_4 x Vec(Z_18M)]_(1,1) / <P x 6M>", n=18,
                         base=lambda N: (ade_ring("D", 4), "D_4"), quotient=(lambda N: "P", 6),
                         adjoint=lambda N: ade_ring("adD", 4)),
-    "e6": RowRecipe("[E_6 x Vec(Z_2M)]_(1,1)", factor=2, n=2,
+    "e6": RowRecipe("[E_6 x Vec(Z_2M)]_(1,1)", n=2,
                     base=lambda N: (ade_ring("E6"), "E_6"), adjoint=lambda N: ade_ring("adE6")),
-    "e6-deq": RowRecipe("[E_6 x IVec(Z_4M)]_(1,1) / <Z x 2M>", factor=2, n=4,
+    "e6-deq": RowRecipe("[E_6 x IVec(Z_4M)]_(1,1) / <Z x 2M>", n=4,
                         base=lambda N: (ade_ring("E6"), "E_6"), quotient=(lambda N: "Z", 2),
                         adjoint=lambda N: ade_ring("adE6")),
-    "e8": RowRecipe("[E_8 x Vec(Z_2M)]_(1,1)", factor=2, n=2,
+    "e8": RowRecipe("[E_8 x Vec(Z_2M)]_(1,1)", n=2,
                     base=lambda N: (ade_ring("E8"), "E_8"), adjoint=lambda N: ade_ring("adE8")),
-    "exc4": RowRecipe("[E4 x Vec(Z_4M)]_(1,1)", factor=4, n=4, gen=lambda N: "5",
+    "exc4": RowRecipe("[E4 x Vec(Z_4M)]_(1,1)", n=4, gen=lambda N: "5",
                       base=lambda N: (e4_ring(), "E4"), adjoint=lambda N: ade_ring("adA", 7)),
-    "exc4-deq": RowRecipe("[E4 x IVec(Z_16M)]_(1,1) / <4 x 8M>", factor=8, n=16,
+    "exc4-deq": RowRecipe("[E4 x IVec(Z_16M)]_(1,1) / <4 x 8M>", n=16,
                           gen=lambda N: "5", quotient=(lambda N: "4", 8),
                           base=lambda N: (e4_ring(), "E4"), adjoint=lambda N: ade_ring("adA", 7)),
-    "exc166": RowRecipe("[E16,6 x Vec(Z_6M)]_(1,1)", factor=6, n=6, gen=lambda N: "a0",
+    "exc166": RowRecipe("[E16,6 x Vec(Z_6M)]_(1,1)", n=6, gen=lambda N: "a0",
                         base=lambda N: (e166_ring(), "E16,6"),
                         adjoint=lambda N: ade_ring("adD", 10)),
 }
@@ -481,7 +481,7 @@ class TheoremRowSpec:
         """
         if row not in ROWS:
             raise UnknownFamilyError("unknown classification row %r" % (row,))
-        factor = ROWS[row].factor
+        factor = cls(row).grading_order
         if order % factor:
             raise ValueError(
                 "row %s only realizes grading orders divisible by %d" % (row, factor))
@@ -489,7 +489,8 @@ class TheoremRowSpec:
 
     @property
     def grading_order(self):
-        return ROWS[self.row].factor * self.M
+        recipe = ROWS[self.row]
+        return (recipe.quotient[1] if recipe.quotient else recipe.n) * self.M
 
     def __repr__(self):
         if self.N is None:

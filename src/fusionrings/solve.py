@@ -2,7 +2,9 @@
 
 The solver takes target dimensions, a (mandatory) grading, optionally a
 partial dual and partially known fusion coefficients, and finds every
-completion to a fusion ring.  The pipeline:
+completion to a fusion ring.  Every step reads the dims through one rule,
+_dim_classes: simples whose dims agree within the tolerance form a class,
+and each class has one dimension, the unit's exactly 1.0.  The pipeline:
 
   1. enumerate dual involutions consistent with dims, grading and the
      known coefficients (branching when two same-dimension objects could be
@@ -168,13 +170,29 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# dual involutions
+# dimension classes and dual involutions
+
+
+def _dim_classes(partial, tol):
+    """The class of each simple, named by its least member, and one dim per
+    class, the unit's exactly 1.0 and any other the dim d of its least member.
+    Classes open in increasing order of dim, each at a dim more than
+    tol * max(1, d) from the d of the class before."""
+    d = partial.dims
+    dim_class = [0] * partial.rank
+    least = None
+    for i in np.argsort(d, kind="stable").tolist():
+        if least is None or abs(d[i] - d[least]) > tol * max(1.0, d[least]):
+            least = i
+        dim_class[i] = least
+    named = np.array(dim_class)
+    return dim_class, np.where(named == dim_class[partial.unit], 1.0, d[named])
 
 
 def _dual_branches(partial, tol):
     """All involutions consistent with dims, grading, and known entries."""
     r = partial.rank
-    d = partial.dims
+    dim_class = _dim_classes(partial, tol)[0]
     g = partial.grading
     known = partial.known
     unit = partial.unit
@@ -193,7 +211,7 @@ def _dual_branches(partial, tol):
             return  # inconsistent forcing: no branch at all
 
     def compatible(i, j):
-        if abs(d[i] - d[j]) > tol * max(1.0, d[i]):
+        if dim_class[i] != dim_class[j]:
             return False
         if g.degree(j) != g.neg(g.degree(i)):
             return False
@@ -309,13 +327,12 @@ class _State:
     def __init__(self, partial, sigma, tol, memo=None, layout=None):
         r = partial.rank
         self.r = r
-        self.dims = partial.dims
+        self.dims = d = _dim_classes(partial, tol)[1]
         self.unit = partial.unit
         self.tol = tol
         self.memo = {} if memo is None else memo
         self.layout = GradedInstances(partial.grading, r) if layout is None else layout
         self.rounds = self.row_solves = 0
-        d = partial.dims
         g = partial.grading
         # the arrays below have rank^3 entries, and each associativity pass
         # holds a few float64 arrays of one entry per graded instance
@@ -561,23 +578,14 @@ def _known_tensor(partial, tol):
     as unit-column entries) and the start colours of the simples (is-unit,
     dimension class, degree) whose automorphisms form G, the symmetry group
     of the partial ring: the set of its completions is closed under G."""
-    r, d, unit = partial.rank, partial.dims, partial.unit
+    r, unit = partial.rank, partial.unit
     known = np.full((r, r, r), -1, dtype=np.int64)
     for t, v in partial.known.items():
         known[t] = v
     for i, j in (partial.dual or {}).items():
         known[i, :, unit] = 0
         known[i, j, unit] = 1
-    # dimension classes, in increasing order of dimension, named by their
-    # least member: each opens at a dim that the tolerance rule of
-    # _dual_branches tells from the class's least, so that rule calls every
-    # pair in a class equal
-    dim_class = [0] * r
-    least = None
-    for i in np.argsort(d, kind="stable").tolist():
-        if least is None or abs(d[i] - d[least]) > tol * max(1.0, d[least]):
-            least = i
-        dim_class[i] = least
+    dim_class = _dim_classes(partial, tol)[0]
     return known, [(i == unit, dim_class[i]) + partial.grading.degree(i) for i in range(r)]
 
 
@@ -710,7 +718,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
             raw.append((t, sigma))
     stats["row_enumerations"] = len(memo)
 
-    d = partial.dims
+    d = _dim_classes(partial, tol)[1]
     solutions = []
     for tensor, sigma in raw:
         ring = FusionRing(partial.labels, partial.unit, sigma, tensor, partial.grading)

@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import fusionrings
-from fusionrings import ade_ring, find_isomorphisms, ring_from_dict, universal_grading
+from fusionrings import (
+    Grading,
+    ade_ring,
+    deligne_product,
+    find_isomorphisms,
+    one_one_subring,
+    pointed_ring,
+    ring_from_dict,
+    universal_grading,
+)
+from fusionrings.jsonio import ring_to_dict
 from conftest import data_path
 
 E4_JSON = str(files("fusionrings") / "data" / "e4.json")
@@ -128,6 +138,34 @@ def test_product_oneone_deq_pipeline(cli, tmp_path):
     ring = ring_of(out)
     assert ring.rank == 10
     assert str(universal_grading(ring).group) == "Z_4"
+
+
+def test_oneone_grading_sources(cli, tmp_path):
+    # the grading comes from --grading, bare or under "grading", else the
+    # ring's own, else the universal one; A_5 x Vec(Z_4) with only its Z_4
+    # degrees has its whole ring of degree (1,1), with its own grading half
+    ring = deligne_product(ade_ring("A", 5), pointed_ring([4]))
+    coarse = Grading((4,), [(d[1],) for d in ring.grading.deg])
+    bare = {"orders": [4], "deg": [[l, list(d)] for l, d in zip(ring.labels, coarse.deg)]}
+    data = ring_to_dict(ring)
+    del data["grading"]
+    ungraded = tmp_path / "ring.json"
+    ungraded.write_text(json.dumps(data))
+
+    def oneone(*extra):
+        code, out, err = cli("oneone", ungraded, *extra)
+        assert code == 0, err
+        return ring_of(out)
+
+    def same(got, want):
+        return list(got.labels) == list(want.labels) and (got.tensor == want.tensor).all()
+
+    for name, grading in (("bare.json", bare), ("wrapped.json", {"grading": bare})):
+        (tmp_path / name).write_text(json.dumps(grading))
+        got = oneone("--grading", tmp_path / name)
+        assert got.rank == 20 and same(got, one_one_subring(ring, coarse)), name
+    got = oneone()
+    assert got.rank == 10 and same(got, one_one_subring(ring, universal_grading(ring)))
 
 
 def test_solve_reports_counts(cli):

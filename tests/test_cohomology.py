@@ -12,7 +12,8 @@ from fusionrings import (
     h3_roots_of_unity,
     h_cyclic,
 )
-from fusionrings.abelian import kernel_mod_image, mat_mul
+from fusionrings import cohomology
+from fusionrings.abelian import kernel_mod_image
 from fusionrings.cohomology import _coboundary, parse_action
 from fusionrings.errors import BoundsExceededError, InvalidActionError
 
@@ -70,10 +71,16 @@ def test_brute_force_closed_form_beyond_prime_exponent():
             assert h_cyclic(2, m, coeffs) == want
 
 
-def _dense_coboundary(n, m, powers, orders):
-    # _coboundary's sparse columns as a dense matrix of (m-1)^(n+1) k rows
-    rows = (m - 1) ** (n + 1) * len(orders)
-    return [[c.get(i, 0) for c in _coboundary(n, m, powers, orders)] for i in range(rows)]
+def _compose(outer, inner):
+    # outer after inner, for maps given as sparse integer columns
+    out = []
+    for col in inner:
+        acc = {}
+        for i, x in col.items():
+            for j, y in outer[i].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
 
 
 def test_bar_coboundaries_compose_to_zero():
@@ -82,12 +89,51 @@ def test_bar_coboundaries_compose_to_zero():
         coeffs, k = FiniteAbelianGroup(orders), len(orders)
         for m in (2, 4):
             powers = parse_action(spec, m, orders).period(coeffs)
-            for n in (0, 1, 2):
-                d = _dense_coboundary(n, m, powers, orders)
-                dd = mat_mul(_dense_coboundary(n + 1, m, powers, orders), d)
-                assert dd and len(dd[0]) == len(d[0])
-                assert all(x % orders[r % k] == 0 for r, row in enumerate(dd) for x in row), \
+            for n in (0, 1, 2, 3):
+                d = _coboundary(n, m, powers, orders)
+                dd = _compose(_coboundary(n + 1, m, powers, orders), d)
+                assert len(dd) == len(d) > 0
+                assert all(x % orders[r % k] == 0 for col in dd for r, x in col.items()), \
                     (spec, m, n)
+
+
+def _bar_cohomology(n, m, coeffs, action):
+    # ker d^n / im d^(n-1) on the normalised bar complex, n >= 1
+    powers, orders = action.period(coeffs), coeffs.orders
+    return kernel_mod_image(_coboundary(n, m, powers, orders),
+                            _coboundary(n - 1, m, powers, orders),
+                            orders * (m - 1) ** n, orders * (m - 1) ** (n + 1))
+
+
+# the cohomology workload's brute-force inputs, (orders, action preset), run
+# there at m <= 6; the non-trivial actions have order 2
+BAR_CASES = [((2,), "trivial"), ((3,), "trivial"), ((2, 2), "trivial"),
+             ((2, 2), "swap"), ((3, 3), "inv2"), ((3, 3), "inv")]
+
+
+def test_bar_complex_matches_h_cyclic_in_every_degree():
+    seen = set()
+    for m in range(1, 7):
+        for orders, spec in BAR_CASES:
+            if spec != "trivial" and m % 2:
+                continue
+            coeffs, action = FiniteAbelianGroup(orders), parse_action(spec, m, orders)
+            for n in (1, 2, 3):
+                got = _bar_cohomology(n, m, coeffs, action)
+                assert got == h_cyclic(n, m, coeffs, action), (n, m, orders, spec)
+                seen.add((n, str(got)))
+        # H^3(Z_m, Z_m), the 3-cocycle classes of Q/Z that h3_roots_of_unity counts
+        got = _bar_cohomology(3, m, FiniteAbelianGroup((m,)), GroupAction.trivial(m, 1))
+        assert got == h3_roots_of_unity(m) == FiniteAbelianGroup.cyclic(m), m
+    # each degree meets trivial and non-trivial groups
+    assert {(n, "trivial") for n in (1, 2, 3)} <= seen
+    assert {(n, "Z_2 x Z_2") for n in (1, 2, 3)} <= seen, seen
+    # on those inputs every degree gives the same group; on this one the odd
+    # and even degrees differ, so a parity mix-up shows
+    coeffs, action = FiniteAbelianGroup((2, 4)), GroupAction(4, [[1, 1], [0, 1]])
+    got = [_bar_cohomology(n, 4, coeffs, action) for n in (1, 2, 3)]
+    assert got == [h_cyclic(n, 4, coeffs, action) for n in (1, 2, 3)]
+    assert list(map(str, got)) == ["Z_4", "Z_2 x Z_2", "Z_4"]
 
 
 def test_brute_force_checks_the_action_order():
@@ -188,6 +234,47 @@ def test_action_powers_stop_at_the_period():
             assert [powers[i % len(powers)] for i in range(action.m)] == want, \
                 (action, coeffs)
     assert valid > 300 and invalid > 300, (valid, invalid)
+
+
+def test_period_is_checked_once_per_action_and_orders(monkeypatch):
+    # coeffs power walk multiplies through cohomology.mul; one valid period call
+    # serves every degree and the oracle until the orders, M or matrix change
+    steps = []
+
+    def counted(x, y):
+        steps.append(1)
+        return x * y
+
+    monkeypatch.setattr(cohomology, "mul", counted)
+    coeffs, action = FiniteAbelianGroup((2, 4)), parse_action("inv2", 4, (2, 4))
+
+    def walks(call):
+        del steps[:]
+        result = call()
+        return result, bool(steps)
+
+    powers, walked = walks(lambda: action.period(coeffs))
+    assert walked and len(powers) == 2
+    for call in [lambda: action.period(coeffs)] + [
+            lambda n=n: h_cyclic(n, 4, coeffs, action) for n in (1, 2, 3)] + [
+            lambda: brute_force_h2(4, coeffs, action)]:
+        assert walks(call)[1] is False
+    assert action.period(coeffs) is powers
+    # other orders, then the first ones again
+    assert walks(lambda: action.period(FiniteAbelianGroup((2, 8))))[1]
+    assert walks(lambda: action.period(coeffs)) == (powers, True)
+    # coeffs matrix changed in place: checked again, and the invalid one raises
+    action.matrix[1][1] = 0
+    with pytest.raises(InvalidActionError):
+        action.period(coeffs)
+    action.matrix[1][1] = 1
+    assert walks(lambda: action.period(coeffs)) == ([[[1, 0], [0, 1]]], True)
+    assert h_cyclic(2, 4, coeffs, action) == coeffs != h_cyclic(2, 4, coeffs, parse_action("inv2", 4, (2, 4)))
+    # and coeffs changed M
+    action.matrix[1][1] = -1
+    action.m = 3
+    with pytest.raises(InvalidActionError):
+        action.period(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -360,12 +360,13 @@ def test_row_parameters_must_be_integers():
 
 def test_rows_table_shape():
     assert len(ROWS) == 14
+    orders = []
     for row, recipe in ROWS.items():
-        assert recipe._fields == ("display", "factor", "base", "n", "adjoint", "gen",
-                                  "quotient", "N")
-        spec = TheoremRowSpec(row)
-        assert spec.grading_order == recipe.factor
+        assert recipe._fields == ("display", "base", "n", "adjoint", "gen", "quotient", "N")
+        orders.append(TheoremRowSpec(row).grading_order)
         assert (recipe.base is None) == (row == "pointed")
+    # the grading orders at M = 1, in table order
+    assert orders == [1, 1, 2, 2, 2, 4, 2, 6, 2, 2, 2, 4, 8, 6]
 
 
 # the generator and construction steps of every row at M=2, default N

@@ -93,6 +93,44 @@ def test_no_solution_for_bad_dims():
     assert info.value.conflict == "no integer solution for a row dimension sum"
 
 
+def test_dims_equal_within_tolerance_are_one_class():
+    # five dims that agree only within the tolerance fall into the unit's
+    # class, so the whole search runs on exactly 1.0 and finds what it finds
+    # for five dims of 1.0; it used to raise RuntimeError at the classing,
+    # where the completions were not closed under G
+    dims = [1.0, 0.9999998272874758, 1.0000000025189348, 1.0000000803648716,
+            1.0000004167508585]
+    labels, grading = ["s0", "s1", "s2", "s3", "s4"], Grading((), [()] * 5)
+    near = PartialRing(labels, 0, dims, grading)
+    dim_class, values = solve._dim_classes(near, config.TOLERANCE)
+    assert dim_class == [1] * 5 and values.tolist() == [1.0] * 5
+    got = complete_partial_ring(near)
+    want = complete_partial_ring(PartialRing(labels, 0, [1.0] * 5, grading))
+    assert (len(got), len(got.classes)) == (6, 1)
+    assert [r.tensor.tobytes() for r in got] == [r.tensor.tobytes() for r in want]
+    assert (got.classes, got.stats) == (want.classes, want.stats)
+
+
+def test_dim_classes_take_their_least_dims(e4):
+    # e4's symmetric simples have power-iteration dims that differ in the
+    # last bits; each class takes the dim of its least member
+    partial = _e4_parity(e4)
+    dim_class, values = solve._dim_classes(partial, config.TOLERANCE)
+    assert any(partial.dims[i] != partial.dims[c] for i, c in enumerate(dim_class))
+    unit_class = dim_class[partial.unit]
+    assert values.tolist() == [1.0 if c == unit_class else partial.dims[c] for c in dim_class]
+
+
+def test_inconsistent_dual_forcing_leaves_no_branch():
+    # the partial dual pairs 1 with 2, the known N_13^0 = 1 pairs 1 with 3
+    partial = PartialRing(["e", "a", "b", "c"], 0, [1.0] * 4, Grading((), [()] * 4),
+                          dual={1: 2}, known={(1, 3, 0): 1})
+    assert list(_dual_branches(partial, config.TOLERANCE)) == []
+    with pytest.raises(NoSolutionError) as info:
+        complete_partial_ring(partial)
+    assert info.value.conflict == "empty search space"
+
+
 def _stack_orbits(r, sigma):
     # oracle: each orbit of (a, b, c) -> (a*, c, b) and (a, b, c) -> (c, b*, a)
     # walked with a stack, numbered in lexicographic order of least members
