@@ -31,12 +31,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    k = len(b)
-    bt = list(zip(*b)) if k else []
-    return [[sum(ra[t] * ct[t] for t in range(k)) for ct in bt] for ra in a]
-
-
 SNF = namedtuple("SNF", ["d", "u", "v"])
 
 
@@ -53,7 +47,7 @@ def smith_normal_form(a, u=False, v=False):
     >>> s = smith_normal_form([[2, 4], [6, 8]], u=True, v=True)
     >>> [s.d[i][i] for i in range(2)]
     [2, 4]
-    >>> mat_mul(mat_mul(s.u, [[2, 4], [6, 8]]), s.v) == s.d
+    >>> np.array_equal(np.array(s.u) @ [[2, 4], [6, 8]] @ s.v, s.d)
     True
     """
     m = len(a)

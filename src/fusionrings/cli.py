@@ -174,7 +174,7 @@ def _cmd_grading(args):
     ring = load_ring(args.ring)
     grading = universal_grading(ring)
     print(grading.group)
-    for label, deg in zip(ring.labels, grading.deg):
+    for label, deg in zip(ring.labels, grading.deg.tolist()):
         print("%s (%s)" % (label, ",".join(str(c) for c in deg)))
     return 0
 

@@ -66,7 +66,7 @@ class GroupAction:
         if any(x * oj % oi for row, oi in zip(self.matrix, orders)
                for x, oj in zip(row, orders)):
             raise InvalidActionError("matrix does not define an endomorphism of %s" % coeffs)
-        one = [[int(i == j) % o for j in range(n)] for i, o in enumerate(orders)]
+        one = _identity(orders)
         cols = list(zip(*self.matrix))
         # multiply until T^i returns to 1 (i is then the order of T) or M steps
         powers, p = [], one
@@ -86,10 +86,17 @@ class GroupAction:
         return "GroupAction(m=%d, matrix=%r)" % (self.m, self.matrix)
 
 
+def _identity(orders):
+    # the identity on A, row i reduced mod orders[i]
+    return [[int(i == j) % o for j in range(len(orders))] for i, o in enumerate(orders)]
+
+
 def _action_powers(m, coeffs, action):
-    """One period of powers of the checked action (trivial if None)."""
+    """One period of powers of the checked action; the identity alone if None."""
     if action is None:
-        action = GroupAction.trivial(m, len(coeffs.orders))
+        if m < 1:
+            raise InvalidActionError("acting group order must be >= 1")
+        return [_identity(coeffs.orders)]
     if action.m != m:
         raise InvalidActionError("action is for M=%d, not %d" % (action.m, m))
     return action.period(coeffs)

@@ -23,7 +23,8 @@ subring_generated, is cut out by ring.restrict; both read ring.triples.  A
 row with a free quotient sums its orbit ring from the same triples and never
 allocates the (1,1) tensor.  The tests check both against the dense product
 at M <= 3.  ring.check_dense bounds each dense tensor built here, which for
-a table row is the ring the row returns.
+a table row is the ring the row returns.  Gradings are built as degree
+arrays, and the diagonal degrees are read off a table over their group.
 """
 
 import math
@@ -165,9 +166,9 @@ def deligne_product(a, b):
     dual = [int(a.dual[i]) * rb + int(b.dual[j]) for i in range(ra) for j in range(rb)]
     grading = None
     if a.grading is not None and b.grading is not None:
-        orders = a.grading.orders + b.grading.orders
-        deg = [a.grading.deg[i] + b.grading.deg[j] for i in range(ra) for j in range(rb)]
-        grading = Grading(orders, deg)
+        deg = np.concatenate([np.repeat(a.grading.deg, rb, axis=0),
+                              np.tile(b.grading.deg, (ra, 1))], axis=1)
+        grading = Grading(a.grading.orders + b.grading.orders, deg)
     return FusionRing(labels, a.unit * rb + b.unit, dual, t, grading)
 
 
@@ -194,24 +195,28 @@ def _check_multiplicative(ring, grading):
                                        % tuple(ring.labels[x] for x in bad[0]))
 
 
-def _diagonal_index(orders):
-    # the degree (a mod o)_o of the diagonal cyclic subgroup -> a, for a < lcm
-    return {tuple(a % o for o in orders): a for a in range(math.lcm(*orders))}
+def _diagonal_index(orders, deg):
+    # each degree row's a < lcm with row = (a mod o)_o, on the diagonal
+    # cyclic subgroup, and -1 off it: read off a table over the whole group
+    check_dense(math.prod(orders))
+    table = np.full(orders, -1)
+    a = np.arange(math.lcm(*orders))
+    table[tuple(Grading(orders, np.repeat(a[:, None], len(orders), axis=1)).deg.T)] = a
+    return table[tuple(deg.T)]
 
 
 def _diagonal_subring(ring, grading):
     # one_one_subring past its checks, for the product grading: the indices
     # of the support generated from degree (1,1,...), and its grading by Z_lcm
+    deg = _diagonal_index(grading.orders, grading.deg)
     lcm = math.lcm(*grading.orders)
-    diag = _diagonal_index(grading.orders)
-    deg = np.array([diag.get(d, -1) for d in grading.deg])
     seeds = np.flatnonzero(deg == 1 % lcm)
     if not len(seeds):
         raise DegenerateGradeError("no simples of degree (1,1)")
     inside = list(subring_generated(ring, seeds))
     if (deg[inside] < 0).any():
         raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
-    return inside, Grading((lcm,), [(a,) for a in deg[inside].tolist()])
+    return inside, Grading((lcm,), deg[inside, None])
 
 
 def _one_one_product(base, n):
@@ -222,16 +227,16 @@ def _one_one_product(base, n):
     # pairs with every g, so its ring is the whole product.
     _check_multiplicative(base, base.grading)
     orders = base.grading.orders + (n,)
-    diag = _diagonal_index(orders)
-    pairs = [(x, g) for x in range(base.rank) for g in range(n)
-             if base.grading.deg[x] + (g,) in diag]
-    xs, gs = (np.array(c) for c in zip(*pairs))
+    xs, gs = np.divmod(np.arange(base.rank * n), n)
+    deg = np.column_stack([base.grading.deg[xs], gs])
+    on = _diagonal_index(orders, deg) >= 0
+    xs, gs, deg = xs[on], gs[on], deg[on]
     pos = np.full((base.rank, n), -1)
-    pos[xs, gs] = np.arange(len(pairs))
+    pos[xs, gs] = np.arange(len(xs))
     # a simple with a diagonal pair has the same number q of them (one coset
     # of a subgroup of Z_n); row[x] numbers those simples, cols their pairs
-    q = len(pairs) // len(np.unique(xs))
-    cols = np.arange(len(pairs)).reshape(-1, q)
+    q = len(xs) // len(np.unique(xs))
+    cols = np.arange(len(xs)).reshape(-1, q)
     row = np.full(base.rank, -1)
     row[xs[::q]] = np.arange(len(cols))
     # each nonzero N_xy^z goes to ((x,g), (y,h), (z,g+h)) over the pairs of x
@@ -244,8 +249,8 @@ def _one_one_product(base, n):
     b = np.broadcast_to(cols[row[j]][:, None, :], shape)
     c = pos[k[:, None, None], (gs[a] + gs[b]) % n]
     v = np.broadcast_to(v[:, None, None], shape)
-    labels = ["(%s,%s)" % (base.labels[x], g) for x, g in pairs]
-    grading = Grading(orders, [base.grading.deg[x] + (g,) for x, g in pairs])
+    labels = ["(%s,%s)" % (base.labels[x], g) for x, g in zip(xs.tolist(), gs.tolist())]
+    grading = Grading(orders, deg)
     ring = FusionRing.from_triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
                                    a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading)
     return restrict(ring, *_diagonal_subring(ring, grading))
@@ -312,9 +317,10 @@ def _dequiv(ring, h):
     labels = ["[%s]" % ring.labels[i] for i in reps]
     grading = None
     if ring.grading is not None:
-        go = ring.grading.orders
-        group, f = quotient_with_map(go, [list(ring.grading.deg[g]) for g in H])
-        grading = Grading(group.orders, [f(list(ring.grading.deg[i])) for i in reps])
+        deg = ring.grading.deg.tolist()
+        group, f = quotient_with_map(ring.grading.orders, [deg[g] for g in H.tolist()])
+        grading = Grading(group.orders, np.array([f(deg[i]) for i in reps.tolist()],
+                                                 dtype=np.int64).reshape(r, len(group.orders)))
     return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of.tolist()
 
 
@@ -368,7 +374,7 @@ def e166_ring():
     ring = complete_partial_ring(partial).class_representatives()[0]
     # regrade by the universal grading, whose normal form gives a0 degree 1
     g = universal_grading(ring)
-    a0 = g.deg[ring.index("a0")]
+    a0 = tuple(g.deg[ring.index("a0")].tolist())
     if g.orders != (6,) or a0 != (1,):
         raise InconsistentGradingError("expected a universal Z_6 grading with a0 of "
                                        "degree (1,), got %s with %r" % (g.group, a0))

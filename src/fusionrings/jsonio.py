@@ -78,7 +78,7 @@ def grading_from_dict(data, labels, index):
         _check(isinstance(coords, list) and len(coords) == len(orders)
                and all(_is_int(c) for c in coords),
                "deg coordinates must match 'orders'")
-        degmap[lab] = coords
+        _check(degmap.setdefault(lab, coords) == coords, "conflicting degrees for %r" % lab)
     _check(set(degmap) == set(labels), "grading must assign a degree to every label")
     return Grading(orders, [degmap[l] for l in labels])
 
@@ -126,7 +126,7 @@ def ring_to_dict(ring):
     if ring.grading is not None:
         data["grading"] = {
             "orders": list(ring.grading.orders),
-            "deg": [[labels[i], list(ring.grading.deg[i])] for i in range(ring.rank)],
+            "deg": [list(entry) for entry in zip(labels, ring.grading.deg.tolist())],
         }
     return data
 
@@ -148,6 +148,7 @@ def partial_from_dict(data):
         lab, val = entry
         _check(lab in index, "dims mentions unknown label %r" % lab)
         _check(_is_int(val) or isinstance(val, float), "dims must be numbers")
+        _check(lab not in dimmap or dimmap[lab] == val, "conflicting dims for %r" % lab)
         dimmap[lab] = float(val)
     _check(set(dimmap) == set(labels), "dims must cover every label")
     known = _entries_from(data, "known", index)
@@ -177,7 +178,7 @@ def partial_to_dict(partial):
         ],
         "grading": {
             "orders": list(partial.grading.orders),
-            "deg": [[labels[i], list(partial.grading.deg[i])] for i in range(len(labels))],
+            "deg": [list(entry) for entry in zip(labels, partial.grading.deg.tolist())],
         },
     }
     if partial.dual is not None:

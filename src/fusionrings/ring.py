@@ -8,14 +8,13 @@ type and every intrinsic computation: axiom verification, Frobenius-Perron
 dimensions, word decompositions and K-normality, generated subrings, the
 adjoint subring, invertible objects, the universal grading, isomorphism
 search, and fusion graphs.  It also holds the package's one associativity
-kernel (associativity_sides over a GradedInstances layout, shared with the
-solver), its one dense-size guard (check_dense) and its one 2**53 guard
-(check_exact_sums).
+kernel (associativity_sides over a grading's kept GradedInstances layout,
+shared with the solver), its one degree test (Grading.nonzero), its one
+dense-size guard (check_dense) and its one 2**53 guard (check_exact_sums).
 
 All operations are pure; rings are immutable after construction.
 """
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -35,38 +34,53 @@ from .graphs import Digraph, components, isomorphisms, perron_vector, unique_row
 class Grading:
     """A group grading: cyclic factor orders plus a degree per simple.
 
-    Degrees are tuples of ints, the i-th coordinate taken mod orders[i].
+    ``deg`` is a read-only (rank, len(orders)) int64 array, column c mod
+    orders[c], given as an integer array or as degree tuples (read one
+    coordinate at a time: no bools or floats, ints of any size).  Degrees
+    are tested through ``nonzero``; ``layout`` is kept once built.
     """
 
-    __slots__ = ("orders", "deg")
+    __slots__ = ("orders", "deg", "_layout")
 
     def __init__(self, orders, deg):
         self.orders = tuple(as_integer(o, MalformedRingError) for o in orders)
-        if any(o < 1 for o in self.orders):
-            raise MalformedRingError("grading orders must be >= 1")
-        deg = [tuple(d) for d in deg]
-        if any(len(d) != len(self.orders) for d in deg):
+        # a sum of two degrees must stay inside int64
+        if any(not 1 <= o < 1 << 62 for o in self.orders):
+            raise MalformedRingError("grading orders must be >= 1 and below 2**62")
+        f = len(self.orders)
+        if not isinstance(deg, np.ndarray):
+            deg = [tuple(d) for d in deg]
+            if any(len(d) != f for d in deg):
+                raise MalformedRingError("degree arity does not match orders")
+            deg = np.array([[as_integer(c, MalformedRingError) % o for c, o in zip(d, self.orders)]
+                            for d in deg], dtype=np.int64).reshape(len(deg), f)
+        if deg.dtype.kind not in "iu" or not np.can_cast(deg.dtype, np.int64):
+            raise MalformedRingError("expected an integer degree array, got %s" % deg.dtype)
+        if deg.ndim != 2 or deg.shape[1] != f:
             raise MalformedRingError("degree arity does not match orders")
-        self.deg = tuple(tuple(as_integer(c, MalformedRingError) % o
-                               for c, o in zip(d, self.orders)) for d in deg)
+        self.deg = deg.astype(np.int64) % np.array(self.orders, dtype=np.int64)
+        self.deg.setflags(write=False)
+        self._layout = None
 
     @property
     def group(self):
         return FiniteAbelianGroup(self.orders)
 
-    def degree(self, i):
-        return self.deg[i]
+    def nonzero(self, d):
+        """Which rows of an integer array of degree combinations, shape
+        (..., len(orders)), are not the zero of the group."""
+        return (d % np.array(self.orders, dtype=np.int64)).any(axis=-1)
 
-    def add(self, a, b):
-        return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
-
-    def neg(self, a):
-        return tuple((-x) % o for x, o in zip(a, self.orders))
+    @property
+    def layout(self):
+        if self._layout is None:
+            self._layout = GradedInstances(self)
+        return self._layout
 
     def __eq__(self, other):
         if not isinstance(other, Grading):
             return NotImplemented
-        return self.orders == other.orders and self.deg == other.deg
+        return self.orders == other.orders and np.array_equal(self.deg, other.deg)
 
     def __repr__(self):
         return "Grading(orders=%r, rank=%d)" % (self.orders, len(self.deg))
@@ -256,9 +270,8 @@ def grading_violations(ring, grading):
     lexicographic order; an empty list means the grading is multiplicative.
     """
     i, j, k = ijk = ring.triples[:3]
-    deg = np.array(grading.deg, dtype=np.int64)
-    orders = np.array(grading.orders, dtype=np.int64)
-    bad = ((deg[i] + deg[j] - deg[k]) % orders).any(axis=1)
+    deg = grading.deg
+    bad = grading.nonzero(deg[i] + deg[j] - deg[k])
     return [tuple(x) for x in ijk[:, bad].T.tolist()]
 
 
@@ -278,25 +291,21 @@ class GradedInstances:
     A chunk holds the instances of a range of whole left factors i, block by
     block in the left side's order; its ``targets`` place the right side's
     products there.  The chunk of every instance is built once per layout
-    and then kept.
+    and then kept, as is each grading's layout by Grading.layout.
     """
 
-    def __init__(self, grading, rank):
-        r = self.rank = rank
-        self.grading = grading
-        f = len(grading.orders)
+    def __init__(self, grading):
+        r = self.rank = len(grading.deg)
+        # one zero column more, so that unique_rows has a column to sort by
         orders = np.array(grading.orders + (1,), dtype=np.int64)
-        deg = np.zeros((r, f + 1), dtype=np.int64)
-        if f:
-            deg[:, :f] = grading.deg
-        classes, cls = unique_rows(deg)
+        classes, cls = unique_rows(np.column_stack([grading.deg, np.zeros(r, np.int64)]))
         c = len(classes)
         # the degrees of the simples, of the sums a + b and of the differences
         # b - a of two of them, numbered together ("keys")
         sums = (classes[:, None] + classes[None, :]) % orders
         diffs = (classes[None, :] - classes[:, None]) % orders
-        _, key = unique_rows(np.concatenate([classes, sums.reshape(-1, f + 1),
-                                             diffs.reshape(-1, f + 1)]))
+        _, key = unique_rows(np.concatenate([classes, sums.reshape(c * c, -1),
+                                             diffs.reshape(c * c, -1)]))
         pair = (cls[:, None] * c + cls[None, :]).ravel()
         self.sum_key = key[c:c + c * c][pair]      # of pair (i, j): deg i + deg j
         diff_key = key[c + c * c:][pair]           # of pair (k, l): deg l - deg k
@@ -446,18 +455,18 @@ def associativity_sides(layout, x, y, budget=None):
         yield chunk, left, right
 
 
-def verify_axioms(ring, layout=None):
+def verify_axioms(ring):
     """Check every fusion-ring axiom; returns an AxiomReport.
 
     Unit laws, duality (N_{ij}^1 = delta_{j,i*}), Frobenius reciprocity
     (each failing cell once, in (i, j, k) order), associativity (in
     (i, j, k, l) order), and (when a grading is attached) multiplicativity of
-    degrees, in that order.  One pass over the left factor i checks both
-    Frobenius identities on r x r slices.  Associativity is checked by
-    associativity_sides on the instances graded by ring.grading when no
-    nonzero coefficient breaks that grading (``layout``, a GradedInstances
-    of it, is used when given), and else on all rank^4 instances, those of
-    the one-degree grading; in chunks of whole left factors, of at most
+    degrees, then degrees of duals and of the unit, in that order.  One pass
+    over the left factor i checks both Frobenius identities on r x r slices.
+    Associativity is checked by associativity_sides on the instances graded
+    by ring.grading, through its kept layout, when no nonzero coefficient
+    breaks that grading, and else on all rank^4 instances, those of the
+    one-degree grading; in chunks of whole left factors, of at most
     max(r^3 / 4, 2^15) instances or of one left factor, so that the float64
     arrays stay within a few times the tensor.  The products sum nonnegative
     integers up to rank * max(N)**2, so they are exact below 2**53; past it
@@ -490,10 +499,7 @@ def verify_axioms(ring, layout=None):
     graded = [] if g is None else grading_violations(ring, g)
     check_exact_sums(r, int(t.max()))
     check_dense(r ** 3)
-    if g is None or graded:
-        layout = GradedInstances(Grading((), [()] * r), r)
-    elif layout is None or layout.grading != g:
-        layout = GradedInstances(g, r)
+    layout = (Grading((), np.empty((r, 0), np.int64)) if g is None or graded else g).layout
     codes = []
     for chunk, left, right in associativity_sides(layout, t, t, max(r ** 3 // 4, 1 << 15)):
         if not np.array_equal(left, right):
@@ -505,10 +511,9 @@ def verify_axioms(ring, layout=None):
 
     if g is not None:
         violations += [("grading", ijk) for ijk in graded]
-        for i in range(r):
-            if g.degree(int(dual[i])) != g.neg(g.degree(i)):
-                violations.append(("grading-dual", (i,)))
-        if g.degree(ring.unit) != (0,) * len(g.orders):
+        bad = np.flatnonzero(g.nonzero(g.deg[dual] + g.deg))
+        violations += [("grading-dual", (i,)) for i in bad.tolist()]
+        if g.nonzero(g.deg[ring.unit]):
             violations.append(("grading-unit", (ring.unit,)))
     return AxiomReport(violations)
 
@@ -776,13 +781,12 @@ def universal_grading(ring):
         group, degrees = table_group(prod, comp[ring.unit])
     except ValueError as exc:
         raise InconsistentGradingError("components do not form a group: %s" % exc) from None
-    deg = [degrees[c] for c in comp]
+    deg = np.array(degrees, dtype=np.int64).reshape(n_comp, len(group.orders))[comp]
     if len(group.orders) == 1:
         # normal form: the least-indexed simple whose degree generates Z_n
         # has degree 1 (every component is a degree, so one generates)
         n = group.orders[0]
-        s = pow(next(d for d, in deg if math.gcd(d, n) == 1), -1, n)
-        deg = [(s * d % n,) for d, in deg]
+        deg *= pow(int(deg[np.gcd(deg[:, 0], n) == 1][0, 0]), -1, n)
     return Grading(group.orders, deg)
 
 

@@ -31,11 +31,11 @@ and each class has one dimension, the unit's exactly 1.0.  The pipeline:
      per degree block and m summed over one degree; an instance with a
      single open term assigns its unknown the integer it forces, and a pass
      is skipped when no bound moved since the last one began (the layout of
-     the instances, ring.GradedInstances, is built once per search and
-     shared like the memo; before the search ring.check_exact_sums checks
-     that the products are exact, and ring.check_dense that an array of one
-     entry per instance or per rank^3 coefficient fits
-     config.MAX_DENSE_BYTES); the leaves' axiom check reuses that layout;
+     the instances is the grading's own, Grading.layout, built once and
+     read by every branch and by the leaves' axiom check, which carry the
+     same grading; before the search ring.check_exact_sums checks that the
+     products are exact, and ring.check_dense that an array of one entry
+     per instance or per rank^3 coefficient fits config.MAX_DENSE_BYTES);
   4. branch on the narrowest remaining variable, smallest-dimension products
      first;
   5. verify the full axioms and the dimension sums on every leaf, the
@@ -64,7 +64,6 @@ from .errors import (
 from .graphs import Digraph, automorphism_generators, bipartition, components, perron_vector
 from .ring import (
     FusionRing,
-    GradedInstances,
     Grading,
     associativity_sides,
     check_dense,
@@ -192,36 +191,29 @@ def _dim_classes(partial, tol):
 def _dual_branches(partial, tol):
     """All involutions consistent with dims, grading, and known entries."""
     r = partial.rank
-    dim_class = _dim_classes(partial, tol)[0]
-    g = partial.grading
-    known = partial.known
+    dim_class = np.array(_dim_classes(partial, tol)[0])
+    deg = partial.grading.deg
     unit = partial.unit
+    # i and j may be dual: one dim class, degrees summing to 0, and no known
+    # N_ij^unit = 0 or N_ji^unit = 0
+    ok = (dim_class[:, None] == dim_class) & ~partial.grading.nonzero(deg[:, None] + deg)
 
-    forced = {unit: unit}
-    if partial.dual:
-        for i, j in partial.dual.items():
-            forced[int(i)] = int(j)
-            forced[int(j)] = int(i)
-    for (i, j, k), v in known.items():
+    dual = partial.dual or {}
+    forced = {unit: unit, **dual, **{j: i for i, j in dual.items()}}
+    for (i, j, k), v in partial.known.items():
         if k == unit and v == 1:
             forced.setdefault(i, j)
             forced.setdefault(j, i)
+        elif k == unit and v == 0:
+            ok[i, j] = ok[j, i] = False
     for i, j in list(forced.items()):
         if forced.get(j, i) != i:
             return  # inconsistent forcing: no branch at all
-
-    def compatible(i, j):
-        if dim_class[i] != dim_class[j]:
-            return False
-        if g.degree(j) != g.neg(g.degree(i)):
-            return False
-        if known.get((i, j, unit), 1) == 0 or known.get((j, i, unit), 1) == 0:
-            return False
-        return True
+    compatible = ok.tolist()
 
     sigma = [-1] * r
     for i, j in forced.items():
-        if not compatible(i, j):
+        if not compatible[i][j]:
             return
         sigma[i] = j
 
@@ -236,7 +228,7 @@ def _dual_branches(partial, tol):
                 continue
             if j in forced and forced[j] != i:
                 continue
-            if not compatible(i, j):
+            if not compatible[i][j]:
                 continue
             sigma[i], sigma[j] = j, i
             yield from extend(i + 1)
@@ -316,35 +308,29 @@ class _State:
     bound of one of the row's variables moves (v's rows are
     ``var_rows[var_start[v]:var_start[v + 1]]``) and cleared once the row is
     solved to its exact hull.  ``memo`` maps a row's inputs to their
-    _row_hull result and ``layout``, the ring.GradedInstances of the
-    grading, holds the associativity instances; both may be shared by the
-    states of one search.  ``moves`` counts bound
-    moves, ``assoc_seen`` is its value when the last associativity pass
-    began (-1 after a restore), and ``rounds`` and ``row_solves`` count
-    propagation rounds and row solves.
+    _row_hull result and may be shared by the states of one search, which
+    also share the associativity instances, the grading's Grading.layout.
+    ``moves`` counts bound moves, ``assoc_seen`` is its value when the last
+    associativity pass began (-1 after a restore), and ``rounds`` and
+    ``row_solves`` count propagation rounds and row solves.
     """
 
-    def __init__(self, partial, sigma, tol, memo=None, layout=None):
+    def __init__(self, partial, sigma, tol, memo=None):
         r = partial.rank
         self.r = r
         self.dims = d = _dim_classes(partial, tol)[1]
         self.unit = partial.unit
         self.tol = tol
         self.memo = {} if memo is None else memo
-        self.layout = GradedInstances(partial.grading, r) if layout is None else layout
+        self.layout = partial.grading.layout
         self.rounds = self.row_solves = 0
-        g = partial.grading
         # the arrays below have rank^3 entries, and each associativity pass
         # holds a few float64 arrays of one entry per graded instance
         check_dense(max(self.layout.size, r ** 3))
 
         ub = np.floor(np.einsum("i,j,k->ijk", d, d, 1.0 / d) + tol).astype(np.int64)
-        degs = np.array([g.degree(i) for i in range(r)], dtype=np.int64)
-        orders = np.array(g.orders, dtype=np.int64) if g.orders else None
-        if orders is not None:
-            bad = (degs[:, None, None, :] + degs[None, :, None, :]
-                   - degs[None, None, :, :]) % orders
-            ub[np.any(bad != 0, axis=3)] = 0
+        deg = partial.grading.deg
+        ub[partial.grading.nonzero(deg[:, None, None] + deg[:, None] - deg)] = 0
 
         # orbit variables: the classes of (a, b, c) -> (a*, c, b) and
         # (a, b, c) -> (c, b*, a), numbered by least member
@@ -586,7 +572,8 @@ def _known_tensor(partial, tol):
         known[i, :, unit] = 0
         known[i, j, unit] = 1
     dim_class = _dim_classes(partial, tol)[0]
-    return known, [(i == unit, dim_class[i]) + partial.grading.degree(i) for i in range(r)]
+    return known, [(i == unit, c, *d) for i, (c, d)
+                   in enumerate(zip(dim_class, partial.grading.deg.tolist()))]
 
 
 def _symmetries(partial, tol):
@@ -692,7 +679,6 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     stats = dict.fromkeys(("nodes", "dual_branches", "branches_by_symmetry",
                            "propagation_rounds", "row_solves", "row_enumerations"), 0)
     memo = {}  # row hulls, shared by the dual branches
-    layout = GradedInstances(partial.grading, partial.rank)  # shared likewise
     conjugate = {}  # each branch g sigma g^-1 of a searched sigma: g and sigma's leaves
     conflict = None
     for sigma in _dual_branches(partial, tol):
@@ -706,7 +692,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
         for key, g in _conjugates(sigma, gens).items():
             conjugate[key] = (g, tensors)
         try:
-            state = _State(partial, sigma, tol, memo, layout)
+            state = _State(partial, sigma, tol, memo)
         except NoSolutionError as exc:
             conflict = conflict or str(exc)
             continue
@@ -722,7 +708,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
     solutions = []
     for tensor, sigma in raw:
         ring = FusionRing(partial.labels, partial.unit, sigma, tensor, partial.grading)
-        rep = verify_axioms(ring, layout)
+        rep = verify_axioms(ring)
         if not rep.ok:
             continue
         residual = float(np.max(np.abs(

@@ -145,8 +145,9 @@ def test_oneone_grading_sources(cli, tmp_path):
     # ring's own, else the universal one; A_5 x Vec(Z_4) with only its Z_4
     # degrees has its whole ring of degree (1,1), with its own grading half
     ring = deligne_product(ade_ring("A", 5), pointed_ring([4]))
-    coarse = Grading((4,), [(d[1],) for d in ring.grading.deg])
-    bare = {"orders": [4], "deg": [[l, list(d)] for l, d in zip(ring.labels, coarse.deg)]}
+    z4 = [d[1] for d in ring.grading.deg.tolist()]
+    coarse = Grading((4,), [(d,) for d in z4])
+    bare = {"orders": [4], "deg": [[l, [d]] for l, d in zip(ring.labels, z4)]}
     data = ring_to_dict(ring)
     del data["grading"]
     ungraded = tmp_path / "ring.json"

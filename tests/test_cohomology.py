@@ -275,6 +275,14 @@ def test_period_is_checked_once_per_action_and_orders(monkeypatch):
     action.m = 3
     with pytest.raises(InvalidActionError):
         action.period(coeffs)
+    # with no action the identity is the period, and nothing is multiplied
+    for call in [lambda n=n: h_cyclic(n, 4, coeffs) for n in (1, 2, 3)] + [
+            lambda: brute_force_h2(4, coeffs), lambda: h3_roots_of_unity(6)]:
+        assert walks(call)[1] is False
+    assert h_cyclic(2, 4, coeffs) == h_cyclic(2, 4, coeffs, GroupAction.trivial(4, 2))
+    for call in (lambda: h_cyclic(2, 0, coeffs), lambda: h3_roots_of_unity(0)):
+        with pytest.raises(InvalidActionError, match=">= 1"):
+            call()
 
 
 # ---------------------------------------------------------------------------

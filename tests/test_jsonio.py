@@ -129,6 +129,28 @@ def test_partial_dual_may_cover_some_labels():
         partial_from_dict(data)
 
 
+def test_repeated_degrees_must_agree():
+    # a label listed twice in "deg" loads only when both entries agree
+    a3 = ade_ring("A", 3)
+    data = ring_to_dict(a3)
+    data["grading"]["deg"].append(["f1", [1]])
+    assert ring_from_dict(data).grading == a3.grading
+    data["grading"]["deg"].append(["f1", [0]])
+    with pytest.raises(RingFormatError, match="conflicting degrees for 'f1'"):
+        ring_from_dict(data)
+
+
+def test_repeated_dims_must_agree():
+    # a label listed twice in "dims" loads only when both entries agree
+    data = partial_to_dict(load_partial(data_path("e4_partial.json")))
+    label, dim = data["dims"][4]
+    data["dims"].append([label, dim])
+    assert partial_from_dict(data).dims[4] == dim
+    data["dims"].append([label, dim + 1])
+    with pytest.raises(RingFormatError, match="conflicting dims for '5'"):
+        partial_from_dict(data)
+
+
 def test_partial_checks_surface_as_format_errors(tmp_path):
     data = partial_to_dict(load_partial(data_path("e4_partial.json")))
     unit = data["unit"]

@@ -109,3 +109,43 @@ def test_only_ring_scans_the_tensor_for_nonzeros():
     hits = ["%s: %s" % (path.name, hit) for path in sources if path.name != "ring.py"
             for hit in tensor_scans(path.read_text())]
     assert hits == []
+
+
+def constructions(source, name="GradedInstances"):
+    """Where ``source`` calls ``name``: the enclosing class and function
+    names joined by dots, or "<module>", once per call."""
+    hits = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                hits.append(".".join(where) or "<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), [])
+    return hits
+
+
+def test_construction_check_names_the_enclosing_function():
+    source = ('"""GradedInstances(g)"""\n'
+              "layout = ring.GradedInstances(g)\n"
+              "class Grading:\n"
+              "    @property\n"
+              "    def layout(self):\n"
+              "        return GradedInstances(self)  # GradedInstances(x)\n"
+              "def f(gradings):\n"
+              "    return [len(GradedInstances(g).blocks) for g in gradings]\n")
+    assert constructions(source) == ["<module>", "Grading.layout", "f"]
+
+
+def test_only_grading_layout_builds_a_layout():
+    # each grading keeps one GradedInstances, built on first use by
+    # Grading.layout; verify_axioms and the solver read that one
+    sources = sorted(pathlib.Path(fusionrings.__file__).parent.glob("*.py"))
+    hits = ["%s: %s" % (path.name, where)
+            for path in sources for where in constructions(path.read_text())]
+    assert hits == ["ring.py: Grading.layout"]

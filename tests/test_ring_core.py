@@ -39,7 +39,7 @@ from fusionrings.errors import (
     MalformedRingError,
 )
 from fusionrings.graphs import components, perron_vector, unique_rows
-from fusionrings.ring import GradedInstances, associativity_sides, grading_violations, restrict
+from fusionrings.ring import associativity_sides, grading_violations, restrict
 from conftest import group_from_presentation
 
 
@@ -98,6 +98,20 @@ def test_associativity_bound_is_checked(a5):
         verify_axioms(FusionRing(a5.labels, a5.unit, a5.dual, t, a5.grading))
 
 
+def _degree_law(g):
+    # the grading's degrees as tuples and the group law on them, in tuple
+    # arithmetic of the oracles' own
+    deg = [tuple(d) for d in g.deg.tolist()]
+
+    def add(a, b):
+        return tuple((x + y) % o for x, y, o in zip(a, b, g.orders))
+
+    def neg(a):
+        return tuple(-x % o for x, o in zip(a, g.orders))
+
+    return deg, add, neg
+
+
 def _cell_oracle(ring):
     # every identity, one cell at a time, in verify_axioms' order of kinds
     t, r, u, dual = ring.tensor.tolist(), ring.rank, ring.unit, ring.dual.tolist()
@@ -111,13 +125,12 @@ def _cell_oracle(ring):
     out += [("associativity", (i, j, k, l)) for i, j, k in cells for l in range(r)
             if sum(t[i][j][m] * t[m][k][l] for m in range(r))
             != sum(t[j][k][m] * t[i][m][l] for m in range(r))]
-    g = ring.grading
-    if g is not None:
+    if ring.grading is not None:
+        deg, add, neg = _degree_law(ring.grading)
         out += [("grading", (i, j, k)) for i, j, k in cells
-                if t[i][j][k] and g.add(g.degree(i), g.degree(j)) != g.degree(k)]
-        out += [("grading-dual", (i,)) for i in range(r)
-                if g.degree(dual[i]) != g.neg(g.degree(i))]
-        if any(g.degree(u)):
+                if t[i][j][k] and add(deg[i], deg[j]) != deg[k]]
+        out += [("grading-dual", (i,)) for i in range(r) if deg[dual[i]] != neg(deg[i])]
+        if any(deg[u]):
             out.append(("grading-unit", (u,)))
     return out
 
@@ -142,12 +155,11 @@ def _axiom_oracle(ring):
         associativity += [("associativity", (i, int(j), int(k), int(l)))
                           for j, k, l in np.argwhere(lhs != rhs)]
     out += frobenius + associativity
-    g = ring.grading
-    if g is not None:
-        out += [("grading", ijk) for ijk in _grading_violations_loop(t, g)]
-        out += [("grading-dual", (i,)) for i in range(r)
-                if g.degree(int(dual[i])) != g.neg(g.degree(i))]
-        if any(g.degree(u)):
+    if ring.grading is not None:
+        deg, _, neg = _degree_law(ring.grading)
+        out += [("grading", ijk) for ijk in _grading_violations_loop(t, ring.grading)]
+        out += [("grading-dual", (i,)) for i in range(r) if deg[dual[i]] != neg(deg[i])]
+        if any(deg[u]):
             out.append(("grading-unit", (u,)))
     return out
 
@@ -173,6 +185,13 @@ def test_axiom_violations_match_loop_oracle(e4):
     assert {kind for kind, _ in found} == {"duality", "frobenius"}
     assert found == _cell_oracle(swapped) == _axiom_oracle(swapped)
     assert verify_axioms(e4).violations == _cell_oracle(e4) == _axiom_oracle(e4) == []
+    # Z_5 graded by x + 1: the unit's degree, every dual pair's degrees and
+    # every product fail the grading
+    shifted = FusionRing(z5.labels, z5.unit, z5.dual, z5.tensor,
+                         Grading((5,), [(x + 1,) for x in range(5)]))
+    found = verify_axioms(shifted).violations
+    assert {kind for kind, _ in found} == {"grading", "grading-dual", "grading-unit"}
+    assert found == _cell_oracle(shifted) == _axiom_oracle(shifted)
 
 
 def _with_one_raised(ring, rng):
@@ -234,7 +253,7 @@ def test_associativity_sides_match_dense_contractions(name):
     x, y = (rng.integers(-3, 4, (2, r, r, r)) * on for _ in range(2))
     graded = ~((deg[:, None, None, None] + deg[None, :, None, None] + deg[None, None, :, None]
                 - deg[None, None, None, :]) % orders).any(axis=4)
-    layout = GradedInstances(g, r)
+    layout = Grading(g.orders, g.deg).layout  # a fresh layout: none of its chunks built yet
     assert layout.size == graded.sum()
     per_factor = graded.sum(axis=(1, 2, 3))
     # budgets below one left factor and over several, then the one chunk of
@@ -282,11 +301,9 @@ def test_verify_axioms_peak_memory():
 
 def _grading_violations_loop(tensor, g):
     # the per-nonzero check, one triple at a time
-    out = []
-    for i, j, k in np.argwhere(tensor > 0):
-        if g.add(g.degree(int(i)), g.degree(int(j))) != g.degree(int(k)):
-            out.append((int(i), int(j), int(k)))
-    return out
+    deg, add, _ = _degree_law(g)
+    return [(i, j, k) for i, j, k in np.argwhere(tensor > 0).tolist()
+            if add(deg[i], deg[j]) != deg[k]]
 
 
 def test_grading_violations_match_loop(e166):
@@ -601,7 +618,25 @@ def test_grading_rejects_bad_orders_and_arity():
                                   ((2,), [(False,)], "integer")):
         with pytest.raises(MalformedRingError, match=fragment):
             Grading(orders, deg)
-    assert Grading((np.int64(4),), [(np.int32(5),)]).deg == ((1,),)
+    assert Grading((np.int64(4),), [(np.int32(5),)]).deg.tolist() == [[1]]
+    assert Grading((4,), [(10 ** 30 + 1,)]).deg.tolist() == [[1]]
+    with pytest.raises(MalformedRingError, match="orders"):
+        Grading((1 << 62,), [(0,)])
+    # an array is checked as a whole: integers only, one column per order
+    for deg, fragment in ((np.array([[True], [False]]), "integer"),
+                          (np.array([[1.0], [0.0]]), "integer"),
+                          (np.array([[1]], dtype=np.uint64), "integer"),
+                          (np.array([1, 0]), "arity"),
+                          (np.zeros((2, 2), dtype=np.int64), "arity")):
+        with pytest.raises(MalformedRingError, match=fragment):
+            Grading((2,), deg)
+    given = np.array([[5], [-1]], dtype=np.int32)
+    g = Grading((4,), given)
+    assert g.deg.dtype == np.int64 and g.deg.tolist() == [[1], [3]]
+    assert given.flags.writeable and given.tolist() == [[5], [-1]]
+    with pytest.raises(ValueError, match="read-only"):
+        g.deg[0, 0] = 0
+    assert Grading((), np.empty((3, 0), dtype=np.int8)).deg.shape == (3, 0)
 
 
 def _grading_rings():
@@ -633,17 +668,21 @@ def _adjoint_classes(ring):
 
 def test_universal_grading_normal_form(e4, e166):
     rings = list(_grading_rings()) + [("e4", e4), ("e166", e166)]
+    # relabelled cyclic groups whose Smith coordinates give the least-indexed
+    # generating simple a degree other than 1 before the normal form
+    rings += [("Z%d relabelled" % n, _relabel(pointed_ring((n,)), np.array(p)))
+              for n, p in ((6, [0, 3, 1, 2, 4, 5]), (8, [0, 2, 3, 4, 5, 6, 1, 7]))]
     for name, ring in rings:
         g = universal_grading(ring)
         assert grading_violations(ring, g) == [], name
         # one degree per component, and every element of the group is one
         deg_of = {}
-        for c, d in zip(_adjoint_classes(ring), g.deg):
+        for c, d in zip(_adjoint_classes(ring), map(tuple, g.deg.tolist())):
             assert deg_of.setdefault(c, d) == d, name
         assert len(set(deg_of.values())) == len(deg_of) == g.group.order, name
         if len(g.orders) == 1:
             n = g.orders[0]
-            first = next(d for d, in g.deg if math.gcd(d, n) == 1)
+            first = next(d for d, in g.deg.tolist() if math.gcd(d, n) == 1)
             assert first == 1, name
     assert e166.grading == universal_grading(e166)
 
@@ -656,7 +695,7 @@ def test_universal_grading_of_noncyclic_pointed_rings():
         g = universal_grading(ring)
         assert g.group == FiniteAbelianGroup(orders), orders
         assert grading_violations(ring, g) == [], orders
-        assert sorted(g.deg) == sorted(g.group.elements()), orders
+        assert sorted(map(tuple, g.deg.tolist())) == sorted(g.group.elements()), orders
 
 
 def _k_normal_oracle(ring, x, k_max):
@@ -931,14 +970,14 @@ def _relabel(ring, p):
 
     i, j, k, v = ring.triples
     grading = None if ring.grading is None else Grading(ring.grading.orders,
-                                                        moved(ring.grading.deg))
+                                                        moved(ring.grading.deg.tolist()))
     return FusionRing.from_triples(moved(ring.labels), p[ring.unit], moved(p[ring.dual]),
                                    p[i], p[j], p[k], v, grading)
 
 
 def _degree_blocks(grading, p=None):
     blocks = {}
-    for x, d in enumerate(grading.deg):
+    for x, d in enumerate(map(tuple, grading.deg.tolist())):
         blocks.setdefault(d, set()).add(x if p is None else int(p[x]))
     return {frozenset(b) for b in blocks.values()}
 

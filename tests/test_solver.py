@@ -31,7 +31,7 @@ from fusionrings.errors import (
 )
 from fusionrings.graphs import Digraph, automorphism_generators, isomorphisms
 from fusionrings.jsonio import load_partial, partial_from_dict, partial_to_dict
-from fusionrings.ring import GradedInstances, Grading
+from fusionrings.ring import FusionRing, GradedInstances, Grading
 from fusionrings.solve import _Conflict, _dual_branches, _graph_partial, _known_tensor, _State
 from conftest import data_path, load_json
 
@@ -129,6 +129,19 @@ def test_inconsistent_dual_forcing_leaves_no_branch():
     with pytest.raises(NoSolutionError) as info:
         complete_partial_ring(partial)
     assert info.value.conflict == "empty search space"
+
+
+def test_known_unit_zeros_rule_out_dual_pairs():
+    # a known N_ij^unit = 0, or N_ji^unit = 0, keeps i and j from being duals
+    grading = Grading((), [()] * 3)
+
+    def branches(known):
+        partial = PartialRing(["e", "a", "b"], 0, [1.0] * 3, grading, known=known)
+        return list(_dual_branches(partial, config.TOLERANCE))
+
+    assert branches({}) == [[0, 1, 2], [0, 2, 1]]
+    assert branches({(1, 2, 0): 0}) == branches({(2, 1, 0): 0}) == [[0, 1, 2]]
+    assert branches({(1, 1, 0): 0}) == [[0, 2, 1]]
 
 
 def _stack_orbits(r, sigma):
@@ -498,8 +511,8 @@ def _same_without_memo(monkeypatch, partial):
     got = _outcome(partial)
     init = _State.__init__
 
-    def without_memo(self, partial, sigma, tol, memo=None, layout=None):
-        init(self, partial, sigma, tol, _MissingMemo(), layout)
+    def without_memo(self, partial, sigma, tol, memo=None):
+        init(self, partial, sigma, tol, _MissingMemo())
 
     with monkeypatch.context() as m:
         m.setattr(_State, "__init__", without_memo)
@@ -592,6 +605,26 @@ def test_assoc_pass_unit_cases_match_loop_oracle(opened, raised, fragment):
             assert re.fullmatch(r"-?\d+(/\d+)?", got[len(fragment):]), got
 
 
+def test_one_layout_per_grading(monkeypatch, e4):
+    # two axiom checks of a ring and a completion of the partial ring of its
+    # dims and grading, whose leaves carry that grading too, read one layout
+    built = []
+    init = GradedInstances.__init__
+
+    def counted(self, grading):
+        built.append(grading)
+        init(self, grading)
+
+    monkeypatch.setattr(GradedInstances, "__init__", counted)
+    grading = Grading(e4.grading.orders, e4.grading.deg)
+    ring = FusionRing(e4.labels, e4.unit, e4.dual, e4.tensor, grading)
+    assert verify_axioms(ring).ok and verify_axioms(ring).ok
+    result = complete_partial_ring(PartialRing(e4.labels, e4.unit, fp_dims(e4).dims, grading))
+    assert len(result.classes) == 1
+    assert all(solution.grading is grading for solution in result.solutions)
+    assert built == [grading]
+
+
 def test_solver_contractions_past_the_dense_bound_raise(monkeypatch):
     # the bound is on the graded instances an associativity pass holds,
     # about a quarter of rank^4 under e4's Z_4 grading, and on the search
@@ -600,7 +633,7 @@ def test_solver_contractions_past_the_dense_bound_raise(monkeypatch):
     # 328 x 144 flags on one dual branch, 5,904 8-byte cells.)
     partial = _e4_partial()
     r = partial.rank
-    size = GradedInstances(partial.grading, r).size
+    size = partial.grading.layout.size
     assert r ** 3 < size < r ** 4 // 3
     states = []
     init = _State.__init__
