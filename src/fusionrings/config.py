@@ -6,7 +6,8 @@ CONVERGENCE_TOL = 1e-13, stops the Perron power iteration
 (graphs.perron_vector) behind both graph and ring dimensions.
 MAX_DENSE_BYTES = 2**31 caps each dense 8-byte array the package allocates
 (tensors built or loaded, verify_axioms' float64 blocks, the solver's arrays
-of one entry per graded associativity instance or per rank^3 coefficient);
+of one entry per graded associativity instance or per rank^3 coefficient,
+the audit's rank^2 arrays);
 ring.check_dense raises BoundsExceededError before a larger one.
 """
 

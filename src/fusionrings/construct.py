@@ -17,14 +17,16 @@ IVec(Z_2M) has the same ring as Vec(Z_2M).
 
 Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
 through the dense product: each of the base's triples N_xy^z is scattered to
-((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y, the ring
-is made with FusionRing.from_triples, and its (1,1) support, generated by
-subring_generated, is cut out by ring.restrict; both read ring.triples.  A
-row with a free quotient sums its orbit ring from the same triples and never
-allocates the (1,1) tensor.  The tests check both against the dense product
-at M <= 3.  ring.check_dense bounds each dense tensor built here, which for
-a table row is the ring the row returns.  Gradings are built as degree
-arrays, and the diagonal degrees are read off a table over their group.
+((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y, in the
+product's lexicographic order, the ring is made with FusionRing.from_triples,
+and its (1,1) support, generated by subring_generated, is cut out by
+ring.restrict; both read ring.triples.  A row with a free quotient sums its
+orbit ring from the same triples into from_triples.  No table row but
+pointed allocates a dense tensor; ring.check_dense bounds the tensor of a
+row's ring when a caller reads it, as it bounds the tensors pointed_ring and
+deligne_product build.  The tests check the rows against the dense product
+at M <= 3.  Gradings are built as degree arrays, and the diagonal degrees
+are read off a table over their group.
 """
 
 import math
@@ -185,7 +187,8 @@ def one_one_subring(ring, grading):
     if not grading.orders:
         raise MalformedRingError("grading must have at least one cyclic factor")
     _check_multiplicative(ring, grading)
-    return restrict(ring, *_diagonal_subring(ring, grading))
+    diag = _diagonal_index(grading.orders, grading.deg)
+    return restrict(ring, *_diagonal_subring(ring, grading.orders, diag))
 
 
 def _check_multiplicative(ring, grading):
@@ -205,18 +208,27 @@ def _diagonal_index(orders, deg):
     return table[tuple(deg.T)]
 
 
-def _diagonal_subring(ring, grading):
-    # one_one_subring past its checks, for the product grading: the indices
-    # of the support generated from degree (1,1,...), and its grading by Z_lcm
-    deg = _diagonal_index(grading.orders, grading.deg)
-    lcm = math.lcm(*grading.orders)
-    seeds = np.flatnonzero(deg == 1 % lcm)
+def _diagonal_subring(ring, orders, diag):
+    # one_one_subring past its checks, for a product grading with these
+    # orders and each simple's _diagonal_index: the indices of the support
+    # generated from degree (1,1,...), and its grading by Z_lcm
+    lcm = math.lcm(*orders)
+    seeds = np.flatnonzero(diag == 1 % lcm)
     if not len(seeds):
         raise DegenerateGradeError("no simples of degree (1,1)")
     inside = list(subring_generated(ring, seeds))
-    if (deg[inside] < 0).any():
+    if (diag[inside] < 0).any():
         raise InconsistentGradingError("the subring leaves the diagonal cyclic subgroup")
-    return inside, Grading((lcm,), deg[inside, None])
+    return inside, Grading((lcm,), diag[inside, None])
+
+
+def _tile_blocks(first, size, q):
+    # blocks [first, first + size) of an array, in order, each written out q
+    # times in a row: each entry's index into the array, and the length of
+    # each run (block by block, and time by time within a block)
+    run = np.repeat(size, q)
+    src = np.repeat(np.repeat(first, q) - (np.cumsum(run) - run), run) + np.arange(run.sum())
+    return src, run
 
 
 def _one_one_product(base, n):
@@ -229,8 +241,9 @@ def _one_one_product(base, n):
     orders = base.grading.orders + (n,)
     xs, gs = np.divmod(np.arange(base.rank * n), n)
     deg = np.column_stack([base.grading.deg[xs], gs])
-    on = _diagonal_index(orders, deg) >= 0
-    xs, gs, deg = xs[on], gs[on], deg[on]
+    diag = _diagonal_index(orders, deg)
+    on = diag >= 0
+    xs, gs, deg, diag = xs[on], gs[on], deg[on], diag[on]
     pos = np.full((base.rank, n), -1)
     pos[xs, gs] = np.arange(len(xs))
     # a simple with a diagonal pair has the same number q of them (one coset
@@ -241,19 +254,26 @@ def _one_one_product(base, n):
     row[xs[::q]] = np.arange(len(cols))
     # each nonzero N_xy^z goes to ((x,g), (y,h), (z,g+h)) over the pairs of x
     # and y; multiplicativity and the diagonal being a subgroup make every
-    # (z, g+h) a pair, and distinct (x, y, z, g, h) give distinct triples
+    # (z, g+h) a pair, and distinct (x, g, y, h, z) give distinct triples.
+    # The base's come sorted by (x, y, z), so they are written in the
+    # product's lexicographic (x, g, y, h, z) order: first each (x, y) block
+    # once per h, with each entry's pair (y, h)
     t = base.triples
     i, j, k, v = t[:, (row[t[0]] >= 0) & (row[t[1]] >= 0)]
-    shape = (len(i), q, q)
-    a = np.broadcast_to(cols[row[i]][:, :, None], shape)
-    b = np.broadcast_to(cols[row[j]][:, None, :], shape)
-    c = pos[k[:, None, None], (gs[a] + gs[b]) % n]
-    v = np.broadcast_to(v[:, None, None], shape)
+    xy = np.flatnonzero(np.diff(i * base.rank + j, prepend=-1))
+    e, run = _tile_blocks(xy, np.diff(xy, append=len(i)), q)
+    b = cols[row[j[e]], np.repeat(np.tile(np.arange(q), len(xy)), run)]
+    k, v = k[e], v[e]
+    # then each x's run of those once per g, with each run's pair (x, g)
+    x = np.flatnonzero(np.diff(i, prepend=-1))
+    at, run = _tile_blocks(q * x, q * np.diff(x, append=len(i)), q)
+    a = np.repeat(cols[row[i[x]]].ravel(), run)
+    b = b[at]
+    c = pos[k[at], (gs[a] + gs[b]) % n]
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in zip(xs.tolist(), gs.tolist())]
-    grading = Grading(orders, deg)
     ring = FusionRing.from_triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
-                                   a.ravel(), b.ravel(), c.ravel(), v.ravel(), grading)
-    return restrict(ring, *_diagonal_subring(ring, grading))
+                                   a, b, c, v[at], Grading(orders, deg))
+    return restrict(ring, *_diagonal_subring(ring, orders, diag))
 
 
 def dequiv_free(ring, h):
@@ -304,15 +324,16 @@ def _dequiv(ring, h):
     # the orbit of k meets h.k once for each h in H, and N_[i][j]^[k] sums
     # N_ij^l over the triples with i, j representatives into l's orbit
     reps, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
-    check_dense(len(reps) ** 3)
     is_rep = np.zeros(ring.rank, dtype=bool)
     is_rep[reps] = True
     on = is_rep[i] & is_rep[j]
     r = len(reps)
-    t = np.zeros((r,) * 3, dtype=np.int64)
-    np.add.at(t.reshape(-1), (orbit_of[i[on]] * r + orbit_of[j[on]]) * r
-              + orbit_of[k[on]], v[on])
-    t.setflags(write=False)
+    key = (orbit_of[i[on]] * r + orbit_of[j[on]]) * r + orbit_of[k[on]]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # each orbit triple's first term
+    ij, ok = np.divmod(key[first], r)
+    oi, oj = np.divmod(ij, r)
     dual = orbit_of[ring.dual[reps]]
     labels = ["[%s]" % ring.labels[i] for i in reps]
     grading = None
@@ -321,7 +342,9 @@ def _dequiv(ring, h):
         group, f = quotient_with_map(ring.grading.orders, [deg[g] for g in H.tolist()])
         grading = Grading(group.orders, np.array([f(deg[i]) for i in reps.tolist()],
                                                  dtype=np.int64).reshape(r, len(group.orders)))
-    return FusionRing(labels, orbit_of[ring.unit], dual, t, grading), orbit_of.tolist()
+    quotient = FusionRing.from_triples(labels, orbit_of[ring.unit], dual, oi, oj, ok,
+                                       np.add.reduceat(v[on][order], first), grading)
+    return quotient, orbit_of.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +551,8 @@ def theorem_row(spec, M=None, N=None):
 
     Accepts what TheoremRowSpec.coerce accepts.  Returns a RowBuild with the
     ring, the index of the designated generator of dimension < 2, and a
-    provenance record.
+    provenance record.  The ring of every row but pointed is made from its
+    triples, and its dense tensor is built only if a caller reads it.
     """
     spec = TheoremRowSpec.coerce(spec, M, N)
     recipe = ROWS[spec.row]
@@ -546,7 +570,6 @@ def theorem_row(spec, M=None, N=None):
                  % " x ".join("Z_%d" % o for o in base.grading.orders + (n,))]
         if recipe.quotient is None:
             ring = one_one
-            ring.tensor  # the row's ring is dense: build it here, past check_dense
         else:
             label, k = recipe.quotient
             simple = "(%s,%d)" % (label(spec.N), k * spec.M)

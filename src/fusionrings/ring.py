@@ -12,6 +12,11 @@ kernel (associativity_sides over a grading's kept GradedInstances layout,
 shared with the solver), its one degree test (Grading.nonzero), its one
 dense-size guard (check_dense) and its one 2**53 guard (check_exact_sums).
 
+Everything an audit asks of a ring reads ring.triples and allocates at most
+rank x rank arrays: dimensions, words and K-normality, generated and adjoint
+subrings, invertibles, the universal grading and restriction.  Only
+verify_axioms and find_isomorphisms read the dense rank^3 ring.tensor.
+
 All operations are pure; rings are immutable after construction.
 """
 
@@ -557,12 +562,17 @@ def fp_dims(ring):
     The dimensions are the Perron vector of sum_i L_i^T, which has strictly
     positive entries for a fusion ring, normalized at the unit.  They are
     certified by the residual max |d_i d_j - sum_k N_{ij}^k d_k|, which must
-    stay below config.TOLERANCE * max(d)^2.
+    stay below config.TOLERANCE * max(d)^2.  Both the matrix and the
+    products are summed from ring.triples into rank x rank arrays (past
+    check_dense); the rank^3 tensor is never read.
     """
-    t = ring.tensor
-    v = perron_vector(t.sum(axis=0))
+    r = ring.rank
+    check_dense(r * r)
+    i, j, k, n = ring.triples
+    v = perron_vector(np.bincount(j * r + k, n, r * r).reshape(r, r))
     d = v / v[ring.unit]
-    residual = float(np.max(np.abs(np.outer(d, d) - np.einsum("ijk,k->ij", t, d))))
+    products = np.bincount(i * r + j, n * d[k], r * r).reshape(r, r)
+    residual = float(np.max(np.abs(np.outer(d, d) - products)))
     if residual > config.TOLERANCE * float(d.max()) ** 2:
         raise NonConvergenceError(
             "dimension residual %.3e exceeds tolerance (broken ring?)" % residual)
@@ -583,6 +593,20 @@ def check_index(ring, x):
     return x
 
 
+def _fusion_matrix(ring, y, right=False):
+    # the rank x rank matrix of v -> y (x) v on row vectors, entry (a, k) =
+    # N_{ya}^k, or of v -> v (x) y when right, entry (a, k) = N_{ay}^k,
+    # read off ring.triples
+    r = ring.rank
+    check_dense(r * r)
+    i, j, k, n = ring.triples
+    by, a = (j, i) if right else (i, j)
+    on = by == y
+    m = np.zeros((r, r), dtype=np.int64)
+    m[a[on], k[on]] = n[on]
+    return m
+
+
 def decompose_word(ring, word):
     """Decompose a left-to-right tensor word into simples.
 
@@ -596,7 +620,7 @@ def decompose_word(ring, word):
         i, starred = step if isinstance(step, (tuple, list)) else (step, False)
         i = check_index(ring, i)
         y = int(ring.dual[i]) if starred else i
-        v = v @ ring.tensor[:, y, :]
+        v = v @ _fusion_matrix(ring, y, right=True)
     return v
 
 
@@ -645,18 +669,19 @@ def is_k_normal(ring, x, k_max=8):
     k_max = as_integer(k_max, ValueError)
     if k_max < 1:
         raise ValueError("the horizon k_max must be at least 1, not %d" % k_max)
-    t = ring.tensor
     xd = int(ring.dual[x])
     a = np.zeros(ring.rank, dtype=np.int64)
     a[ring.unit] = 1
     b = a
 
-    # v @ t[y] is y (x) v and v @ t[:, y] is v (x) y, so one multiplication
-    # per side takes x^(k-1) x*^(k-1) to x^k x*^k = x (x^(k-1) x*^(k-1)) x*
+    # one multiplication per side takes x^(k-1) x*^(k-1) to
+    # x^k x*^k = x (x^(k-1) x*^(k-1)) x*
+    x_left, xd_right = _fusion_matrix(ring, x), _fusion_matrix(ring, xd, right=True)
+    xd_left, x_right = _fusion_matrix(ring, xd), _fusion_matrix(ring, x, right=True)
     equal_at = {}
     for k in range(1, k_max + 1):
-        a = a @ t[x] @ t[:, xd]
-        b = b @ t[xd] @ t[:, x]
+        a = a @ x_left @ xd_right
+        b = b @ xd_left @ x_right
         equal_at[k] = bool(np.array_equal(a, b))
     return KNormalityReport(x, k_max, equal_at)
 
@@ -720,17 +745,23 @@ class InvertiblesReport:
 def invertibles(ring):
     """The group of invertible simples (those with i (x) i* = unit exactly);
     MalformedRingError if they are not closed under fusion or not a group."""
-    t = ring.tensor
-    own = t[np.arange(ring.rank), ring.dual]
-    inv = np.flatnonzero((own.sum(axis=1) == 1) & (own[:, ring.unit] == 1))
+    i, j, k, n = ring.triples
+    own = j == ring.dual[i]
+    at_unit = own & (k == ring.unit)
+    inv = np.flatnonzero((np.bincount(i[own], n[own], ring.rank) == 1)
+                         & (np.bincount(i[at_unit], n[at_unit], ring.rank) == 1))
     pos = np.full(ring.rank, -1)
     pos[inv] = np.arange(len(inv))
     # a product of invertibles is a single invertible with coefficient 1;
-    # entries are nonnegative, so that is a row summing to 1
-    block = t[inv[:, None], inv]
-    table = pos[block.argmax(axis=2)]
-    if not ((block.sum(axis=2) == 1) & (table >= 0)).all():
+    # triples hold positive coefficients, so that is a pair whose
+    # coefficients sum to 1, on a triple into an invertible
+    on = (pos[i] >= 0) & (pos[j] >= 0)
+    pair = pos[i[on]] * len(inv) + pos[j[on]]
+    check_dense(len(inv) ** 2)
+    if not ((np.bincount(pair, n[on], len(inv) ** 2) == 1).all() and (pos[k[on]] >= 0).all()):
         raise MalformedRingError("invertibles are not closed under fusion")
+    table = np.empty((len(inv), len(inv)), dtype=np.int64)
+    table.reshape(-1)[pair] = pos[k[on]]
     abelian = bool((table == table.T).all())
     group = None
     if abelian:

@@ -267,6 +267,28 @@ def test_dequiv_matches_loop_oracle(spy):
     assert len(QUOTIENT_ROWS) == 6
 
 
+def test_one_one_scatter_comes_in_lexicographic_order(monkeypatch):
+    # _one_one_product writes the product's triples in (x, g, y, h, z) order,
+    # so every from_triples call of a row build is handed increasing keys
+    keys = []
+    real = FusionRing.from_triples.__func__
+
+    def record(cls, labels, unit, dual, i, j, k, v, grading=None):
+        r = len(labels)
+        keys.append((np.asarray(i) * r + j) * r + k)
+        return real(cls, labels, unit, dual, i, j, k, v, grading)
+
+    monkeypatch.setattr(FusionRing, "from_triples", classmethod(record))
+    for row, recipe in ROWS.items():
+        if recipe.base is None:
+            continue
+        base, _ = recipe.base(recipe.N and recipe.N[1])
+        for M in (1, 2, 3):
+            keys.clear()
+            construct._one_one_product(base, recipe.n * M)
+            assert keys and all((np.diff(key) > 0).all() for key in keys), (row, M)
+
+
 def test_quotient_rows_match_dense_oracle():
     # theorem_row against dequiv_free on the dense (1,1) ring of the dense
     # product: every quotient row at M <= 2, and at M = 3 every one whose
@@ -294,22 +316,26 @@ def test_dense_tensors_past_the_bound_raise_before_allocating():
     # 1600**3 int64 entries would take about 32.8 GB
     with pytest.raises(BoundsExceededError):
         deligne_product(ade_ring("A", 40), ade_ring("A", 40))
-    # the least M whose returned ring, of rank 24M, passes 2**31 bytes; its
-    # (1,1) ring would be 1296**3 entries, 17.4 GB
+    # the least M whose returned ring, of rank 24M, has a tensor past 2**31
+    # bytes: the row builds from triples, and reading that tensor, 648**3
+    # entries or 2.2 GB, raises; its (1,1) ring's would be 17.4 GB
     assert 624 ** 3 * 8 <= config.MAX_DENSE_BYTES < 648 ** 3 * 8
+    ring = theorem_row("exc4-deq", M=27).ring
+    assert ring.rank == 648
     with pytest.raises(BoundsExceededError):
-        theorem_row("exc4-deq", M=27)
+        ring.tensor
 
 
 def test_dense_bound_applies_to_the_returned_ring(monkeypatch):
-    # exc4-deq at M=4 returns 96**3 int64 entries, 7.1 MB, while its (1,1)
-    # ring would be 192**3 of them, 56.6 MB
+    # exc4-deq at M=4 returns a ring whose tensor is 96**3 int64 entries,
+    # 7.1 MB, while its (1,1) ring's would be 192**3 of them, 56.6 MB
     monkeypatch.setattr(config, "MAX_DENSE_BYTES", 8 * 10 ** 6)
-    assert theorem_row("exc4-deq", M=4).ring.rank == 96
-    with pytest.raises(BoundsExceededError):
-        theorem_row("exc4-deq", M=5)  # rank 120, 13.8 MB
-    with pytest.raises(BoundsExceededError):
-        theorem_row("exc4", M=9)  # no quotient: its (1,1) ring, rank 108, is the result
+    assert theorem_row("exc4-deq", M=4).ring.tensor.shape == (96,) * 3
+    # rank 120, 13.8 MB; and with no quotient the (1,1) ring, rank 108, is the result
+    for row, M in (("exc4-deq", 5), ("exc4", 9)):
+        ring = theorem_row(row, M=M).ring
+        with pytest.raises(BoundsExceededError):
+            ring.tensor
 
 
 def test_table_rows_stay_far_below_the_dense_bound(monkeypatch):
