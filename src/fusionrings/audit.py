@@ -69,7 +69,7 @@ class AuditReport:
         return self.line()
 
 
-def audit_row(spec, M=None, N=None, k_max=K_HORIZON):
+def audit_row(spec, M=None, N=None):
     """Build a table row and verify its five defining properties.
 
     Accepts what TheoremRowSpec.coerce accepts.
@@ -84,7 +84,7 @@ def audit_row(spec, M=None, N=None, k_max=K_HORIZON):
 
     checks["generates"] = (is_generator(ring, gen), ring.labels[gen])
 
-    kn = is_k_normal(ring, gen, k_max=k_max)
+    kn = is_k_normal(ring, gen, k_max=K_HORIZON)
     checks["k_normal"] = (kn.least is not None and kn.least <= 2, str(kn.least))
 
     want = FiniteAbelianGroup.cyclic(spec.grading_order)

@@ -21,12 +21,13 @@ Subcommands::
 
 Ring-producing subcommands print the ring JSON on stdout.  Exit codes:
 0 success / property holds, 1 verification or audit failure, 2 malformed
-input; any nonzero exit writes one JSON object describing the error to
-stderr.
+input, each writing one JSON object describing the error to stderr; 141
+(as for SIGPIPE), quietly, when the reader closes stdout (``| head``).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .abelian import FiniteAbelianGroup
@@ -412,7 +413,12 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _DOMAIN_ERRORS as exc:
         return _fail(1, exc)
     except _INPUT_ERRORS as exc:

@@ -5,10 +5,11 @@ residual checks and integer-bound rounding.  The one convergence threshold,
 CONVERGENCE_TOL = 1e-13, stops the Perron power iteration
 (graphs.perron_vector) behind both graph and ring dimensions.
 MAX_DENSE_BYTES = 2**31 caps each dense 8-byte array the package allocates
-(tensors built or loaded, verify_axioms' float64 blocks, the solver's arrays
-of one entry per graded associativity instance or per rank^3 coefficient,
-the audit's rank^2 arrays);
-ring.check_dense raises BoundsExceededError before a larger one.
+(a ring's tensor, built from its triples when first read, verify_axioms'
+float64 blocks, the solver's arrays of one entry per graded associativity
+instance or per rank^3 coefficient, the audit's rank^2 arrays) and the
+arrays a ring constructor holds at its peak, taken together;
+ring.check_dense raises BoundsExceededError before a larger total.
 """
 
 TOLERANCE = 1e-6

@@ -15,18 +15,19 @@ uniqueness assertion.  Ring-level constructors take no root-of-unity or sign
 parameter: every category in one family shares a single fusion ring, and
 IVec(Z_2M) has the same ring as Vec(Z_2M).
 
-Table rows [C x Vec(Z_n)]_(1,1) are filled straight from the factors, never
-through the dense product: each of the base's triples N_xy^z is scattered to
+pointed_ring, the A_N rings, deligne_product and the table rows compute the
+nonzero triples of their ring with numpy and hand them to
+FusionRing.from_triples: none allocates the dense tensor of its result, and
+each first checks the arrays it holds at its peak with ring.check_dense (the
+solver makes the other rings from their tensors).  Table rows
+[C x Vec(Z_n)]_(1,1) never form the product: each triple N_xy^z of C goes to
 ((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y, in the
-product's lexicographic order, the ring is made with FusionRing.from_triples,
-and its (1,1) support, generated by subring_generated, is cut out by
-ring.restrict; both read ring.triples.  A row with a free quotient sums its
-orbit ring from the same triples into from_triples.  No table row but
-pointed allocates a dense tensor; ring.check_dense bounds the tensor of a
-row's ring when a caller reads it, as it bounds the tensors pointed_ring and
-deligne_product build.  The tests check the rows against the dense product
-at M <= 3.  Gradings are built as degree arrays, and the diagonal degrees
-are read off a table over their group.
+product's lexicographic order, and the (1,1) support, generated by
+subring_generated, is cut out by ring.restrict.  A row with a free quotient
+sums its orbit ring from the same triples.  The tests check the
+constructions against the dense ones they replaced.  Gradings are built as
+degree arrays, and the diagonal degrees are read off a table over their
+group.
 """
 
 import math
@@ -68,39 +69,47 @@ def pointed_ring(group):
     """
     if not isinstance(group, FiniteAbelianGroup):
         group = FiniteAbelianGroup(group)
-    els = list(group.elements())
-    pos = {e: i for i, e in enumerate(els)}
-    n = len(els)
-    check_dense(n ** 3)
-    t = np.zeros((n, n, n), dtype=np.int64)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            t[i, j, pos[group.add(a, b)]] = 1
-    dual = [pos[group.neg(a)] for a in els]
-    if len(group.orders) == 1:
-        labels = [str(e[0]) for e in els]
-    elif not group.orders:
+    orders = np.array(group.orders, dtype=np.int64)
+    n = int(orders.prod())
+    # the elements in the order of group.elements(), and the index of each
+    # row of coordinates mod orders, in mixed radix
+    els = np.indices(group.orders).reshape(len(orders), n).T
+    radix = np.array([orders[c + 1:].prod() for c in range(len(orders))], dtype=np.int64)
+    # at the peak: i, j, k, v and from_triples' order and triples (9 arrays
+    # of n * n), or els[i], els[j] and their sum (3 per factor)
+    check_dense((9 + 3 * len(orders)) * n * n)
+    i, j = np.divmod(np.arange(n * n), n)
+    k = (els[i] + els[j]) % orders @ radix
+    if len(orders) == 1:
+        labels = [str(e) for e in els[:, 0].tolist()]
+    elif not len(orders):
         labels = ["0"]
     else:
-        labels = ["(" + ",".join(map(str, e)) + ")" for e in els]
-    grading = Grading(group.orders, els)
-    return FusionRing(labels, pos[group.zero()], dual, t, grading)
-
-
-def _verlinde_tensor(n):
-    # sl_2 level n-1 truncation: a (x) b = |a-b|, |a-b|+2, ..., min(a+b, 2(n-1)-a-b)
-    t = np.zeros((n, n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            for c in range(abs(a - b), min(a + b, 2 * (n - 1) - a - b) + 1, 2):
-                t[a, b, c] = 1
-    return t
+        labels = ["(" + ",".join(map(str, e)) + ")" for e in els.tolist()]
+    return FusionRing.from_triples(labels, 0, -els % orders @ radix, i, j, k,
+                                   np.ones(n * n, dtype=np.int64), Grading(group.orders, els))
 
 
 def _a_ring(n):
-    labels = ["f%d" % m for m in range(n)]
-    grading = Grading((2,), [(m % 2,) for m in range(n)])
-    return FusionRing(labels, 0, list(range(n)), _verlinde_tensor(n), grading)
+    # sl_2 level n-1 truncation: a (x) b = |a-b|, |a-b|+2, ..., min(a+b, 2(n-1)-a-b)
+    a, b = np.divmod(np.arange(n * n), n)
+    lo = np.abs(a - b)
+    count = (np.minimum(a + b, 2 * (n - 1) - a - b) - lo) // 2 + 1
+    nnz = int(count.sum())
+    # the peak holds a, b, lo, count, the four rows of t and one temporary
+    # row, or from_triples' key and its order test: t is filled in
+    # lexicographic order and made read-only, so from_triples keeps it
+    check_dense(4 * n * n + 5 * nnz + nnz // 8)
+    t = np.empty((4, nnz), dtype=np.int64)
+    t[0] = np.repeat(a, count)
+    t[1] = np.repeat(b, count)
+    # each pair's run is lo, lo + 2, ...: 2 * (place - start of the run) + lo
+    t[2] = np.repeat(lo - 2 * (np.cumsum(count) - count), count)
+    t[2] += np.arange(0, 2 * nnz, 2)
+    t[3] = 1
+    t.setflags(write=False)
+    return FusionRing.from_triples(["f%d" % m for m in range(n)], 0, np.arange(n), *t,
+                                   Grading((2,), np.arange(n)[:, None] % 2))
 
 
 def _d_ring(n):
@@ -159,19 +168,22 @@ def deligne_product(a, b):
     The grading is the product grading when both factors carry one.
     """
     ra, rb = a.rank, b.rank
-    check_dense((ra * rb) ** 3)
-    ta, tb = a.tensor, b.tensor
-    t = (ta[:, None, :, None, :, None] * tb[None, :, None, :, None, :])
-    t = t.reshape(ra * rb, ra * rb, ra * rb)
-    t.setflags(write=False)
+    ta, tb = a.triples, b.triples
+    na, nb = ta.shape[1], tb.shape[1]
+    # at the peak, about 10 arrays of na * nb (the four columns below, and
+    # from_triples' key, order and sorted triples)
+    check_dense(11 * na * nb)
     labels = ["(%s,%s)" % (la, lb) for la in a.labels for lb in b.labels]
-    dual = [int(a.dual[i]) * rb + int(b.dual[j]) for i in range(ra) for j in range(rb)]
     grading = None
     if a.grading is not None and b.grading is not None:
         deg = np.concatenate([np.repeat(a.grading.deg, rb, axis=0),
                               np.tile(b.grading.deg, (ra, 1))], axis=1)
         grading = Grading(a.grading.orders + b.grading.orders, deg)
-    return FusionRing(labels, a.unit * rb + b.unit, dual, t, grading)
+    # triple (ea, eb) is N_{(ia,ib),(ja,jb)}^{(ka,kb)} = va vb
+    pairs = [np.repeat(x, nb) * rb + np.tile(y, na) for x, y in zip(ta[:3], tb[:3])]
+    dual = np.add.outer(a.dual * rb, b.dual).ravel()
+    return FusionRing.from_triples(labels, a.unit * rb + b.unit, dual, *pairs,
+                                   np.repeat(ta[3], nb) * np.tile(tb[3], na), grading)
 
 
 def one_one_subring(ring, grading):
@@ -267,12 +279,16 @@ def _one_one_product(base, n):
     # then each x's run of those once per g, with each run's pair (x, g)
     x = np.flatnonzero(np.diff(i, prepend=-1))
     at, run = _tile_blocks(q * x, q * np.diff(x, append=len(i)), q)
-    a = np.repeat(cols[row[i[x]]].ravel(), run)
-    b = b[at]
-    c = pos[k[at], (gs[a] + gs[b]) % n]
+    # into one read-only array, which from_triples keeps as it is
+    out = np.empty((4, len(at)), dtype=np.int64)
+    out[0] = np.repeat(cols[row[i[x]]].ravel(), run)
+    np.take(b, at, out=out[1])
+    out[2] = pos[k[at], (gs[out[0]] + gs[out[1]]) % n]
+    np.take(v, at, out=out[3])
+    out.setflags(write=False)
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in zip(xs.tolist(), gs.tolist())]
     ring = FusionRing.from_triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
-                                   a, b, c, v[at], Grading(orders, deg))
+                                   *out, Grading(orders, deg))
     return restrict(ring, *_diagonal_subring(ring, orders, diag))
 
 
@@ -551,8 +567,7 @@ def theorem_row(spec, M=None, N=None):
 
     Accepts what TheoremRowSpec.coerce accepts.  Returns a RowBuild with the
     ring, the index of the designated generator of dimension < 2, and a
-    provenance record.  The ring of every row but pointed is made from its
-    triples, and its dense tensor is built only if a caller reads it.
+    provenance record.
     """
     spec = TheoremRowSpec.coerce(spec, M, N)
     recipe = ROWS[spec.row]

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import MalformedRingError, RingFormatError
-from .ring import FusionRing, Grading, check_dense
+from .ring import FusionRing, Grading
 
 
 def _check(cond, msg):
@@ -105,7 +105,6 @@ def ring_from_dict(data):
     _check(len(dual) == rank, "dual must cover every label")
     dual = [dual[i] for i in range(rank)]
     grading = grading_from_dict(data, labels, index)
-    check_dense(rank ** 3)
     entries = _entries_from(data, "tensor", index).items()
     ijkv = np.array([ijk + (n,) for ijk, n in entries], dtype=np.int64).reshape(-1, 4)
     try:

@@ -12,10 +12,9 @@ kernel (associativity_sides over a grading's kept GradedInstances layout,
 shared with the solver), its one degree test (Grading.nonzero), its one
 dense-size guard (check_dense) and its one 2**53 guard (check_exact_sums).
 
-Everything an audit asks of a ring reads ring.triples and allocates at most
-rank x rank arrays: dimensions, words and K-normality, generated and adjoint
-subrings, invertibles, the universal grading and restriction.  Only
-verify_axioms and find_isomorphisms read the dense rank^3 ring.tensor.
+A ring is stored as its nonzero triples, and everything an audit asks of it
+allocates at most rank x rank arrays besides them.  Only verify_axioms and
+find_isomorphisms here, and the solver, read the dense rank^3 ring.tensor.
 
 All operations are pure; rings are immutable after construction.
 """
@@ -93,7 +92,8 @@ class Grading:
 
 def check_dense(entries):
     """Raise BoundsExceededError, before anything is allocated, if a dense
-    array of ``entries`` 8-byte cells would pass config.MAX_DENSE_BYTES."""
+    array of ``entries`` 8-byte cells, or arrays of that many in all, would
+    pass config.MAX_DENSE_BYTES."""
     if 8 * entries > config.MAX_DENSE_BYTES:
         raise BoundsExceededError("a dense array of %d 8-byte entries is past "
                                   "config.MAX_DENSE_BYTES" % entries)
@@ -127,9 +127,12 @@ class FusionRing:
     tensor : (rank, rank, rank) array of nonnegative ints, N_{ij}^k
     grading : optional Grading
 
-    The coefficients have two read-only int64 views, each built on first use
-    and then kept: ``tensor``, dense (built past check_dense), and ``triples``,
-    whose rows i, j, k, v list the nonzero N_{ij}^k = v in lexicographic order.
+    The coefficients are stored as ``triples``, a read-only (4, nnz) int64
+    array whose rows i, j, k, v list the nonzero N_{ij}^k = v in
+    lexicographic order; both constructors set it.  ``tensor`` is the one
+    derived view: the array a ring was made from, or else the dense
+    read-only int64 array built from the triples on first read (past
+    check_dense) and then kept.
 
     Construction checks only structure (shapes, involution, nonnegativity);
     the ring axioms are checked by :func:`verify_axioms`.  A read-only
@@ -137,43 +140,68 @@ class FusionRing:
     the caller's array is neither frozen nor shared.
     """
 
-    __slots__ = ("labels", "unit", "dual", "grading", "_index", "_tensor", "_triples")
+    __slots__ = ("labels", "unit", "dual", "grading", "triples", "_index", "_tensor")
 
     def __init__(self, labels, unit, dual, tensor, grading=None):
-        self._set_structure(labels, unit, dual, grading, _read_only(tensor), None)
-        if self._tensor.shape != (self.rank,) * 3:
+        self._set_structure(labels, unit, dual, grading)
+        t = _read_only(tensor)
+        if t.shape != (self.rank,) * 3:
             raise MalformedRingError("tensor shape %r does not match rank %d"
-                                     % (self._tensor.shape, self.rank))
-        if self._tensor.min(initial=0) < 0:
+                                     % (t.shape, self.rank))
+        if t.min(initial=0) < 0:
             raise MalformedRingError("negative fusion coefficient")
+        # a flat scan, several times faster than np.nonzero in 3-d
+        flat = np.flatnonzero(t)
+        ij, k = np.divmod(flat, self.rank)
+        self.triples = np.stack((*np.divmod(ij, self.rank), k, t.ravel()[flat]))
+        self.triples.setflags(write=False)
+        self._tensor = t
 
     @classmethod
     def from_triples(cls, labels, unit, dual, i, j, k, v, grading=None):
         """The ring with N_{i[e] j[e]}^{k[e]} = v[e] and every other coefficient 0, from
-        integer arrays of one length in any order; zeros are dropped."""
+        integer arrays of one length in any order; zeros are dropped.
+
+        When i, j, k, v are the rows of one read-only (4, n) int64 array, in
+        lexicographic order and with no zero, that array is kept as
+        ring.triples with no copy, and the call allocates one int64 key and
+        one boolean array of length n.
+        """
         ring = cls.__new__(cls)
-        ring._set_structure(labels, unit, dual, grading, None, None)
+        ring._set_structure(labels, unit, dual, grading)
+        r = ring.rank
         cols = [np.asarray(a) for a in (i, j, k, v)]
         if any(c.ndim != 1 or c.shape != cols[0].shape or c.size and c.dtype.kind not in "iu"
                for c in cols):
             raise MalformedRingError("triples must be 1-d integer arrays of one length")
-        i, j, k, v = (c.astype(np.int64, copy=False) for c in cols)
-        if any(c.min(initial=0) < 0 or c.max(initial=0) >= ring.rank for c in (i, j, k)):
+        i, j, k, v = cols = [c.astype(np.int64, copy=False) for c in cols]
+        if any(c.min(initial=0) < 0 or c.max(initial=0) >= r for c in (i, j, k)):
             raise MalformedRingError("triple index out of range")
         if v.min(initial=0) < 0:
             raise MalformedRingError("negative fusion coefficient")
-        key = (i * ring.rank + j) * ring.rank + k
-        order = np.argsort(key, kind="stable")  # timsort: linear on sorted runs
-        if (np.diff(key[order]) == 0).any():
+        key = i * r  # in place from here on: one array of n
+        key += j
+        key *= r
+        key += k
+        order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
+        if order is not None and (np.diff(key[order]) == 0).any():
             raise MalformedRingError("repeated triple")
-        order = order[v[order] != 0]
-        ring._triples = np.empty((4, len(order)), dtype=np.int64)
-        for row, c in zip(ring._triples, (i, j, k, v)):
+        del key
+        t = i.base
+        if (order is None and v.min(initial=1) > 0 and isinstance(t, np.ndarray)
+                and t.dtype == np.int64 and t.shape == (4, len(v)) and not t.flags.writeable
+                and all(c.flags.c_contiguous and c.ctypes.data == row.ctypes.data
+                        for c, row in zip(cols, t))):
+            ring.triples = t
+            return ring
+        order = np.flatnonzero(v) if order is None else order[v[order] != 0]
+        ring.triples = np.empty((4, len(order)), dtype=np.int64)
+        for row, c in zip(ring.triples, cols):
             np.take(c, order, out=row)
-        ring._triples.setflags(write=False)
+        ring.triples.setflags(write=False)
         return ring
 
-    def _set_structure(self, labels, unit, dual, grading, tensor, triples):
+    def _set_structure(self, labels, unit, dual, grading):
         labels = tuple(str(x) for x in labels)
         rank = len(labels)
         if len(set(labels)) != rank:
@@ -195,26 +223,16 @@ class FusionRing:
         self.dual = dual
         self.grading = grading
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._tensor, self._triples = tensor, triples
+        self._tensor = None
 
     @property
     def tensor(self):
         if self._tensor is None:
             check_dense(self.rank ** 3)
             self._tensor = np.zeros((self.rank,) * 3, dtype=np.int64)
-            self._tensor[tuple(self._triples[:3])] = self._triples[3]
+            self._tensor[tuple(self.triples[:3])] = self.triples[3]
             self._tensor.setflags(write=False)
         return self._tensor
-
-    @property
-    def triples(self):
-        if self._triples is None:
-            # a flat boolean scan, several times faster than np.nonzero in 3-d
-            flat = np.flatnonzero(self._tensor != 0)
-            ij, k = np.divmod(flat, self.rank)
-            self._triples = np.stack((*np.divmod(ij, self.rank), k, self._tensor.ravel()[flat]))
-            self._triples.setflags(write=False)
-        return self._triples
 
     @property
     def rank(self):
@@ -564,7 +582,7 @@ def fp_dims(ring):
     certified by the residual max |d_i d_j - sum_k N_{ij}^k d_k|, which must
     stay below config.TOLERANCE * max(d)^2.  Both the matrix and the
     products are summed from ring.triples into rank x rank arrays (past
-    check_dense); the rank^3 tensor is never read.
+    check_dense).
     """
     r = ring.rank
     check_dense(r * r)
@@ -877,7 +895,8 @@ def restrict(ring, indices, grading=None):
     labels = [ring.labels[i] for i in idx]
     if idx == list(range(ring.rank)):
         whole = FusionRing.__new__(FusionRing)
-        whole._set_structure(labels, ring.unit, ring.dual, grading, ring._tensor, ring._triples)
+        whole._set_structure(labels, ring.unit, ring.dual, grading)
+        whole.triples, whole._tensor = ring.triples, ring._tensor
         return whole
     pos = np.full(ring.rank, -1)
     pos[idx] = np.arange(len(idx))

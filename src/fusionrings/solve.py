@@ -148,11 +148,14 @@ class SolveResult:
     (row solves whose hull was not in the memo yet).
     """
 
-    def __init__(self, solutions, classes, nodes, stats):
+    def __init__(self, solutions, classes, stats):
         self.solutions = list(solutions)
         self.classes = [list(c) for c in classes]
-        self.nodes = nodes
         self.stats = stats
+
+    @property
+    def nodes(self):
+        return self.stats["nodes"]
 
     def __len__(self):
         return len(self.solutions)
@@ -732,7 +735,7 @@ def complete_partial_ring(partial, search_cap=10_000_000):
         else:
             classes.append(orbit)
             reps.append(solutions[orbit[0]])
-    return SolveResult(solutions, [sorted(c) for c in classes], stats["nodes"], stats)
+    return SolveResult(solutions, [sorted(c) for c in classes], stats)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import tracemalloc
 
 import pytest
 
-from fusionrings import audit_all, audit_row, config, separation_check, theorem_row
-from fusionrings.audit import AuditReport, K_HORIZON, SeparationVerdict
+from fusionrings import audit, audit_all, audit_row, config, separation_check, theorem_row
+from fusionrings.audit import AuditReport, SeparationVerdict
 from fusionrings.construct import ROWS, TheoremRowSpec
 from fusionrings.errors import BoundsExceededError
 
@@ -40,16 +40,16 @@ def test_audit_row_accepts_spec():
     assert r.N == 3
 
 
-def test_short_horizon_fails_k_normality():
-    r = audit_row("exc4", M=1, k_max=1)
+def test_short_horizon_fails_k_normality(monkeypatch):
+    # audit_row reads audit.K_HORIZON when it is called
+    full = audit_row("exc4", M=1)
+    assert full.passed
+    assert full.checks["k_normal"][1] == "2"
+    monkeypatch.setattr(audit, "K_HORIZON", 1)
+    r = audit_row("exc4", M=1)
     assert not r.passed
     assert r.failures == ["k_normal"]
     assert "FAIL(k_normal)" in r.line()
-    full = audit_row("exc4", M=1, k_max=K_HORIZON)
-    assert full.passed
-    assert full.checks["k_normal"][1] == "2"
-    with pytest.raises(ValueError, match="at least 1"):
-        audit_row("exc4", M=1, k_max=0)
 
 
 def test_audit_all_table_order():
@@ -99,16 +99,17 @@ def test_audit_rows_left_out_of_the_benchmark(row, M, rank, least_k):
 def test_exc4_deq_m4_builds_in_bounded_memory(e4):
     # the dense Deligne product alone would be 768**3 int64 entries, 3.6 GB,
     # the (1,1) ring's tensor 192**3 of them, 57 MB, and the result's 96**3,
-    # 7.1 MB; the quotient is summed from the (1,1) ring's nonzero triples
-    # into its own, and the whole build peaks at about 7.4 MB, so the bound
-    # is about 1.35 times that
+    # 7.1 MB; the scatter fills one read-only array of triples that
+    # from_triples keeps, the quotient is summed from the (1,1) ring's
+    # nonzero triples into its own, and the whole build peaks at about
+    # 5.4 MB, so the bound is about 1.3 times that
     tracemalloc.start()
     try:
         theorem_row("exc4-deq", M=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 10 ** 6
+    assert peak < 7 * 10 ** 6
 
 
 def test_rows_audit_without_a_rank_96_tensor(monkeypatch, e4, e166):

@@ -303,3 +303,30 @@ def test_verify_past_the_dense_bound_exits_2(cli, monkeypatch):
     code, out, err = cli("verify", E4_JSON)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BoundsExceededError"
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader takes one line of a ring JSON far larger than a pipe's
+    # buffer and closes the pipe, or has closed it before a short output is
+    # written: either way the command stops without a word on stderr.  The
+    # output is block-buffered, as from a shell, so the short one meets the
+    # closed pipe only when stdout is flushed
+    src = str(Path(fusionrings.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    build = [sys.executable, "-m", "fusionrings.cli", "build"]
+    proc = subprocess.Popen(build + ["ade", "--family", "A", "--size", "60"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+    read, write = os.pipe()
+    os.close(read)
+    proc = subprocess.Popen(build + ["pointed", "--orders", "2"], stdout=write,
+                            stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    err = proc.communicate()[1]
+    assert (proc.returncode, err) == (141, b"")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,14 +19,17 @@ from fusionrings import (
     fp_dims,
     invertibles,
     is_k_normal,
+    load_ring,
     one_one_subring,
     pointed_ring,
+    ring_to_dict,
     theorem_row,
     universal_grading,
     verify_axioms,
 )
 from fusionrings import config, construct
 from fusionrings.construct import ROWS, expected_adjoint
+from fusionrings.jsonio import dump_ring
 from fusionrings.ring import restrict
 from fusionrings.errors import (
     BoundsExceededError,
@@ -269,14 +273,17 @@ def test_dequiv_matches_loop_oracle(spy):
 
 def test_one_one_scatter_comes_in_lexicographic_order(monkeypatch):
     # _one_one_product writes the product's triples in (x, g, y, h, z) order,
-    # so every from_triples call of a row build is handed increasing keys
-    keys = []
+    # so every from_triples call of a row build is handed increasing keys,
+    # and the first, the scatter's, one read-only array that it keeps
+    keys, kept = [], []
     real = FusionRing.from_triples.__func__
 
     def record(cls, labels, unit, dual, i, j, k, v, grading=None):
         r = len(labels)
         keys.append((np.asarray(i) * r + j) * r + k)
-        return real(cls, labels, unit, dual, i, j, k, v, grading)
+        ring = real(cls, labels, unit, dual, i, j, k, v, grading)
+        kept.append(ring.triples is np.asarray(i).base)
+        return ring
 
     monkeypatch.setattr(FusionRing, "from_triples", classmethod(record))
     for row, recipe in ROWS.items():
@@ -285,8 +292,10 @@ def test_one_one_scatter_comes_in_lexicographic_order(monkeypatch):
         base, _ = recipe.base(recipe.N and recipe.N[1])
         for M in (1, 2, 3):
             keys.clear()
+            kept.clear()
             construct._one_one_product(base, recipe.n * M)
             assert keys and all((np.diff(key) > 0).all() for key in keys), (row, M)
+            assert kept[0], (row, M)
 
 
 def test_quotient_rows_match_dense_oracle():
@@ -313,9 +322,19 @@ def test_quotient_rows_match_dense_oracle():
 
 
 def test_dense_tensors_past_the_bound_raise_before_allocating():
-    # 1600**3 int64 entries would take about 32.8 GB
-    with pytest.raises(BoundsExceededError):
-        deligne_product(ade_ring("A", 40), ade_ring("A", 40))
+    # the product has 11,480**2 triples, whose arrays (about 11 int64 entries
+    # per triple) would take about 11.6 GB; it raises with next to nothing
+    # allocated
+    a40 = ade_ring("A", 40)
+    assert a40.triples.shape[1] == 11480
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundsExceededError):
+            deligne_product(a40, a40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
     # the least M whose returned ring, of rank 24M, has a tensor past 2**31
     # bytes: the row builds from triples, and reading that tensor, 648**3
     # entries or 2.2 GB, raises; its (1,1) ring's would be 17.4 GB
@@ -324,6 +343,42 @@ def test_dense_tensors_past_the_bound_raise_before_allocating():
     assert ring.rank == 648
     with pytest.raises(BoundsExceededError):
         ring.tensor
+
+
+@pytest.mark.parametrize("build", ["pointed_ring", "a_ring", "deligne_product", "load_ring"])
+def test_rings_are_built_past_the_dense_bound(build, e4, tmp_path, monkeypatch):
+    # each builder makes its ring from triples: with the bound one byte below
+    # the result's tensor it still returns the ring, what reads the triples
+    # works on it, and only reading the tensor raises.  The constructors stay
+    # below that tensor's size by tracemalloc, and their own check_dense
+    # counts their peak: with the bound at 95% of it (Python's own objects
+    # are not counted) they raise.  The loader holds the parsed JSON file,
+    # whose size is its own.
+    path = tmp_path / "ring.json"
+    dump_ring(e4, path)
+    make = {"pointed_ring": lambda: pointed_ring((4, 16)),
+            "a_ring": lambda: construct._a_ring(100),
+            "deligne_product": lambda: deligne_product(ade_ring("A", 5), pointed_ring((8,))),
+            "load_ring": lambda: load_ring(path)}[build]
+    want = make()
+    monkeypatch.setattr(config, "MAX_DENSE_BYTES", want.tensor.nbytes - 1)
+    tracemalloc.start()
+    try:
+        ring = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring == want
+    assert fp_dims(ring).dims.tobytes() == fp_dims(want).dims.tobytes()
+    assert universal_grading(ring) == universal_grading(want)
+    assert ring_to_dict(ring) == ring_to_dict(want)
+    with pytest.raises(BoundsExceededError):
+        ring.tensor
+    if build != "load_ring":
+        assert peak < want.tensor.nbytes
+        monkeypatch.setattr(config, "MAX_DENSE_BYTES", int(0.95 * peak))
+        with pytest.raises(BoundsExceededError):
+            make()
 
 
 def test_dense_bound_applies_to_the_returned_ring(monkeypatch):

@@ -5,15 +5,26 @@ ring.triples and build no rank^3 tensor.  The dense forms below read
 ring.tensor and are the reference: on the table rows at M <= 3, on e4 and
 e166, and on every base ring a row construction or expected adjoint looks
 up, each answer must be the same (fp_dims' residual, summed in another
-order, within 1e-12).
+order, within 1e-12).  pointed_ring, the A_N rings and deligne_product
+compute their triples; the loops and the broadcast product below fill the
+dense tensor they once filled, and each ring must equal the one they give.
 """
 
 import numpy as np
 import pytest
 
-from fusionrings import FusionRing, ade_ring, decompose_word, fp_dims, invertibles, is_k_normal
-from fusionrings.abelian import quotient_with_map, table_group
-from fusionrings.construct import ROWS, _dequiv, _one_one_product, theorem_row
+from fusionrings import (
+    FusionRing,
+    ade_ring,
+    decompose_word,
+    deligne_product,
+    fp_dims,
+    invertibles,
+    is_k_normal,
+    pointed_ring,
+)
+from fusionrings.abelian import FiniteAbelianGroup, quotient_with_map, table_group
+from fusionrings.construct import ROWS, _a_ring, _dequiv, _one_one_product, theorem_row
 from fusionrings.errors import FixedPointError, MalformedRingError, NotASubgroupError
 from fusionrings.graphs import components, perron_vector
 from fusionrings.ring import Grading, check_index
@@ -154,3 +165,75 @@ def test_free_quotient_matches_dense():
             assert (quotient, orbit_of) == _dequiv_dense(one_one, [simple]), (row, M)
             checked += 1
     assert checked == 18
+
+
+def _pointed_ring_loop(orders):
+    group = FiniteAbelianGroup(orders)
+    els = list(group.elements())
+    pos = {e: i for i, e in enumerate(els)}
+    n = len(els)
+    t = np.zeros((n, n, n), dtype=np.int64)
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            t[i, j, pos[group.add(a, b)]] = 1
+    dual = [pos[group.neg(a)] for a in els]
+    if len(group.orders) == 1:
+        labels = [str(e[0]) for e in els]
+    elif not group.orders:
+        labels = ["0"]
+    else:
+        labels = ["(" + ",".join(map(str, e)) + ")" for e in els]
+    return FusionRing(labels, pos[group.zero()], dual, t, Grading(group.orders, els))
+
+
+def _verlinde_tensor(n):
+    # sl_2 level n-1 truncation: a (x) b = |a-b|, |a-b|+2, ..., min(a+b, 2(n-1)-a-b)
+    t = np.zeros((n, n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            for c in range(abs(a - b), min(a + b, 2 * (n - 1) - a - b) + 1, 2):
+                t[a, b, c] = 1
+    return t
+
+
+def _deligne_product_dense(a, b):
+    ra, rb = a.rank, b.rank
+    t = (a.tensor[:, None, :, None, :, None] * b.tensor[None, :, None, :, None, :])
+    labels = ["(%s,%s)" % (la, lb) for la in a.labels for lb in b.labels]
+    dual = [int(a.dual[i]) * rb + int(b.dual[j]) for i in range(ra) for j in range(rb)]
+    grading = None
+    if a.grading is not None and b.grading is not None:
+        deg = np.concatenate([np.repeat(a.grading.deg, rb, axis=0),
+                              np.tile(b.grading.deg, (ra, 1))], axis=1)
+        grading = Grading(a.grading.orders + b.grading.orders, deg)
+    return FusionRing(labels, a.unit * rb + b.unit, dual,
+                      t.reshape((ra * rb,) * 3), grading)
+
+
+def _same(ring, want):
+    # equal rings (labels, unit, dual, triples and grading), and equal tensors
+    assert ring == want
+    assert ring.tensor.tobytes() == want.tensor.tobytes()
+
+
+def test_a_rings_match_the_loop():
+    for n in range(2, 31):
+        grading = Grading((2,), [(m % 2,) for m in range(n)])
+        want = FusionRing(["f%d" % m for m in range(n)], 0, list(range(n)),
+                          _verlinde_tensor(n), grading)
+        _same(_a_ring(n), want)
+
+
+def test_pointed_rings_match_the_loop():
+    for orders in [(), (1,), (5,), (2, 2), (2, 4), (2, 2, 2), (4, 6), (2, 1, 3)]:
+        _same(pointed_ring(orders), _pointed_ring_loop(orders))
+
+
+def test_deligne_products_match_the_broadcast():
+    pairs = [(ade_ring("A", 5), pointed_ring((8,))), (ade_ring("E6"), pointed_ring((4,))),
+             (ade_ring("D", 6), pointed_ring((2, 2))), (ade_ring("adA", 7), pointed_ring((3,))),
+             (ade_ring("A", 3), ade_ring("A", 5)),
+             # a factor that is not self-dual first, and coefficients 2 second
+             (pointed_ring((3,)), ade_ring("E6"))]
+    for a, b in pairs:
+        _same(deligne_product(a, b), _deligne_product_dense(a, b))

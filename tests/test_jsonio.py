@@ -6,7 +6,6 @@ import pytest
 
 from fusionrings import (
     ade_ring,
-    config,
     find_isomorphisms,
     load_ring,
     pointed_ring,
@@ -14,7 +13,7 @@ from fusionrings import (
     ring_to_dict,
     theorem_row,
 )
-from fusionrings.errors import BoundsExceededError, RingFormatError
+from fusionrings.errors import RingFormatError
 from fusionrings.jsonio import dump_ring, load_partial, partial_from_dict, partial_to_dict
 from conftest import data_path
 
@@ -189,12 +188,3 @@ def test_ring_from_dict_keeps_its_one_tensor():
     assert not back.tensor.flags.writeable
     assert peak <= 1.5 * ring.tensor.nbytes
 
-
-def test_load_ring_checks_the_dense_bound(e4, tmp_path, monkeypatch):
-    path = tmp_path / "ring.json"
-    dump_ring(e4, path)
-    monkeypatch.setattr(config, "MAX_DENSE_BYTES", e4.tensor.nbytes - 1)
-    with pytest.raises(BoundsExceededError):
-        load_ring(path)
-    monkeypatch.setattr(config, "MAX_DENSE_BYTES", e4.tensor.nbytes)
-    assert load_ring(path) == e4

@@ -375,6 +375,33 @@ def test_from_triples_checks_its_arrays(a5):
     assert np.array_equal(zero.triples, a5.triples)
 
 
+def test_from_triples_keeps_only_read_only_rows_in_order(a5):
+    # the rows of one read-only (4, n) int64 array, in order and with no
+    # zero, are kept as they are; anything else gives a fresh sorted copy,
+    # and a caller's writeable array is left writeable
+    head, n = (a5.labels, a5.unit, a5.dual), a5.triples.shape[1]
+
+    def frozen(a):
+        a.setflags(write=False)
+        return a
+
+    t = frozen(a5.triples.copy())
+    assert FusionRing.from_triples(*head, *t).triples is t
+    i, j, k, _ = a5.triples
+    zero = int(np.searchsorted((i * 5 + j) * 5 + k, (1 * 5 + 1) * 5 + 4))  # N_{f1 f1}^{f4} = 0
+    writeable = a5.triples.copy()
+    wide = frozen(np.concatenate([a5.triples, a5.triples], axis=1))
+    others = [writeable,
+              frozen(a5.triples[:, ::-1].copy()),  # out of order
+              frozen(np.insert(a5.triples, zero, [1, 1, 4, 0], axis=1)),  # in order, a zero
+              wide[:, :n]]  # rows of a wider array
+    for other in others:
+        ring = FusionRing.from_triples(*head, *other)
+        assert ring.triples is not other and ring.triples.base is not wide
+        assert np.array_equal(ring.triples, a5.triples) and not ring.triples.flags.writeable
+    assert writeable.flags.writeable
+
+
 def test_from_triples_builds_its_tensor_past_the_dense_bound(a5, monkeypatch):
     ring = FusionRing.from_triples(a5.labels, a5.unit, a5.dual, *a5.triples)
     monkeypatch.setattr(config, "MAX_DENSE_BYTES", a5.tensor.nbytes - 1)
