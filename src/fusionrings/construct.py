@@ -17,17 +17,17 @@ IVec(Z_2M) has the same ring as Vec(Z_2M).
 
 pointed_ring, the A_N rings, deligne_product and the table rows compute the
 nonzero triples of their ring with numpy and hand them to
-FusionRing.from_triples: none allocates the dense tensor of its result, and
-each first checks the arrays it holds at its peak with ring.check_dense (the
-solver makes the other rings from their tensors).  Table rows
-[C x Vec(Z_n)]_(1,1) never form the product: each triple N_xy^z of C goes to
-((x,g), (y,h), (z,g+h)) over the diagonal-degree pairs of x and y, in the
-product's lexicographic order, and the (1,1) support, generated by
-subring_generated, is cut out by ring.restrict.  A row with a free quotient
-sums its orbit ring from the same triples.  The tests check the
-constructions against the dense ones they replaced.  Gradings are built as
-degree arrays, and the diagonal degrees are read off a table over their
-group.
+FusionRing.from_triples as one (4, nnz) array, kept where it comes in order
+and read-only: none allocates the dense tensor of its result, and each first
+checks the arrays it holds at its peak with ring.check_dense (the solver
+makes the other rings from their tensors).  Table rows [C x Vec(Z_n)]_(1,1)
+never form the product: each N_xy^z of C goes to ((x,g), (y,h), (z,g+h))
+over the diagonal-degree pairs of x and y, in the product's lexicographic
+order, and the (1,1) support, generated by subring_generated, is every pair
+unless ring.restrict must cut it out.  A row with a free quotient sums its
+orbit ring from the same triples.  The tests check the constructions against
+the dense ones they replaced.  Gradings are built as degree arrays, and the
+diagonal degrees are read off a table over their group.
 """
 
 import math
@@ -75,19 +75,20 @@ def pointed_ring(group):
     # row of coordinates mod orders, in mixed radix
     els = np.indices(group.orders).reshape(len(orders), n).T
     radix = np.array([orders[c + 1:].prod() for c in range(len(orders))], dtype=np.int64)
-    # at the peak: i, j, k, v and from_triples' order and triples (9 arrays
-    # of n * n), or els[i], els[j] and their sum (3 per factor)
-    check_dense((9 + 3 * len(orders)) * n * n)
-    i, j = np.divmod(np.arange(n * n), n)
-    k = (els[i] + els[j]) % orders @ radix
+    # at the peak: t's four rows and one more array of n * n, and els[i], els[j]
+    # and their sum (3 per factor).  t is in order and read-only: it is kept
+    check_dense((5 + 3 * len(orders)) * n * n)
+    t = np.ones((4, n * n), dtype=np.int64)
+    np.divmod(np.arange(n * n), n, out=(t[0], t[1]))
+    np.matmul((els[t[0]] + els[t[1]]) % orders, radix, out=t[2])
+    t.setflags(write=False)
     if len(orders) == 1:
         labels = [str(e) for e in els[:, 0].tolist()]
     elif not len(orders):
         labels = ["0"]
     else:
         labels = ["(" + ",".join(map(str, e)) + ")" for e in els.tolist()]
-    return FusionRing.from_triples(labels, 0, -els % orders @ radix, i, j, k,
-                                   np.ones(n * n, dtype=np.int64), Grading(group.orders, els))
+    return FusionRing.from_triples(labels, 0, -els % orders @ radix, t, Grading(group.orders, els))
 
 
 def _a_ring(n):
@@ -108,7 +109,7 @@ def _a_ring(n):
     t[2] += np.arange(0, 2 * nnz, 2)
     t[3] = 1
     t.setflags(write=False)
-    return FusionRing.from_triples(["f%d" % m for m in range(n)], 0, np.arange(n), *t,
+    return FusionRing.from_triples(["f%d" % m for m in range(n)], 0, np.arange(n), t,
                                    Grading((2,), np.arange(n)[:, None] % 2))
 
 
@@ -170,9 +171,9 @@ def deligne_product(a, b):
     ra, rb = a.rank, b.rank
     ta, tb = a.triples, b.triples
     na, nb = ta.shape[1], tb.shape[1]
-    # at the peak, about 10 arrays of na * nb (the four columns below, and
-    # from_triples' key, order and sorted triples)
-    check_dense(11 * na * nb)
+    # at the peak, about 9 arrays of na * nb: the four rows of t, and
+    # from_triples' order and sorted copy of t
+    check_dense(10 * na * nb)
     labels = ["(%s,%s)" % (la, lb) for la in a.labels for lb in b.labels]
     grading = None
     if a.grading is not None and b.grading is not None:
@@ -180,10 +181,10 @@ def deligne_product(a, b):
                               np.tile(b.grading.deg, (ra, 1))], axis=1)
         grading = Grading(a.grading.orders + b.grading.orders, deg)
     # triple (ea, eb) is N_{(ia,ib),(ja,jb)}^{(ka,kb)} = va vb
-    pairs = [np.repeat(x, nb) * rb + np.tile(y, na) for x, y in zip(ta[:3], tb[:3])]
+    t = np.stack([np.repeat(x, nb) * rb + np.tile(y, na) for x, y in zip(ta[:3], tb[:3])]
+                 + [np.repeat(ta[3], nb) * np.tile(tb[3], na)])
     dual = np.add.outer(a.dual * rb, b.dual).ravel()
-    return FusionRing.from_triples(labels, a.unit * rb + b.unit, dual, *pairs,
-                                   np.repeat(ta[3], nb) * np.tile(tb[3], na), grading)
+    return FusionRing.from_triples(labels, a.unit * rb + b.unit, dual, t, grading)
 
 
 def one_one_subring(ring, grading):
@@ -247,15 +248,15 @@ def _one_one_product(base, n):
     # one_one_subring(deligne_product(base, pointed_ring(Z_n))), built from
     # its nonzero triples, filled on the pairs (x, g) of diagonal degree:
     # N_{(x,g),(y,h)}^{(z,k)} = N_{xy}^z [g+h = k].  The product grading is
-    # multiplicative exactly when base.grading is.  A trivially graded base
-    # pairs with every g, so its ring is the whole product.
+    # multiplicative exactly when base.grading is.  The ring carries the
+    # Z_lcm grading and is returned as it is when the support generated from
+    # degree 1 is every pair (a trivially graded base pairs with every g).
     _check_multiplicative(base, base.grading)
     orders = base.grading.orders + (n,)
     xs, gs = np.divmod(np.arange(base.rank * n), n)
-    deg = np.column_stack([base.grading.deg[xs], gs])
-    diag = _diagonal_index(orders, deg)
+    diag = _diagonal_index(orders, np.column_stack([base.grading.deg[xs], gs]))
     on = diag >= 0
-    xs, gs, deg, diag = xs[on], gs[on], deg[on], diag[on]
+    xs, gs, diag = xs[on], gs[on], diag[on]
     pos = np.full((base.rank, n), -1)
     pos[xs, gs] = np.arange(len(xs))
     # a simple with a diagonal pair has the same number q of them (one coset
@@ -272,6 +273,9 @@ def _one_one_product(base, n):
     # once per h, with each entry's pair (y, h)
     t = base.triples
     i, j, k, v = t[:, (row[t[0]] >= 0) & (row[t[1]] >= 0)]
+    # each goes to q * q triples: at the peak at, out and out[2]'s four temporaries
+    # per product triple, i, j, k, v per base one and e, b, k, v per tiled one
+    check_dense((9 * q * q + 4 * q + 4) * len(i))
     xy = np.flatnonzero(np.diff(i * base.rank + j, prepend=-1))
     e, run = _tile_blocks(xy, np.diff(xy, append=len(i)), q)
     b = cols[row[j[e]], np.repeat(np.tile(np.arange(q), len(xy)), run)]
@@ -288,8 +292,9 @@ def _one_one_product(base, n):
     out.setflags(write=False)
     labels = ["(%s,%s)" % (base.labels[x], g) for x, g in zip(xs.tolist(), gs.tolist())]
     ring = FusionRing.from_triples(labels, pos[base.unit, 0], pos[base.dual[xs], -gs % n],
-                                   *out, Grading(orders, deg))
-    return restrict(ring, *_diagonal_subring(ring, orders, diag))
+                                   out, Grading((math.lcm(*orders),), diag[:, None]))
+    inside, grading = _diagonal_subring(ring, orders, diag)
+    return ring if len(inside) == ring.rank else restrict(ring, inside, grading)
 
 
 def dequiv_free(ring, h):
@@ -349,7 +354,8 @@ def _dequiv(ring, h):
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))  # each orbit triple's first term
     ij, ok = np.divmod(key[first], r)
-    oi, oj = np.divmod(ij, r)
+    t = np.stack((*np.divmod(ij, r), ok, np.add.reduceat(v[on][order], first)))
+    t.setflags(write=False)  # in order, with positive sums: from_triples keeps it
     dual = orbit_of[ring.dual[reps]]
     labels = ["[%s]" % ring.labels[i] for i in reps]
     grading = None
@@ -358,8 +364,7 @@ def _dequiv(ring, h):
         group, f = quotient_with_map(ring.grading.orders, [deg[g] for g in H.tolist()])
         grading = Grading(group.orders, np.array([f(deg[i]) for i in reps.tolist()],
                                                  dtype=np.int64).reshape(r, len(group.orders)))
-    quotient = FusionRing.from_triples(labels, orbit_of[ring.unit], dual, oi, oj, ok,
-                                       np.add.reduceat(v[on][order], first), grading)
+    quotient = FusionRing.from_triples(labels, orbit_of[ring.unit], dual, t, grading)
     return quotient, orbit_of.tolist()
 
 
@@ -417,7 +422,7 @@ def e166_ring():
     if g.orders != (6,) or a0 != (1,):
         raise InconsistentGradingError("expected a universal Z_6 grading with a0 of "
                                        "degree (1,), got %s with %r" % (g.group, a0))
-    return restrict(ring, range(ring.rank), g)
+    return FusionRing.from_triples(ring.labels, ring.unit, ring.dual, ring.triples, g)
 
 
 # ---------------------------------------------------------------------------

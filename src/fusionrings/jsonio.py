@@ -80,7 +80,10 @@ def grading_from_dict(data, labels, index):
                "deg coordinates must match 'orders'")
         _check(degmap.setdefault(lab, coords) == coords, "conflicting degrees for %r" % lab)
     _check(set(degmap) == set(labels), "grading must assign a degree to every label")
-    return Grading(orders, [degmap[l] for l in labels])
+    try:
+        return Grading(orders, [degmap[l] for l in labels])
+    except MalformedRingError as exc:  # an order past Grading's bound
+        raise RingFormatError(str(exc)) from exc
 
 
 def _entries_from(data, key, index):
@@ -106,9 +109,9 @@ def ring_from_dict(data):
     dual = [dual[i] for i in range(rank)]
     grading = grading_from_dict(data, labels, index)
     entries = _entries_from(data, "tensor", index).items()
-    ijkv = np.array([ijk + (n,) for ijk, n in entries], dtype=np.int64).reshape(-1, 4)
     try:
-        return FusionRing.from_triples(labels, unit, dual, *ijkv.T, grading)
+        ijkv = np.array([ijk + (n,) for ijk, n in entries], dtype=np.int64).reshape(-1, 4)
+        return FusionRing.from_triples(labels, unit, dual, ijkv.T, grading)
     except Exception as exc:
         raise RingFormatError(str(exc)) from exc
 
@@ -148,19 +151,19 @@ def partial_from_dict(data):
         _check(lab in index, "dims mentions unknown label %r" % lab)
         _check(_is_int(val) or isinstance(val, float), "dims must be numbers")
         _check(lab not in dimmap or dimmap[lab] == val, "conflicting dims for %r" % lab)
-        dimmap[lab] = float(val)
+        dimmap[lab] = val
     _check(set(dimmap) == set(labels), "dims must cover every label")
     known = _entries_from(data, "known", index)
     try:
         return PartialRing(
             labels=labels,
             unit=unit,
-            dims=[dimmap[l] for l in labels],
+            dims=[float(dimmap[l]) for l in labels],
             grading=grading,
             dual=dual,
             known=known,
         )
-    except MalformedRingError as exc:
+    except (MalformedRingError, OverflowError) as exc:  # OverflowError: a dim past float
         raise RingFormatError(str(exc)) from exc
 
 

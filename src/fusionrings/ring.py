@@ -136,8 +136,8 @@ class FusionRing:
 
     Construction checks only structure (shapes, involution, nonnegativity);
     the ring axioms are checked by :func:`verify_axioms`.  A read-only
-    int64 tensor or dual is kept as given; a writeable one is copied, so
-    the caller's array is neither frozen nor shared.
+    int64 tensor, dual or from_triples array is kept as given; a writeable
+    one is copied, so the caller's array is neither frozen nor shared.
     """
 
     __slots__ = ("labels", "unit", "dual", "grading", "triples", "_index", "_tensor")
@@ -158,24 +158,27 @@ class FusionRing:
         self._tensor = t
 
     @classmethod
-    def from_triples(cls, labels, unit, dual, i, j, k, v, grading=None):
-        """The ring with N_{i[e] j[e]}^{k[e]} = v[e] and every other coefficient 0, from
-        integer arrays of one length in any order; zeros are dropped.
-
-        When i, j, k, v are the rows of one read-only (4, n) int64 array, in
-        lexicographic order and with no zero, that array is kept as
-        ring.triples with no copy, and the call allocates one int64 key and
-        one boolean array of length n.
+    def from_triples(cls, labels, unit, dual, triples, grading=None):
+        """The ring with N_{i[e] j[e]}^{k[e]} = v[e] and every other coefficient 0,
+        from a (4, n) integer array of rows i, j, k, v in any order; zeros are
+        dropped.  As for a tensor or dual, a read-only, C-contiguous int64
+        array, here in lexicographic order and with no zero, is kept as
+        ring.triples (the call allocates one int64 key and one boolean array
+        of length n); any other gives a sorted, zero-free, read-only copy.
         """
         ring = cls.__new__(cls)
         ring._set_structure(labels, unit, dual, grading)
         r = ring.rank
-        cols = [np.asarray(a) for a in (i, j, k, v)]
-        if any(c.ndim != 1 or c.shape != cols[0].shape or c.size and c.dtype.kind not in "iu"
-               for c in cols):
-            raise MalformedRingError("triples must be 1-d integer arrays of one length")
-        i, j, k, v = cols = [c.astype(np.int64, copy=False) for c in cols]
-        if any(c.min(initial=0) < 0 or c.max(initial=0) >= r for c in (i, j, k)):
+        try:
+            t = np.asarray(triples)
+        except ValueError:  # a ragged list
+            t = None
+        if t is None or t.ndim != 2 or len(t) != 4 or t.size and t.dtype.kind not in "iu":
+            raise MalformedRingError("triples must be a (4, n) integer array")
+        keep = t.dtype == np.int64 and t.flags.c_contiguous and not t.flags.writeable
+        t = t.astype(np.int64, copy=False)
+        i, j, k, v = t
+        if t[:3].min(initial=0) < 0 or t[:3].max(initial=0) >= r:
             raise MalformedRingError("triple index out of range")
         if v.min(initial=0) < 0:
             raise MalformedRingError("negative fusion coefficient")
@@ -187,17 +190,11 @@ class FusionRing:
         if order is not None and (np.diff(key[order]) == 0).any():
             raise MalformedRingError("repeated triple")
         del key
-        t = i.base
-        if (order is None and v.min(initial=1) > 0 and isinstance(t, np.ndarray)
-                and t.dtype == np.int64 and t.shape == (4, len(v)) and not t.flags.writeable
-                and all(c.flags.c_contiguous and c.ctypes.data == row.ctypes.data
-                        for c, row in zip(cols, t))):
+        if order is None and keep and v.all():
             ring.triples = t
             return ring
         order = np.flatnonzero(v) if order is None else order[v[order] != 0]
-        ring.triples = np.empty((4, len(order)), dtype=np.int64)
-        for row, c in zip(ring.triples, cols):
-            np.take(c, order, out=row)
+        ring.triples = np.take(t, order, axis=1)
         ring.triples.setflags(write=False)
         return ring
 
@@ -716,11 +713,14 @@ def subring_generated(ring, seeds):
     component of the graph joining x to every constituent of x (x) g, for g
     a seed or a seed's dual: by Frobenius reciprocity N_{xg}^z = N_{zg*}^x,
     every edge also runs back, so the component is what words in the seeds
-    and their duals reach.
+    and their duals reach.  The seeds follow check_index, checked as one
+    array: a bool, a float or an index outside 0 <= x < rank raises IndexError.
     """
-    seeds = list(seeds)
-    if not seeds:
+    seeds = np.asarray(seeds)
+    if not seeds.size:
         raise ValueError("seed set must be nonempty")
+    if seeds.dtype.kind not in "iu" or seeds.min() < 0 or seeds.max() >= ring.rank:
+        raise IndexError("seeds must be object indices in range, got %r" % (seeds,))
     by = np.zeros(ring.rank, dtype=bool)
     by[seeds] = by[ring.dual[seeds]] = True
     i, j, k, _ = ring.triples
@@ -888,24 +888,22 @@ def restrict(ring, indices, grading=None):
     leaving the set would be dropped silently otherwise, so closure under
     fusion and duals is checked (MalformedRingError); adjoint and (1,1)
     subrings both come through here, read off ring.triples.  Labels are kept
-    and ``grading`` is attached.  The whole index set in order gives a ring on
-    ring's own read-only views and dual, with no copy.
+    and ``grading`` is attached.  The kept triples are gathered into one
+    array, relabelled in place and handed to from_triples read-only, which
+    keeps it when the indices increase.
     """
     idx = list(indices)
-    labels = [ring.labels[i] for i in idx]
-    if idx == list(range(ring.rank)):
-        whole = FusionRing.__new__(FusionRing)
-        whole._set_structure(labels, ring.unit, ring.dual, grading)
-        whole.triples, whole._tensor = ring.triples, ring._tensor
-        return whole
     pos = np.full(ring.rank, -1)
     pos[idx] = np.arange(len(idx))
-    i, j, k, v = ring.triples
+    i, j, k, _ = ring.triples
     inside = (pos[i] >= 0) & (pos[j] >= 0)
     if (pos[k[inside]] < 0).any():
         raise MalformedRingError("index set is not fusion-closed")
     dual = pos[ring.dual[idx]]
     if (dual < 0).any():
         raise MalformedRingError("index set is not dual-closed")
-    return FusionRing.from_triples(labels, pos[ring.unit], dual, pos[i[inside]],
-                                   pos[j[inside]], pos[k[inside]], v[inside], grading)
+    t = np.compress(inside, ring.triples, axis=1)
+    t[:3] = pos[t[:3]]
+    t.setflags(write=False)
+    return FusionRing.from_triples([ring.labels[x] for x in idx], pos[ring.unit], dual, t,
+                                   grading)

@@ -33,6 +33,28 @@ def group_from_presentation(n, mul):
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
+@pytest.fixture
+def out_of_range_files(tmp_path):
+    """(name, path) of three JSON files, each with one number out of range:
+    a ring coefficient past int64 ("coefficient"), a partial ring's
+    dimension past float ("dims") and a grading order past 2**62
+    ("order")."""
+    from fusionrings import pointed_ring
+    from fusionrings.jsonio import load_partial, partial_to_dict, ring_to_dict
+
+    coefficient, order = ring_to_dict(pointed_ring((3,))), ring_to_dict(pointed_ring((3,)))
+    coefficient["tensor"][-1][3] = 2 ** 70
+    order["grading"]["orders"] = [2 ** 63]
+    dims = partial_to_dict(load_partial(data_path("e4_partial.json")))
+    dims["dims"][1][1] = 10 ** 400
+    files = []
+    for name, data in (("coefficient", coefficient), ("dims", dims), ("order", order)):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(data))
+        files.append((name, path))
+    return files
+
+
 @pytest.fixture(scope="session")
 def e4():
     from fusionrings import e4_ring

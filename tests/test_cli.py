@@ -330,3 +330,11 @@ def test_closed_stdout_ends_quietly():
     os.close(write)
     err = proc.communicate()[1]
     assert (proc.returncode, err) == (141, b"")
+
+
+def test_numbers_out_of_range_exit_2(cli, out_of_range_files):
+    # one JSON error line each, not a traceback
+    for name, path in out_of_range_files:
+        code, out, err = cli("solve" if name == "dims" else "verify", path)
+        assert (code, out) == (2, ""), name
+        assert json.loads(err)["error"] == "RingFormatError", name

@@ -272,30 +272,32 @@ def test_dequiv_matches_loop_oracle(spy):
 
 
 def test_one_one_scatter_comes_in_lexicographic_order(monkeypatch):
-    # _one_one_product writes the product's triples in (x, g, y, h, z) order,
-    # so every from_triples call of a row build is handed increasing keys,
-    # and the first, the scatter's, one read-only array that it keeps
+    # _one_one_product writes the product's triples in (x, g, y, h, z) order
+    # and _dequiv its orbit triples in order, so every from_triples call of a
+    # row build, the pointed row's included, is handed one read-only array
+    # of increasing keys that it keeps with no copy
     keys, kept = [], []
     real = FusionRing.from_triples.__func__
 
-    def record(cls, labels, unit, dual, i, j, k, v, grading=None):
+    def record(cls, labels, unit, dual, triples, grading=None):
         r = len(labels)
-        keys.append((np.asarray(i) * r + j) * r + k)
-        ring = real(cls, labels, unit, dual, i, j, k, v, grading)
-        kept.append(ring.triples is np.asarray(i).base)
+        keys.append((triples[0] * r + triples[1]) * r + triples[2])
+        ring = real(cls, labels, unit, dual, triples, grading)
+        kept.append(ring.triples is triples)
         return ring
 
+    for recipe in ROWS.values():  # the cached base rings, built beforehand
+        if recipe.base is not None:
+            recipe.base(recipe.N and recipe.N[1])
     monkeypatch.setattr(FusionRing, "from_triples", classmethod(record))
     for row, recipe in ROWS.items():
-        if recipe.base is None:
-            continue
-        base, _ = recipe.base(recipe.N and recipe.N[1])
         for M in (1, 2, 3):
             keys.clear()
             kept.clear()
-            construct._one_one_product(base, recipe.n * M)
-            assert keys and all((np.diff(key) > 0).all() for key in keys), (row, M)
-            assert kept[0], (row, M)
+            theorem_row(row, M=M)
+            assert len(kept) == 1 + (recipe.quotient is not None), (row, M)
+            assert all((np.diff(key) > 0).all() for key in keys), (row, M)
+            assert all(kept), (row, M)
 
 
 def test_quotient_rows_match_dense_oracle():
@@ -555,3 +557,28 @@ def test_e166_ring_properties(e166):
     adj_labels = {e166.labels[i] for i in
                   __import__("fusionrings").adjoint_subring(e166)}
     assert adj_labels == {"f0", "f2", "f4", "f6", "P", "Q"}
+
+
+@pytest.mark.parametrize("row, M", [("exc4-deq", 4), ("a-even", 64), ("exc166", 4)])
+def test_table_row_scatter_checks_its_peak(row, M, e4, e166, monkeypatch):
+    # _one_one_product counts what its scatter holds at its peak: with the
+    # bound at 95% of the traced peak (Python's own objects are not
+    # counted), the row raises before the scatter allocates.  exc4-deq at
+    # M = 100 would hold about 2.6 GB there, past the real bound
+    recipe = ROWS[row]
+    base, _ = recipe.base(recipe.N and recipe.N[1])
+    peaks = []
+    for bound in (config.MAX_DENSE_BYTES, None):
+        if bound is None:
+            monkeypatch.setattr(config, "MAX_DENSE_BYTES", int(0.95 * peaks[0]))
+        tracemalloc.start()
+        try:
+            if bound is None:
+                with pytest.raises(BoundsExceededError):
+                    theorem_row(row, M=M)
+            else:
+                construct._one_one_product(base, recipe.n * M)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 10

@@ -188,3 +188,10 @@ def test_ring_from_dict_keeps_its_one_tensor():
     assert not back.tensor.flags.writeable
     assert peak <= 1.5 * ring.tensor.nbytes
 
+
+
+
+def test_numbers_out_of_range_are_format_errors(out_of_range_files):
+    for name, path in out_of_range_files:
+        with pytest.raises(RingFormatError):
+            (load_partial if name == "dims" else load_ring)(path)

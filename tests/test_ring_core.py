@@ -357,28 +357,36 @@ def test_ring_neither_freezes_nor_shares_callers_arrays(a5):
 
 
 def test_from_triples_checks_its_arrays(a5):
-    i, j, k, v = a5.triples
+    t = a5.triples
     head = (a5.labels, a5.unit, a5.dual)
-    bad = [((i[:-1], j, k, v), "one length"),
-           ((i, j, np.where(k == 4, 5, k), v), "out of range"),
-           ((np.where(i == 4, -1, i), j, k, v), "out of range"),
-           ((i, j, k, -v), "negative"),
-           ((i, j, k, v.astype(float)), "integer arrays"),
-           (tuple(np.append(a, a[0]) for a in (i, j, k, v)), "repeated")]
-    for arrays, match in bad:
+
+    def replaced(r, row):  # t with row r replaced
+        out = t.copy()
+        out[r] = row
+        return out
+
+    bad = [([*t[:3], t[3, :-1]], "integer array"),  # ragged
+           (t[:3], "integer array"),
+           (t.astype(float), "integer array"),
+           (t.ravel(), "integer array"),
+           (replaced(2, np.where(t[2] == 4, 5, t[2])), "out of range"),
+           (replaced(0, np.where(t[0] == 4, -1, t[0])), "out of range"),
+           (replaced(3, -t[3]), "negative"),
+           (np.append(t, t[:, :1], axis=1), "repeated")]
+    for array, match in bad:
         with pytest.raises(MalformedRingError, match=match):
-            FusionRing.from_triples(*head, *arrays)
+            FusionRing.from_triples(*head, array)
     # an explicit zero, here N_{f1 f1}^{f4}, is dropped
-    extra = (np.append(a, x) for a, x in zip((i, j, k, v), (1, 1, 4, 0)))
-    zero = FusionRing.from_triples(*head, *extra, grading=a5.grading)
+    zero = FusionRing.from_triples(*head, np.append(t, [[1], [1], [4], [0]], axis=1),
+                                   grading=a5.grading)
     assert zero == a5
     assert np.array_equal(zero.triples, a5.triples)
 
 
 def test_from_triples_keeps_only_read_only_rows_in_order(a5):
-    # the rows of one read-only (4, n) int64 array, in order and with no
-    # zero, are kept as they are; anything else gives a fresh sorted copy,
-    # and a caller's writeable array is left writeable
+    # a read-only, C-contiguous int64 array in order and with no zero is kept
+    # as it is; anything else gives a fresh sorted copy, and a caller's
+    # writeable array is left writeable
     head, n = (a5.labels, a5.unit, a5.dual), a5.triples.shape[1]
 
     def frozen(a):
@@ -386,7 +394,7 @@ def test_from_triples_keeps_only_read_only_rows_in_order(a5):
         return a
 
     t = frozen(a5.triples.copy())
-    assert FusionRing.from_triples(*head, *t).triples is t
+    assert FusionRing.from_triples(*head, t).triples is t
     i, j, k, _ = a5.triples
     zero = int(np.searchsorted((i * 5 + j) * 5 + k, (1 * 5 + 1) * 5 + 4))  # N_{f1 f1}^{f4} = 0
     writeable = a5.triples.copy()
@@ -394,16 +402,26 @@ def test_from_triples_keeps_only_read_only_rows_in_order(a5):
     others = [writeable,
               frozen(a5.triples[:, ::-1].copy()),  # out of order
               frozen(np.insert(a5.triples, zero, [1, 1, 4, 0], axis=1)),  # in order, a zero
-              wide[:, :n]]  # rows of a wider array
+              frozen(a5.triples.astype(np.int32)),
+              wide[:, :n],  # a slice that is not contiguous
+              frozen(a5.triples.T.copy()).T]  # the transpose of an (n, 4) array
     for other in others:
-        ring = FusionRing.from_triples(*head, *other)
-        assert ring.triples is not other and ring.triples.base is not wide
+        ring = FusionRing.from_triples(*head, other)
+        assert ring.triples is not other and not np.shares_memory(ring.triples, other)
         assert np.array_equal(ring.triples, a5.triples) and not ring.triples.flags.writeable
+        assert ring.triples.flags.c_contiguous and ring.triples.dtype == np.int64
     assert writeable.flags.writeable
+    # a ring's own triples, with its grading swapped or dropped, are kept as
+    # they are, and so is its dual
+    for ring, g in ((a5, None), (theorem_row("exc4", M=1).ring, None),
+                    (a5, universal_grading(a5))):
+        other = FusionRing.from_triples(ring.labels, ring.unit, ring.dual, ring.triples, g)
+        assert other.triples is ring.triples and other.dual is ring.dual
+        assert other.grading is g
 
 
 def test_from_triples_builds_its_tensor_past_the_dense_bound(a5, monkeypatch):
-    ring = FusionRing.from_triples(a5.labels, a5.unit, a5.dual, *a5.triples)
+    ring = FusionRing.from_triples(a5.labels, a5.unit, a5.dual, a5.triples)
     monkeypatch.setattr(config, "MAX_DENSE_BYTES", a5.tensor.nbytes - 1)
     assert subring_generated(ring, [1]) == tuple(range(5))  # reads triples only
     with pytest.raises(BoundsExceededError):
@@ -428,7 +446,7 @@ def test_triples_view_matches_the_tensor(e4, e166, a5):
         dense = FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor.copy())
         assert np.array_equal(dense.triples, t)
         perm = rng.permutation(t.shape[1])
-        back = FusionRing.from_triples(ring.labels, ring.unit, ring.dual, *t[:, perm],
+        back = FusionRing.from_triples(ring.labels, ring.unit, ring.dual, t[:, perm],
                                        grading=ring.grading)
         assert back == ring
         assert np.array_equal(back.tensor, ring.tensor)
@@ -515,14 +533,24 @@ def test_invertibles_forming_a_loop_raise():
         universal_grading(ring)
 
 
-def test_restrict_whole_ring_shares_arrays_and_checks_subsets(a5):
-    build = theorem_row("exc4", M=1)
-    # a5 is built from its tensor, a row's ring from its triples
-    for ring, view in ((a5, "tensor"), (build.ring, "triples")):
-        whole = restrict(ring, range(ring.rank), grading=ring.grading)
-        assert whole == ring
-        assert np.shares_memory(getattr(whole, view), getattr(ring, view))
-        assert np.shares_memory(whole.dual, ring.dual)
+def test_restrict_keeps_its_gather_and_checks_subsets(a5, monkeypatch):
+    # restrict gathers the kept triples into one array of its own, which
+    # from_triples keeps when the indices increase and sorts anew otherwise
+    ring = theorem_row("exc4", M=1).ring
+    idx = adjoint_subring(ring)
+    kept = []
+    real = FusionRing.from_triples.__func__
+
+    def record(cls, labels, unit, dual, triples, grading=None):
+        out = real(cls, labels, unit, dual, triples, grading)
+        kept.append(out.triples is triples and not np.shares_memory(triples, ring.triples))
+        return out
+
+    monkeypatch.setattr(FusionRing, "from_triples", classmethod(record))
+    restrict(ring, idx)
+    restrict(ring, idx[::-1])
+    assert kept == [True, False]
+    assert restrict(a5, range(5), a5.grading) == a5
     # {f0, f1} is dual-closed but not fusion-closed (f1 f1 = f0 + f2)
     with pytest.raises(MalformedRingError, match="not fusion-closed"):
         restrict(a5, [0, 1])
@@ -1000,7 +1028,7 @@ def _relabel(ring, p):
     grading = None if ring.grading is None else Grading(ring.grading.orders,
                                                         moved(ring.grading.deg.tolist()))
     return FusionRing.from_triples(moved(ring.labels), p[ring.unit], moved(p[ring.dual]),
-                                   p[i], p[j], p[k], v, grading)
+                                   np.stack([p[i], p[j], p[k], v]), grading)
 
 
 def _degree_blocks(grading, p=None):
@@ -1039,3 +1067,21 @@ def test_intrinsic_computations_follow_a_relabelling(e4, e166):
             assert is_k_normal(moved, p[gen]).equal_at == k_normal, name
             assert is_generator(moved, p[gen]) == generates, name
             assert find_isomorphisms(moved, ring, max_count=1), name
+
+
+def test_seeds_follow_check_index(a5):
+    # a seed outside 0 <= x < rank, a bool or a float raises instead of
+    # wrapping around or being read as an index; an array of seeds is
+    # checked as a whole
+    for bad in (-1, a5.rank, True, 1.0):
+        with pytest.raises(IndexError):
+            is_generator(a5, bad)
+        with pytest.raises(IndexError):
+            subring_generated(a5, [bad])
+    for bad in (np.array([2, a5.rank]), [True] * a5.rank):  # the second no mask
+        with pytest.raises(IndexError):
+            subring_generated(a5, bad)
+    with pytest.raises(ValueError, match="nonempty"):
+        subring_generated(a5, [])
+    assert subring_generated(a5, np.array([2], dtype=np.uint8)) == (0, 2, 4)
+    assert is_generator(a5, np.int64(1)) and not is_generator(a5, 4)
